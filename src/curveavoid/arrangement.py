@@ -5,6 +5,12 @@ of codimension-2 subspaces is "in general position" when the orthogonal
 complements together span R^6; since each subspace is the kernel of its
 defining forms, the complement is the row span of those forms and the
 predicate is a single exact rank computation.
+
+The classifier only ever stacks the realified forms of complex hyperplanes
+(H~, H_j, H_k).  The real span of Re(c.z) and Im(c.z) is the realification
+of the complex line C.c, so the real rank of such a stack is 2 * rank_C of
+the three complex coefficient vectors: 4 or 6.  `triple_rank` computes it
+that way, on a 3x3 Gaussian-rational matrix instead of a 6x6 rational one.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ from .exact_linalg import (
     RationalVector,
     _frac,
     _rref,
+    GQ_I,
     gq,
+    rank_complex,
     rank_real,
 )
 from .projective import ComplexHyperplane
@@ -81,16 +89,26 @@ class Verdict:
     evidence: tuple[TripleRank, ...]
 
 
+def re_part_form(a: Sequence[GaussianRational]) -> RationalVector:
+    """The real form Re(a.z) on (x1, y1, x2, y2, x3, y3)."""
+    return tuple(x for c in a for x in (c.re, -c.im))
+
+
 def realify(h: ComplexHyperplane) -> RealSubspace:
-    """The codimension-2 real subspace {Re(a.z) = 0, Im(a.z) = 0}."""
+    """The codimension-2 real subspace {Re(a.z) = 0, Im(a.z) = Re(-i a.z) = 0}."""
     if len(h.coefficients) != 3:
         raise ValueError("realification lives in C^3 = R^6")
-    re_form: list[Fraction] = []
-    im_form: list[Fraction] = []
-    for a in h.coefficients:
-        re_form.extend((a.re, -a.im))
-        im_form.extend((a.im, a.re))
-    return RealSubspace((tuple(re_form), tuple(im_form)))
+    a = h.coefficients
+    return RealSubspace((re_part_form(a), re_part_form([-GQ_I * c for c in a])))
+
+
+def triple_rank(alpha: Sequence[GQLike], a: Sequence[GQLike], b: Sequence[GQLike]) -> int:
+    """Real rank of the stacked realified forms of three complex forms on C^3.
+
+    The real span of Re(c.z) and Im(c.z) is the realification of the line
+    C.c, so the stack spans the realified complex span of alpha, a and b.
+    """
+    return 2 * rank_complex([alpha, a, b])
 
 
 def holomorphic_coefficients(form: Sequence[RationalLike]) -> ComplexVector:
@@ -181,13 +199,12 @@ def triple_ranks(
     _validate_four(hyperplanes)
     if s.dimension != 5:
         raise ValueError("classification takes a real hyperplane")
-    ht = realify(extract_complex_hyperplane(s))
-    realified = [realify(h) for h in hyperplanes]
-    out = []
-    for j, k in combinations(range(4), 2):
-        stacked = list(ht.forms) + list(realified[j].forms) + list(realified[k].forms)
-        out.append(TripleRank((j + 1, k + 1), rank_real(stacked)))
-    return tuple(out)
+    alpha = holomorphic_coefficients(s.forms[0])
+    rows = [h.coefficients for h in hyperplanes]
+    return tuple(
+        TripleRank((j + 1, k + 1), triple_rank(alpha, rows[j], rows[k]))
+        for j, k in combinations(range(4), 2)
+    )
 
 
 def classify(hyperplanes: Sequence[ComplexHyperplane], s: RealSubspace) -> Verdict:

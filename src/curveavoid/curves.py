@@ -16,12 +16,7 @@ from fractions import Fraction
 from itertools import combinations, count
 from typing import Iterable, Iterator, Sequence
 
-from .arrangement import (
-    RealSubspace,
-    extract_complex_hyperplane,
-    holomorphic_coefficients,
-    realify,
-)
+from .arrangement import RealSubspace, holomorphic_coefficients, re_part_form, triple_rank
 from .exact_linalg import (
     ComplexVector,
     GaussianRational,
@@ -30,11 +25,9 @@ from .exact_linalg import (
     GQ_ZERO,
     gq,
     inverse_complex,
-    rank_complex,
-    rank_real,
     solve_complex,
 )
-from .projective import ComplexHyperplane
+from .projective import ComplexHyperplane, require_general_position
 
 
 class ConstructionError(RuntimeError):
@@ -62,24 +55,10 @@ def poly_constant(c: GQLike) -> Poly:
     return poly((c,))
 
 
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return poly(
-        [(p[i] if i < len(p) else GQ_ZERO) - (q[i] if i < len(q) else GQ_ZERO) for i in range(n)]
-    )
-
-
 def poly_eval(p: Poly, z: complex) -> complex:
     acc = 0j
     for c in reversed(p):
         acc = acc * z + c.to_complex()
-    return acc
-
-
-def poly_eval_derivative(p: Poly, z: complex) -> complex:
-    acc = 0j
-    for k in range(len(p) - 1, 0, -1):
-        acc = acc * z + k * p[k].to_complex()
     return acc
 
 
@@ -231,18 +210,6 @@ def evaluate_sum(s: ExpSum, z: complex) -> complex:
     )
 
 
-def evaluate_sum_derivative(s: ExpSum, z: complex) -> complex:
-    return sum(
-        (
-            t.coeff.to_complex()
-            * poly_eval_derivative(t.exponent, z)
-            * cmath.exp(poly_eval(t.exponent, z))
-            for t in s.terms
-        ),
-        0j,
-    )
-
-
 # ---------------------------------------------------------------------------
 # curves
 
@@ -263,9 +230,6 @@ class ExpAffineCurve:
         if len(terms) != 3:
             raise ValueError("three components expected")
         return cls(tuple(exp_term(c, p) for c, p in terms))
-
-    def evaluate(self, z: complex) -> tuple[complex, complex, complex]:
-        return tuple(evaluate_sum(c, z) for c in self.components)
 
 
 def apply_form(h: ComplexHyperplane | Sequence[GQLike], f: ExpAffineCurve) -> ExpSum:
@@ -422,11 +386,8 @@ def normalize_four(
         raise ValueError("exactly four hyperplanes are required")
     if any(len(h.coefficients) != 3 for h in hyperplanes):
         raise ValueError("hyperplanes live in C^3")
+    require_general_position(hyperplanes, 3)
     rows = [h.coefficients for h in hyperplanes]
-    for subset in combinations(range(4), 3):
-        if rank_complex([rows[i] for i in subset]) != 3:
-            labels = ", ".join(str(i + 1) for i in subset)
-            raise ValueError(f"hyperplanes {labels} are not in general position")
     transpose = [[rows[i][j] for i in range(3)] for j in range(3)]
     lam = solve_complex(transpose, rows[3])
     assert lam is not None and all(lam)
@@ -459,13 +420,6 @@ def _matrix_times_curve(
     return tuple(out)
 
 
-def _re_part_form(coeffs: ComplexVector) -> tuple[Fraction, ...]:
-    out: list[Fraction] = []
-    for a in coeffs:
-        out.extend((a.re, -a.im))
-    return tuple(out)
-
-
 def witness_dim4_subspace(
     hyperplanes: Sequence[ComplexHyperplane],
 ) -> tuple[RealSubspace, ExpAffineCurve]:
@@ -486,7 +440,7 @@ def witness_dim4_subspace(
     curve = ExpAffineCurve(_matrix_times_curve(inv, g))
     d1 = _row_times_matrix((GQ_ONE, gq(-1), GQ_ZERO), matrix)
     d2 = _row_times_matrix((GQ_ONE, GQ_ZERO, gq(-1)), matrix)
-    subspace = RealSubspace((_re_part_form(d1), _re_part_form(d2)))
+    subspace = RealSubspace((re_part_form(d1), re_part_form(d2)))
     for h in hyperplanes:
         assert is_nowhere_zero(apply_form(h, curve)) == "yes"
     assert not is_projectively_constant(curve)
@@ -525,16 +479,11 @@ def witness_degenerate_pair(
         raise ValueError("pair indices must satisfy 1 <= j < k <= 4")
     if len(hyperplanes) != 4:
         raise ValueError("exactly four hyperplanes are required")
-    evidence_rank = rank_real(
-        list(realify(extract_complex_hyperplane(s)).forms)
-        + list(realify(hyperplanes[j - 1]).forms)
-        + list(realify(hyperplanes[k - 1]).forms)
-    )
-    if evidence_rank == 6:
+    alpha = holomorphic_coefficients(s.forms[0])
+    if triple_rank(alpha, hyperplanes[j - 1].coefficients, hyperplanes[k - 1].coefficients) == 6:
         raise ValueError(f"triple for pair {pair} is in general position")
     matrix, _ = normalize_four(hyperplanes)
     inv = inverse_complex(matrix)
-    alpha = holomorphic_coefficients(s.forms[0])
     alpha_w = _row_times_matrix(alpha, inv)
     natural = _natural_tied_pair(pair)
     order = [natural] + [p for p in _TIED_PAIRS if p != natural]

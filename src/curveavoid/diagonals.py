@@ -13,8 +13,14 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .exact_linalg import kernel_complex, rank_complex
-from .projective import ComplexHyperplane, ProjLine, ProjPoint, line_through
+from .exact_linalg import kernel_complex
+from .projective import (
+    ComplexHyperplane,
+    ProjLine,
+    ProjPoint,
+    line_through,
+    require_general_position,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,20 +85,10 @@ def intersection_point(hyperplanes: Sequence[ComplexHyperplane]) -> ProjPoint:
     width = len(hyperplanes[0].coefficients)
     if len(hyperplanes) != width - 1:
         raise ValueError(f"need exactly {width - 1} hyperplanes in CP^{width - 1}")
-    rows = [h.coefficients for h in hyperplanes]
-    if rank_complex(rows) != width - 1:
+    basis = kernel_complex([h.coefficients for h in hyperplanes])
+    if len(basis) != 1:
         raise ValueError("hyperplanes are dependent; intersection is not a point")
-    basis = kernel_complex(rows)
-    assert len(basis) == 1
     return ProjPoint(basis[0])
-
-
-def _check_general_position(hyperplanes: Sequence[ComplexHyperplane], width: int) -> None:
-    for subset in combinations(range(len(hyperplanes)), width):
-        rows = [hyperplanes[i].coefficients for i in subset]
-        if rank_complex(rows) != width:
-            labels = ", ".join(str(i + 1) for i in subset)
-            raise ValueError(f"hyperplanes {labels} are not in general position")
 
 
 def enumerate_diagonals(hyperplanes: Sequence[ComplexHyperplane]) -> list[DiagonalLine]:
@@ -110,7 +106,7 @@ def enumerate_diagonals(hyperplanes: Sequence[ComplexHyperplane]) -> list[Diagon
     n = count // 2
     if width != n + 1:
         raise ValueError(f"{count} hyperplanes must live in CP^{n}")
-    _check_general_position(hyperplanes, min(width, count))
+    require_general_position(hyperplanes, width)
     diagonals = []
     for part in enumerate_partitions(n):
         p = intersection_point([hyperplanes[i - 1] for i in part.left])

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exact_linalg import (
     ComplexVector,
@@ -116,6 +116,22 @@ def intersect_lines(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     return ProjPoint(basis[0])
 
 
+def dependent_subset(vectors: Sequence[ComplexVector], size: int) -> tuple[int, ...] | None:
+    """The first `size` indices, in lexicographic order, whose vectors are dependent."""
+    for subset in combinations(range(len(vectors)), size):
+        if rank_complex([vectors[i] for i in subset]) != size:
+            return subset
+    return None
+
+
+def require_general_position(hyperplanes: Sequence[ComplexHyperplane], size: int) -> None:
+    """Raise unless every `size` of the coefficient vectors are independent."""
+    subset = dependent_subset([h.coefficients for h in hyperplanes], size)
+    if subset is not None:
+        labels = ", ".join(str(i + 1) for i in subset)
+        raise ValueError(f"hyperplanes {labels} are not in general position")
+
+
 def lines_in_general_position(lines: Sequence[ProjLine]) -> bool:
     """True when every 3 of the coefficient vectors are independent.
 
@@ -125,7 +141,4 @@ def lines_in_general_position(lines: Sequence[ProjLine]) -> bool:
         raise ValueError("general position needs at least 3 lines")
     if any(len(l.coefficients) != 3 for l in lines):
         raise ValueError("general position of lines is a CP^2 predicate")
-    return all(
-        rank_complex([a.coefficients, b.coefficients, c.coefficients]) == 3
-        for a, b, c in combinations(lines, 3)
-    )
+    return dependent_subset([l.coefficients for l in lines], 3) is None

@@ -10,6 +10,10 @@ A scene is a line-oriented description of named geometric objects:
 Coefficients are rationals and the literal i; exponents of exp() are
 polynomials in z.  Printing produces a canonical text whose reparse is
 equal to the original scene.
+
+So that no scene can stall the parser, exponent polynomials have degree at
+most MAX_DEGREE and a curve component at most MAX_TERMS terms, each checked
+before the arithmetic that would exceed it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .arrangement import RealSubspace
 from .curves import (
@@ -46,6 +50,9 @@ class Token:
     line: int
     column: int
 
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.line, self.column)
+
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -53,6 +60,9 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^()=:;,])"
 )
+
+MAX_DEGREE = 64
+MAX_TERMS = 256
 
 COMPLEX_VARS = ("z1", "z2", "z3")
 REAL_VARS = ("x1", "y1", "x2", "y2", "x3", "y3")
@@ -93,14 +103,14 @@ class _Cursor:
     def expect(self, text: str) -> Token:
         tok = self.next()
         if tok.text != text:
-            raise ParseError(f"expected {text!r}, got {tok.text!r}", tok.line, tok.column)
+            raise tok.error(f"expected {text!r}, got {tok.text!r}")
         return tok
 
     def fail(self, message: str) -> ParseError:
         tok = self.peek()
         if tok is None:
             return ParseError(message, self.line_no, self.line_len + 1)
-        return ParseError(message, tok.line, tok.column)
+        return tok.error(message)
 
 
 # ---------------------------------------------------------------------------
@@ -109,30 +119,30 @@ class _Cursor:
 # One recursive-descent core serves three value domains: linear forms in
 # named variables, polynomials in z, and exponential sums.  A domain
 # supplies atoms and arithmetic; the core handles precedence and errors.
+# Binary operations receive their operator token (the exponent for '^'),
+# where any error they raise is reported.
 
 class _Domain:
-    allows_power = False
-
     def number(self, c: GaussianRational):
         raise NotImplementedError
 
     def variable(self, cur: _Cursor, tok: Token):
         raise cur.fail(f"unexpected name {tok.text!r}")
 
-    def add(self, a, b):
+    def add(self, a, b, op: Token):
         raise NotImplementedError
 
     def negate(self, a):
         raise NotImplementedError
 
-    def multiply(self, a, b, cur: _Cursor):
+    def multiply(self, a, b, op: Token):
         raise NotImplementedError
 
-    def divide(self, a, b, cur: _Cursor):
+    def divide(self, a, b, op: Token):
         raise NotImplementedError
 
-    def power(self, a, exponent: int, cur: _Cursor):
-        raise cur.fail("'^' is not allowed here")
+    def power(self, a, exponent: int, op: Token):
+        raise op.error("'^' is not allowed here")
 
 
 def _parse_expression(cur: _Cursor, domain: _Domain):
@@ -140,7 +150,7 @@ def _parse_expression(cur: _Cursor, domain: _Domain):
     while (tok := cur.peek()) is not None and tok.text in "+-":
         cur.next()
         rhs = _parse_term(cur, domain)
-        value = domain.add(value, domain.negate(rhs) if tok.text == "-" else rhs)
+        value = domain.add(value, domain.negate(rhs) if tok.text == "-" else rhs, tok)
     return value
 
 
@@ -150,9 +160,9 @@ def _parse_term(cur: _Cursor, domain: _Domain):
         cur.next()
         rhs = _parse_factor(cur, domain)
         if tok.text == "*":
-            value = domain.multiply(value, rhs, cur)
+            value = domain.multiply(value, rhs, tok)
         else:
-            value = domain.divide(value, rhs, cur)
+            value = domain.divide(value, rhs, tok)
     return value
 
 
@@ -167,8 +177,8 @@ def _parse_factor(cur: _Cursor, domain: _Domain):
         cur.next()
         etok = cur.next()
         if etok.kind != "number" or "/" in etok.text:
-            raise ParseError("exponent must be a nonnegative integer", etok.line, etok.column)
-        value = domain.power(value, int(etok.text), cur)
+            raise etok.error("exponent must be a nonnegative integer")
+        value = domain.power(value, int(etok.text), etok)
     return value
 
 
@@ -182,7 +192,7 @@ def _parse_atom(cur: _Cursor, domain: _Domain):
         try:
             c = gq(Fraction(tok.text))
         except ZeroDivisionError:
-            raise ParseError("zero denominator", tok.line, tok.column) from None
+            raise tok.error("zero denominator") from None
         nxt = cur.peek()
         if nxt is not None and nxt.text == "i":
             cur.next()
@@ -192,7 +202,7 @@ def _parse_atom(cur: _Cursor, domain: _Domain):
         return domain.number(gq(0, 1))
     if tok.kind == "name":
         return domain.variable(cur, tok)
-    raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)
+    raise tok.error(f"unexpected token {tok.text!r}")
 
 
 class _LinearDomain(_Domain):
@@ -206,10 +216,10 @@ class _LinearDomain(_Domain):
 
     def variable(self, cur, tok):
         if tok.text not in self.variables:
-            raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.column)
+            raise tok.error(f"unknown variable {tok.text!r}")
         return (GQ_ZERO, {tok.text: GQ_ONE})
 
-    def add(self, a, b):
+    def add(self, a, b, op):
         coeffs = dict(a[1])
         for v, c in b[1].items():
             coeffs[v] = coeffs.get(v, GQ_ZERO) + c
@@ -218,17 +228,17 @@ class _LinearDomain(_Domain):
     def negate(self, a):
         return (-a[0], {v: -c for v, c in a[1].items()})
 
-    def multiply(self, a, b, cur):
+    def multiply(self, a, b, op):
         if a[1] and b[1]:
-            raise cur.fail("products of variables are not linear")
+            raise op.error("products of variables are not linear")
         if b[1]:
             a, b = b, a
         k = b[0]
         return (a[0] * k, {v: c * k for v, c in a[1].items()})
 
-    def divide(self, a, b, cur):
+    def divide(self, a, b, op):
         if b[1] or not b[0]:
-            raise cur.fail("division is only by nonzero constants")
+            raise op.error("division is only by nonzero constants")
         return (a[0] / b[0], {v: c / b[0] for v, c in a[1].items()})
 
 
@@ -240,12 +250,10 @@ class _PolyDomain(_Domain):
 
     def variable(self, cur, tok):
         if tok.text != "z":
-            raise ParseError(
-                f"only z may appear inside exp(), not {tok.text!r}", tok.line, tok.column
-            )
+            raise tok.error(f"only z may appear inside exp(), not {tok.text!r}")
         return poly((0, 1))
 
-    def add(self, a, b):
+    def add(self, a, b, op):
         n = max(len(a), len(b))
         return poly(
             [
@@ -257,24 +265,28 @@ class _PolyDomain(_Domain):
     def negate(self, a):
         return poly([-c for c in a])
 
-    def multiply(self, a, b, cur):
+    def multiply(self, a, b, op):
         if not a or not b:
             return poly(())
+        if len(a) + len(b) - 2 > MAX_DEGREE:
+            raise op.error(f"exponent polynomials have degree at most {MAX_DEGREE}")
         prod = [GQ_ZERO] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):
                 prod[i + j] = prod[i + j] + ca * cb
         return poly(prod)
 
-    def divide(self, a, b, cur):
+    def divide(self, a, b, op):
         if len(b) > 1 or not b:
-            raise cur.fail("division is only by nonzero constants")
+            raise op.error("division is only by nonzero constants")
         return poly([c / b[0] for c in a])
 
-    def power(self, a, exponent, cur):
+    def power(self, a, exponent, op):
+        if exponent > MAX_DEGREE or (len(a) - 1) * exponent > MAX_DEGREE:
+            raise op.error(f"exponent polynomials have degree at most {MAX_DEGREE}")
         out = poly((1,))
         for _ in range(exponent):
-            out = self.multiply(out, a, cur)
+            out = self.multiply(out, a, op)
         return out
 
 
@@ -286,31 +298,34 @@ class _CurveDomain(_Domain):
 
     def variable(self, cur, tok):
         if tok.text != "exp":
-            raise ParseError(
-                f"unexpected name {tok.text!r} in a curve component", tok.line, tok.column
-            )
+            raise tok.error(f"unexpected name {tok.text!r} in a curve component")
         cur.expect("(")
         p = _parse_expression(cur, _PolyDomain())
         cur.expect(")")
         return ExpSum((ExpPoly(GQ_ONE, p),))
 
-    def add(self, a, b):
-        return a + b
+    def add(self, a, b, op):
+        total = a + b
+        if len(total.terms) > MAX_TERMS:
+            raise op.error(f"a curve component has at most {MAX_TERMS} terms")
+        return total
 
     def negate(self, a):
         return -a
 
-    def multiply(self, a, b, cur):
+    def multiply(self, a, b, op):
+        if len(a.terms) * len(b.terms) > MAX_TERMS:
+            raise op.error(f"a curve component has at most {MAX_TERMS} terms")
         terms = [
-            ExpPoly(ta.coeff * tb.coeff, _PolyDomain().add(ta.exponent, tb.exponent))
+            ExpPoly(ta.coeff * tb.coeff, _PolyDomain().add(ta.exponent, tb.exponent, op))
             for ta in a.terms
             for tb in b.terms
         ]
         return ExpSum(tuple(terms))
 
-    def divide(self, a, b, cur):
+    def divide(self, a, b, op):
         if len(b.terms) != 1 or b.terms[0].exponent:
-            raise cur.fail("division is only by nonzero constants")
+            raise op.error("division is only by nonzero constants")
         return a.scale(GQ_ONE / b.terms[0].coeff)
 
 
@@ -332,7 +347,7 @@ def _parse_zero_form(cur: _Cursor, variables: Sequence[str]) -> tuple[GaussianRa
     cur.expect("=")
     zero = cur.next()
     if zero.text != "0":
-        raise ParseError("declarations end with '= 0'", zero.line, zero.column)
+        raise zero.error("declarations end with '= 0'")
     constant, coeffs = value
     if constant:
         raise cur.fail("a linear form may not have a constant part")
@@ -355,17 +370,13 @@ def parse_scene(text: str) -> Scene:
         cur = _Cursor(tokens, line_no, len(raw))
         head = cur.next()
         if head.text not in ("hyperplane", "real", "curve"):
-            raise ParseError(
-                f"expected 'hyperplane', 'real' or 'curve', got {head.text!r}",
-                head.line,
-                head.column,
-            )
+            raise head.error(f"expected 'hyperplane', 'real' or 'curve', got {head.text!r}")
         name_tok = cur.next()
         if name_tok.kind != "name":
-            raise ParseError("expected a name", name_tok.line, name_tok.column)
+            raise name_tok.error("expected a name")
         name = name_tok.text
         if name in seen:
-            raise ParseError(f"duplicate name {name!r}", name_tok.line, name_tok.column)
+            raise name_tok.error(f"duplicate name {name!r}")
         cur.expect(":")
         try:
             if head.text == "hyperplane":
@@ -393,9 +404,9 @@ def parse_scene(text: str) -> Scene:
         except ValueError as exc:
             if isinstance(exc, ParseError):
                 raise
-            raise ParseError(str(exc), head.line, head.column) from exc
+            raise head.error(str(exc)) from exc
         if (extra := cur.peek()) is not None:
-            raise ParseError(f"unexpected trailing {extra.text!r}", extra.line, extra.column)
+            raise extra.error(f"unexpected trailing {extra.text!r}")
         seen.add(name)
         order.append((head.text, name))
     return Scene(hyperplanes, reals, curves, tuple(order))

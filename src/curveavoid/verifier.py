@@ -61,8 +61,8 @@ class SamplingPlan:
     tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.disk_radius <= 0 or self.tolerance <= 0:
-            raise ValueError("disk radius and tolerance must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.disk_radius, self.tolerance)):
+            raise ValueError("disk radius and tolerance must be positive and finite")
         if self.grid_points <= 0 or self.random_points < 0:
             raise ValueError("sample counts must be positive")
 
@@ -190,19 +190,24 @@ def _margins_for_subspace(subspace: RealSubspace, curve: ExpAffineCurve, z: np.n
 # ---------------------------------------------------------------------------
 # sample generation
 
-def _base_samples(plan: SamplingPlan) -> np.ndarray:
-    radius = plan.disk_radius
-    axis = np.linspace(-radius, radius, plan.grid_points)
+def _grid(plan: SamplingPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The square grid over the disk's bounding box, and the mask of nodes inside the disk."""
+    axis = np.linspace(-plan.disk_radius, plan.disk_radius, plan.grid_points)
     grid_x, grid_y = np.meshgrid(axis, axis, indexing="ij")
-    grid = (grid_x + 1j * grid_y).ravel()
-    grid = grid[np.abs(grid) <= radius]
+    nodes = grid_x + 1j * grid_y
+    return nodes, np.abs(nodes) <= plan.disk_radius
+
+
+def _base_samples(plan: SamplingPlan) -> np.ndarray:
+    nodes, inside = _grid(plan)
+    radius = plan.disk_radius
     rng = random.Random(plan.seed)
     points = np.empty(plan.random_points, dtype=complex)
     for k in range(plan.random_points):
         r = radius * math.sqrt(rng.random())
         theta = 2.0 * math.pi * rng.random()
         points[k] = complex(r * math.cos(theta), r * math.sin(theta))
-    return np.concatenate([grid, points])
+    return np.concatenate([nodes[inside], points])
 
 
 def _bisect_edges(
@@ -228,11 +233,7 @@ def _targeted_for_subspace(
     opposite signs, bisection localizes a crossing; these are the points
     where a conjunctive membership test is under the most stress.
     """
-    radius = plan.disk_radius
-    axis = np.linspace(-radius, radius, plan.grid_points)
-    grid_x, grid_y = np.meshgrid(axis, axis, indexing="ij")
-    nodes = grid_x + 1j * grid_y
-    inside = np.abs(nodes) <= radius
+    nodes, inside = _grid(plan)
     found: list[np.ndarray] = []
     for row in _real_form_rows(subspace):
 

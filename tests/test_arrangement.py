@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from curveavoid.arrangement import (
     ALL_CURVES_CONSTANT,
@@ -14,12 +15,13 @@ from curveavoid.arrangement import (
     extract_complex_hyperplane,
     family_in_general_position,
     holomorphic_coefficients,
+    re_part_form,
     realify,
     triple_in_general_position,
     triple_ranks,
 )
 from curveavoid.curves import ConstructionError
-from curveavoid.exact_linalg import gq, rank_real
+from curveavoid.exact_linalg import GQ_ZERO, gq, rank_complex, rank_real
 from curveavoid.projective import ComplexHyperplane
 
 F = Fraction
@@ -246,3 +248,69 @@ class TestClassifier:
             classify(list(STANDARD), real_subspace((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)))
         with pytest.raises(ValueError):
             classify([STANDARD[0]] * 4, s)
+
+
+PAIRS = list(combinations(range(4), 2))
+small_gaussians = st.builds(
+    lambda re, im, d: gq(F(re, d), F(im, d)),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.integers(1, 3),
+)
+complex_vectors = st.tuples(small_gaussians, small_gaussians, small_gaussians)
+
+
+@st.composite
+def arrangements(draw):
+    """Four hyperplanes and a real hyperplane, after a random change of coordinates.
+
+    Half of the draws are rank-deficient by construction: the complex form
+    alpha inside the real hyperplane is s a_j + t a_k.  The coordinate change
+    z = M w with M in GL3(Q(i)) maps each form a to a M and keeps every rank.
+    """
+    rows = draw(st.lists(complex_vectors, min_size=4, max_size=4))
+    deficient = draw(st.one_of(st.none(), st.sampled_from(PAIRS)))
+    if deficient is None:
+        alpha = draw(complex_vectors)
+    else:
+        s, t = draw(small_gaussians), draw(small_gaussians)
+        j, k = deficient
+        alpha = tuple(s * x + t * y for x, y in zip(rows[j], rows[k]))
+    m = draw(st.tuples(complex_vectors, complex_vectors, complex_vectors))
+    assume(rank_complex(m) == 3)
+
+    def change(v):
+        return tuple(sum((v[i] * m[i][c] for i in range(3)), GQ_ZERO) for c in range(3))
+
+    alpha = change(alpha)
+    assume(any(alpha) and all(any(r) for r in rows))
+    hyperplanes = [ComplexHyperplane(change(r)) for r in rows]
+    assume(len(set(hyperplanes)) == 4)
+    return hyperplanes, RealSubspace((re_part_form(alpha),)), deficient
+
+
+def realified_rank(s, a, b):
+    """The reference: real rank of the six stacked realified forms."""
+    ht = realify(extract_complex_hyperplane(s))
+    return rank_real(list(ht.forms) + list(realify(a).forms) + list(realify(b).forms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrangements())
+def test_triple_ranks_equal_the_realified_rank(case):
+    hyperplanes, s, deficient = case
+    ranks = triple_ranks(hyperplanes, s)
+    assert [t.pair for t in ranks] == [(j + 1, k + 1) for j, k in PAIRS]
+    assert [t.rank for t in ranks] == [
+        realified_rank(s, hyperplanes[j], hyperplanes[k]) for j, k in PAIRS
+    ]
+    if deficient is not None:
+        assert ranks[PAIRS.index(deficient)].rank == 4
+
+
+def test_realify_stacks_two_real_part_forms():
+    h = ComplexHyperplane((gq(1, 2), gq(-3), gq(0, F(1, 2))))
+    assert realify(h) == RealSubspace(
+        (re_part_form(h.coefficients), re_part_form([gq(0, -1) * c for c in h.coefficients]))
+    )
+    assert re_part_form(h.coefficients) == (1, -2, -3, 0, 0, F(-1, 2))

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, JSON schema, output modes, seeding."""
 
 import json
+import time
 
 import pytest
 
@@ -23,6 +24,7 @@ hyperplane H3: z3 = 0
 real S: x1 + x2 + x3 = 0
 """
 VIOLATING = "hyperplane D: z1 + z2 = 0\ncurve f: (exp(z), 1, 1)\n"
+SEVENTEEN_TERMS = " + ".join(f"exp({k}*z)" for k in range(17))
 
 
 @pytest.fixture
@@ -205,6 +207,31 @@ class TestVerify:
             "seed": 9,
             "tolerance": 1e-6,
         }
+
+    @pytest.mark.parametrize("flag", ["--radius", "--tolerance"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_plan_is_two(self, scene, capsys, flag, value):
+        code, out, err = run(capsys, "verify", "--curve", "f", flag, value, scene(VIOLATING))
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "curve f: (exp((z+1)^3000), 1, 1)",
+            "curve f: (exp(z^100000000), 1, 1)",
+            f"curve f: (({SEVENTEEN_TERMS}) * ({SEVENTEEN_TERMS}), 1, 1)",
+        ],
+        ids=["power-degree", "huge-exponent", "product-terms"],
+    )
+    def test_oversized_scene_is_two_and_fast(self, scene, capsys, line):
+        path = scene(line + "\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--curve", "f", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "line 1, column" in err
 
     def test_human_mode_lists_verdicts(self, scene, capsys):
         code, out, err = run(

@@ -96,6 +96,11 @@ class TestDiagonalsOfFour:
         with pytest.raises(ValueError):
             enumerate_diagonals(bad)
 
+    def test_general_position_error_names_the_first_dependent_triple(self):
+        bad = STANDARD[:3] + [ComplexHyperplane((1, 1, 0))]
+        with pytest.raises(ValueError, match="^hyperplanes 1, 2, 4 are not in general position$"):
+            enumerate_diagonals(bad)
+
     def test_even_count_required(self):
         with pytest.raises(ValueError):
             enumerate_diagonals(STANDARD[:3])

@@ -7,12 +7,14 @@ from curveavoid.projective import (
     ComplexHyperplane,
     ProjLine,
     ProjPoint,
+    dependent_subset,
     incident,
     intersect_lines,
     line_through,
     lines_in_general_position,
     project_hyperplane,
     project_point,
+    require_general_position,
 )
 
 
@@ -101,3 +103,15 @@ class TestGeneralPosition:
     def test_needs_three(self):
         with pytest.raises(ValueError):
             lines_in_general_position([ProjLine((1, 0, 0)), ProjLine((0, 1, 0))])
+
+    def test_first_dependent_subset_in_lexicographic_order(self):
+        vectors = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)]
+        assert dependent_subset(vectors, 3) == (0, 1, 3)
+        assert dependent_subset(vectors[2:], 3) is None
+        assert dependent_subset([(1, 0), (1, 1), (2, 2)], 2) == (1, 2)
+
+    def test_require_general_position_labels_from_one(self):
+        hyperplanes = [ComplexHyperplane(v) for v in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]]
+        with pytest.raises(ValueError, match="^hyperplanes 1, 2, 4 are not in general position$"):
+            require_general_position(hyperplanes, 3)
+        require_general_position(hyperplanes[:3], 3)

@@ -8,6 +8,8 @@ from curveavoid.curves import exp_sum, exp_term
 from curveavoid.exact_linalg import gq
 from curveavoid.projective import ComplexHyperplane
 from curveavoid.scene import (
+    MAX_DEGREE,
+    MAX_TERMS,
     ParseError,
     format_scene,
     parse_constant,
@@ -160,6 +162,54 @@ class TestParseErrors:
 
     def test_division_by_zero_constant(self):
         assert self.error("curve f: (1/0, 1, 1)") is not None
+
+
+def sum_of_exponentials(count, step=1):
+    return " + ".join(f"exp({step * k}*z)" for k in range(count))
+
+
+class TestInputBounds:
+    error = TestParseErrors.error
+
+    def test_degree_bound_is_inclusive(self):
+        scene = parse_scene(
+            f"curve f: (exp(z^{MAX_DEGREE}), exp((z^8)^8), exp(z^32*z^32 + z))"
+        )
+        assert all(len(c.terms[0].exponent) == MAX_DEGREE + 1 for c in scene.curves["f"].components)
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("curve f: (exp((z+1)^3000), 1, 1)", 21),
+            ("curve f: (exp(z^100000000), 1, 1)", 17),
+            ("curve f: (exp((z^8)^9), 1, 1)", 21),
+            ("curve f: (exp(z^33*z^32), 1, 1)", 19),
+        ],
+    )
+    def test_degree_above_bound_rejected_at_its_token(self, text, column):
+        err = self.error(text)
+        assert (err.line, err.column) == (1, column)
+        assert f"degree at most {MAX_DEGREE}" in str(err)
+
+    # exponents k + 16 m for k, m < 16: a product with exactly MAX_TERMS distinct terms
+    FULL = f"({sum_of_exponentials(16)}) * ({sum_of_exponentials(16, step=16)})"
+
+    def test_term_bound_is_inclusive(self):
+        scene = parse_scene(f"curve f: ({self.FULL}, 1, 1)")
+        assert len(scene.curves["f"].components[0].terms) == MAX_TERMS
+
+    def test_product_over_term_bound_rejected_at_the_operator(self):
+        terms = sum_of_exponentials(17)
+        text = f"curve f: (({terms}) * ({terms}), 1, 1)"
+        err = self.error(text)
+        assert err.column == text.index(") * (") + 3
+        assert f"at most {MAX_TERMS} terms" in str(err)
+
+    def test_sum_over_term_bound_rejected_at_the_operator(self):
+        text = f"curve f: ({self.FULL} + exp(-z), 1, 1)"
+        err = self.error(text)
+        assert err.column == text.rindex(" + ") + 2
+        assert f"at most {MAX_TERMS} terms" in str(err)
 
 
 class TestRoundTrip:

@@ -212,3 +212,8 @@ class TestProjectiveValue:
             SamplingPlan(disk_radius=-1)
         with pytest.raises(ValueError):
             SamplingPlan(tolerance=0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                SamplingPlan(disk_radius=bad)
+            with pytest.raises(ValueError, match="finite"):
+                SamplingPlan(tolerance=bad)
