@@ -181,6 +181,7 @@ def _cmd_diagonals(args: argparse.Namespace, scene: Scene) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace, scene: Scene) -> int:
+    plan = _plan_from_args(args)
     hyperplanes = _ordered_hyperplanes(scene)
     if len(hyperplanes) != 4:
         raise ValueError("classification needs exactly four complex hyperplanes")
@@ -202,7 +203,7 @@ def _cmd_classify(args: argparse.Namespace, scene: Scene) -> int:
     report = verify(
         verdict.witness,
         _witness_scene(hyperplanes, [(real_name, real)]),
-        _plan_from_args(args),
+        plan,
     )
     payload["witness"] = report.curve
     payload["report"] = report.to_dict()

@@ -11,9 +11,10 @@ Coefficients are rationals and the literal i; exponents of exp() are
 polynomials in z.  Printing produces a canonical text whose reparse is
 equal to the original scene.
 
-So that no scene can stall the parser, exponent polynomials have degree at
-most MAX_DEGREE and a curve component at most MAX_TERMS terms, each checked
-before the arithmetic that would exceed it.
+So that no scene can stall or overflow the parser, exponent polynomials
+have degree at most MAX_DEGREE, a curve component at most MAX_TERMS terms,
+and parentheses and signs nest at most MAX_DEPTH levels deep, each checked
+before the arithmetic or recursion that would exceed it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Sequence
 
 from .arrangement import RealSubspace
 from .curves import (
+    POLY_ZERO,
     ExpAffineCurve,
     ExpPoly,
     ExpSum,
@@ -63,6 +65,7 @@ _TOKEN_RE = re.compile(
 
 MAX_DEGREE = 64
 MAX_TERMS = 256
+MAX_DEPTH = 64
 
 COMPLEX_VARS = ("z1", "z2", "z3")
 REAL_VARS = ("x1", "y1", "x2", "y2", "x3", "y3")
@@ -89,6 +92,7 @@ class _Cursor:
         self.index = 0
         self.line_no = line_no
         self.line_len = line_len
+        self.depth = 0
 
     def peek(self) -> Token | None:
         return self.tokens[self.index] if self.index < len(self.tokens) else None
@@ -105,6 +109,12 @@ class _Cursor:
         if tok.text != text:
             raise tok.error(f"expected {text!r}, got {tok.text!r}")
         return tok
+
+    def descend(self, tok: Token) -> None:
+        """Enter one more level of nesting, opened by tok; the caller leaves it."""
+        if self.depth == MAX_DEPTH:
+            raise tok.error(f"expressions nest at most {MAX_DEPTH} levels deep")
+        self.depth += 1
 
     def fail(self, message: str) -> ParseError:
         tok = self.peek()
@@ -170,7 +180,9 @@ def _parse_factor(cur: _Cursor, domain: _Domain):
     tok = cur.peek()
     if tok is not None and tok.text in "+-":
         cur.next()
+        cur.descend(tok)
         value = _parse_factor(cur, domain)
+        cur.depth -= 1
         return domain.negate(value) if tok.text == "-" else value
     value = _parse_atom(cur, domain)
     while (nxt := cur.peek()) is not None and nxt.text == "^":
@@ -185,8 +197,10 @@ def _parse_factor(cur: _Cursor, domain: _Domain):
 def _parse_atom(cur: _Cursor, domain: _Domain):
     tok = cur.next()
     if tok.text == "(":
+        cur.descend(tok)
         value = _parse_expression(cur, domain)
         cur.expect(")")
+        cur.depth -= 1
         return value
     if tok.kind == "number":
         try:
@@ -290,43 +304,64 @@ class _PolyDomain(_Domain):
         return out
 
 
+def _merge(acc: dict[Poly, GaussianRational], p: Poly, c: GaussianRational) -> None:
+    total = acc.get(p, GQ_ZERO) + c
+    if total:
+        acc[p] = total
+    else:
+        acc.pop(p, None)
+
+
 class _CurveDomain(_Domain):
-    """Value: an exponential sum; exp(...) descends into the poly domain."""
+    """Value: an exponential sum as an exponent -> nonzero coefficient dict.
+
+    Each value belongs to the one expression being parsed, so a sum merges
+    its right operand into its left in place: n terms cost n dict updates,
+    and `_parse_component` builds one ExpSum at the end.  exp(...)
+    descends into the poly domain.
+    """
 
     def number(self, c):
-        return ExpSum((ExpPoly(c, ()),))
+        return {POLY_ZERO: c} if c else {}
 
     def variable(self, cur, tok):
         if tok.text != "exp":
             raise tok.error(f"unexpected name {tok.text!r} in a curve component")
-        cur.expect("(")
+        cur.descend(cur.expect("("))
         p = _parse_expression(cur, _PolyDomain())
         cur.expect(")")
-        return ExpSum((ExpPoly(GQ_ONE, p),))
+        cur.depth -= 1
+        return {p: GQ_ONE}
 
     def add(self, a, b, op):
-        total = a + b
-        if len(total.terms) > MAX_TERMS:
+        for p, c in b.items():
+            _merge(a, p, c)
+        if len(a) > MAX_TERMS:
             raise op.error(f"a curve component has at most {MAX_TERMS} terms")
-        return total
+        return a
 
     def negate(self, a):
-        return -a
+        return {p: -c for p, c in a.items()}
 
     def multiply(self, a, b, op):
-        if len(a.terms) * len(b.terms) > MAX_TERMS:
+        if len(a) * len(b) > MAX_TERMS:
             raise op.error(f"a curve component has at most {MAX_TERMS} terms")
-        terms = [
-            ExpPoly(ta.coeff * tb.coeff, _PolyDomain().add(ta.exponent, tb.exponent, op))
-            for ta in a.terms
-            for tb in b.terms
-        ]
-        return ExpSum(tuple(terms))
+        product: dict[Poly, GaussianRational] = {}
+        for pa, ca in a.items():
+            for pb, cb in b.items():
+                _merge(product, _PolyDomain().add(pa, pb, op), ca * cb)
+        return product
 
     def divide(self, a, b, op):
-        if len(b.terms) != 1 or b.terms[0].exponent:
+        if len(b) != 1 or POLY_ZERO not in b:
             raise op.error("division is only by nonzero constants")
-        return a.scale(GQ_ONE / b.terms[0].coeff)
+        k = GQ_ONE / b[POLY_ZERO]
+        return {p: c * k for p, c in a.items()}
+
+
+def _parse_component(cur: _Cursor) -> ExpSum:
+    terms = _parse_expression(cur, _CurveDomain())
+    return ExpSum(tuple(ExpPoly(c, p) for p, c in terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +430,10 @@ def parse_scene(text: str) -> Scene:
                 reals[name] = RealSubspace(tuple(forms))
             else:
                 cur.expect("(")
-                comps = [_parse_expression(cur, _CurveDomain())]
+                comps = [_parse_component(cur)]
                 for _ in range(2):
                     cur.expect(",")
-                    comps.append(_parse_expression(cur, _CurveDomain()))
+                    comps.append(_parse_component(cur))
                 cur.expect(")")
                 curves[name] = ExpAffineCurve(tuple(comps))
         except ValueError as exc:
@@ -498,8 +533,6 @@ def parse_constant(text: str) -> GaussianRational:
     tokens = _tokenize_line(text, 1)
     cur = _Cursor(tokens, 1, len(text))
     value = _parse_expression(cur, _CurveDomain())
-    if cur.peek() is not None or len(value.terms) > 1 or (
-        value.terms and value.terms[0].exponent
-    ):
+    if cur.peek() is not None or value.keys() - {POLY_ZERO}:
         raise ParseError("expected a constant", 1, 1)
-    return value.terms[0].coeff if value.terms else GQ_ZERO
+    return value.get(POLY_ZERO, GQ_ZERO)

@@ -6,7 +6,7 @@ whenever the composed form admits one (a single exponential term, or a
 constant value whose nonvanishing follows from linear independence of
 exponentials over the algebraic numbers); everything else falls back to
 dense sampling over a disk with targeted refinement near the zero set of
-each individual form.
+each individual form (the `sampling` module, loaded only then).
 
 Sampling cannot prove avoidance.  Reports therefore label every verdict
 with the method that produced it, and sampled "avoided" verdicts carry the
@@ -23,11 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
 
 from .arrangement import RealSubspace, holomorphic_coefficients
 from .curves import (
@@ -40,16 +36,11 @@ from .curves import (
     is_nowhere_zero,
     is_projectively_constant,
 )
-from .projective import ComplexHyperplane
 from .scene import Scene, format_exp_sum
 
 AVOIDED = "avoided"
 VIOLATED = "violated"
 ZERO_SET_HIT = "exact-zero-set-hit"
-
-_NEWTON_STARTS = 32
-_BISECT_STEPS = 60
-_TINY = 1e-300
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,175 +114,10 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# vectorized evaluation
-
-def _poly_values(coeffs: Sequence[complex], z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z)
-    for c in reversed(coeffs):
-        out = out * z + c
-    return out
-
-
-def _sum_values(s: ExpSum, z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z)
-    for t in s.terms:
-        exponent = [c.to_complex() for c in t.exponent]
-        out = out + t.coeff.to_complex() * np.exp(_poly_values(exponent, z))
-    return out
-
-
-def _sum_derivative_values(s: ExpSum, z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z)
-    for t in s.terms:
-        exponent = [c.to_complex() for c in t.exponent]
-        derivative = [k * c for k, c in enumerate(exponent)][1:]
-        out = out + (
-            t.coeff.to_complex()
-            * np.exp(_poly_values(exponent, z))
-            * _poly_values(derivative, z)
-        )
-    return out
-
-
-def _component_values(curve: ExpAffineCurve, z: np.ndarray) -> list[np.ndarray]:
-    return [_sum_values(c, z) for c in curve.components]
-
-
-def _curve_scale(comps: list[np.ndarray]) -> np.ndarray:
-    return np.sqrt(sum(np.abs(c) ** 2 for c in comps))
-
-
-def _real_form_rows(subspace: RealSubspace) -> list[tuple[complex, complex, complex]]:
-    rows = []
-    for form in subspace.forms:
-        rows.append(tuple(c.to_complex() for c in holomorphic_coefficients(form)))
-    return rows
-
-
-def _margins_for_hyperplane(h: ComplexHyperplane, curve: ExpAffineCurve, z: np.ndarray) -> np.ndarray:
-    comps = _component_values(curve, z)
-    coeffs = [c.to_complex() for c in h.coefficients]
-    value = sum(a * comp for a, comp in zip(coeffs, comps))
-    margin = np.abs(value) / np.maximum(_curve_scale(comps), _TINY)
-    return np.where(np.isfinite(margin), margin, np.inf)
-
-
-def _margins_for_subspace(subspace: RealSubspace, curve: ExpAffineCurve, z: np.ndarray) -> np.ndarray:
-    comps = _component_values(curve, z)
-    scale = np.maximum(_curve_scale(comps), _TINY)
-    worst = np.zeros(z.shape)
-    for row in _real_form_rows(subspace):
-        value = sum(a * comp for a, comp in zip(row, comps)).real
-        worst = np.maximum(worst, np.abs(value))
-    margin = worst / scale
-    return np.where(np.isfinite(margin), margin, np.inf)
-
-
-# ---------------------------------------------------------------------------
-# sample generation
-
-def _grid(plan: SamplingPlan) -> tuple[np.ndarray, np.ndarray]:
-    """The square grid over the disk's bounding box, and the mask of nodes inside the disk."""
-    axis = np.linspace(-plan.disk_radius, plan.disk_radius, plan.grid_points)
-    grid_x, grid_y = np.meshgrid(axis, axis, indexing="ij")
-    nodes = grid_x + 1j * grid_y
-    return nodes, np.abs(nodes) <= plan.disk_radius
-
-
-def _base_samples(plan: SamplingPlan) -> np.ndarray:
-    nodes, inside = _grid(plan)
-    radius = plan.disk_radius
-    rng = random.Random(plan.seed)
-    points = np.empty(plan.random_points, dtype=complex)
-    for k in range(plan.random_points):
-        r = radius * math.sqrt(rng.random())
-        theta = 2.0 * math.pi * rng.random()
-        points[k] = complex(r * math.cos(theta), r * math.sin(theta))
-    return np.concatenate([nodes[inside], points])
-
-
-def _bisect_edges(
-    fun: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    value_lo = fun(lo)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        value_mid = fun(mid)
-        same_side = value_lo * value_mid > 0
-        lo = np.where(same_side, mid, lo)
-        value_lo = np.where(same_side, value_mid, value_lo)
-        hi = np.where(same_side, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _targeted_for_subspace(
-    subspace: RealSubspace, curve: ExpAffineCurve, plan: SamplingPlan
-) -> np.ndarray:
-    """Seed samples on the zero set of each individual defining form.
-
-    Along every grid edge whose endpoints lie in the disk and give the form
-    opposite signs, bisection localizes a crossing; these are the points
-    where a conjunctive membership test is under the most stress.
-    """
-    nodes, inside = _grid(plan)
-    found: list[np.ndarray] = []
-    for row in _real_form_rows(subspace):
-
-        def form_values(z: np.ndarray) -> np.ndarray:
-            comps = _component_values(curve, z)
-            return sum(a * comp for a, comp in zip(row, comps)).real
-
-        values = form_values(nodes)
-        for lo, hi, value_lo, value_hi, ok in (
-            (
-                nodes[:-1, :], nodes[1:, :],
-                values[:-1, :], values[1:, :],
-                inside[:-1, :] & inside[1:, :],
-            ),
-            (
-                nodes[:, :-1], nodes[:, 1:],
-                values[:, :-1], values[:, 1:],
-                inside[:, :-1] & inside[:, 1:],
-            ),
-        ):
-            crossing = ok & (value_lo * value_hi < 0)
-            if crossing.any():
-                found.append(_bisect_edges(form_values, lo[crossing], hi[crossing]))
-    if not found:
-        return np.empty(0, dtype=complex)
-    return np.concatenate(found)
-
-
-def _targeted_for_hyperplane(
-    h: ComplexHyperplane, curve: ExpAffineCurve, plan: SamplingPlan, base: np.ndarray
-) -> np.ndarray:
-    """Newton refinement from the most promising base samples.
-
-    Zeros of a multi-term exponential sum are isolated; polishing the
-    samples with the smallest composed-form modulus finds any zero that a
-    coarse grid can only approach.
-    """
-    s = apply_form(h, curve)
-    values = np.abs(_sum_values(s, base))
-    values = np.where(np.isfinite(values), values, np.inf)
-    order = np.argsort(values, kind="stable")[:_NEWTON_STARTS]
-    z = base[order].copy()
-    for _ in range(60):
-        fz = _sum_values(s, z)
-        dz = _sum_derivative_values(s, z)
-        safe = np.abs(dz) > _TINY
-        step = np.where(safe, fz / np.where(safe, dz, 1.0), 0.0)
-        z = z - step
-    keep = np.isfinite(z) & (np.abs(z) <= plan.disk_radius)
-    refined = z[keep]
-    return refined[np.lexsort((refined.imag, refined.real))]
-
-
-# ---------------------------------------------------------------------------
 # per-set verdicts
 
-def _exact_hyperplane_result(name: str, h: ComplexHyperplane, curve: ExpAffineCurve) -> SetResult | None:
-    s = apply_form(h, curve)
+def _exact_hyperplane_result(name: str, s: ExpSum) -> SetResult | None:
+    """The exact verdict for a hyperplane whose form composed with the curve is s, if any."""
     if is_identically_zero(s):
         return SetResult(name, "exact", ZERO_SET_HIT, None, (0.0, 0.0))
     if is_nowhere_zero(s) == "yes":
@@ -324,15 +150,11 @@ def _exact_subspace_result(name: str, subspace: RealSubspace, curve: ExpAffineCu
 
 
 def _sampled_result(
-    name: str, margins: Callable[[np.ndarray], np.ndarray], samples: np.ndarray, plan: SamplingPlan
+    name: str, plan: SamplingPlan, margin: float, sample: tuple[float, float]
 ) -> SetResult:
-    m = margins(samples)
-    index = int(np.argmin(m))
-    best = float(m[index])
-    sample = (float(samples[index].real) + 0.0, float(samples[index].imag) + 0.0)
-    if best < plan.tolerance:
-        return SetResult(name, "sampled", VIOLATED, best, sample)
-    return SetResult(name, "sampled", AVOIDED, best, None)
+    if margin < plan.tolerance:
+        return SetResult(name, "sampled", VIOLATED, margin, sample)
+    return SetResult(name, "sampled", AVOIDED, margin, None)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +196,13 @@ def _projection_values(curve: ExpAffineCurve, constant: bool) -> tuple:
 # ---------------------------------------------------------------------------
 # entry point
 
+def _sampler(plan: SamplingPlan):
+    """Load the sampling code, the first time a set needs it."""
+    from .sampling import Sampler
+
+    return Sampler(plan)
+
+
 def verify(
     curve: ExpAffineCurve,
     scene: Scene,
@@ -382,37 +211,25 @@ def verify(
 ) -> VerificationReport:
     """Check the curve against every hyperplane and real subspace in the scene."""
     plan = plan or SamplingPlan()
-    base: np.ndarray | None = None
+    sampler = None
     results = []
     for kind, name in scene.order:
         if kind == "curve":
             continue
         if kind == "hyperplane":
             h = scene.hyperplanes[name]
-            exact = _exact_hyperplane_result(name, h, curve)
-            if exact is not None:
-                results.append(exact)
-                continue
-            if base is None:
-                base = _base_samples(plan)
-            targeted = _targeted_for_hyperplane(h, curve, plan, base)
-            samples = np.concatenate([base, targeted])
-            results.append(
-                _sampled_result(name, lambda z: _margins_for_hyperplane(h, curve, z), samples, plan)
-            )
+            s = apply_form(h, curve)
+            result = _exact_hyperplane_result(name, s)
+            if result is None:
+                sampler = sampler or _sampler(plan)
+                result = _sampled_result(name, plan, *sampler.hyperplane(h, s, curve))
         else:
             subspace = scene.reals[name]
-            exact = _exact_subspace_result(name, subspace, curve)
-            if exact is not None:
-                results.append(exact)
-                continue
-            if base is None:
-                base = _base_samples(plan)
-            targeted = _targeted_for_subspace(subspace, curve, plan)
-            samples = np.concatenate([base, targeted])
-            results.append(
-                _sampled_result(name, lambda z: _margins_for_subspace(subspace, curve, z), samples, plan)
-            )
+            result = _exact_subspace_result(name, subspace, curve)
+            if result is None:
+                sampler = sampler or _sampler(plan)
+                result = _sampled_result(name, plan, *sampler.subspace(subspace, curve))
+        results.append(result)
     constant = is_projectively_constant(curve)
     description = curve_name
     if description is None:

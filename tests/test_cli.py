@@ -138,6 +138,17 @@ class TestClassify:
         assert data["witness"] is None
         assert all(entry["rank"] == 6 for entry in data["triple_ranks"])
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--radius", "nan"), ("--radius", "-1"), ("--tolerance", "inf"), ("--grid", "0")],
+    )
+    def test_invalid_plan_is_two_without_a_witness(self, scene, capsys, flags):
+        path = scene(STANDARD4 + "real S: x1 + 2*x2 + 3*x3 = 0\n")
+        code, out, err = run(capsys, "classify", *flags, path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestWitness:
     def test_constant_projection(self, scene, capsys):
@@ -222,8 +233,10 @@ class TestVerify:
             "curve f: (exp((z+1)^3000), 1, 1)",
             "curve f: (exp(z^100000000), 1, 1)",
             f"curve f: (({SEVENTEEN_TERMS}) * ({SEVENTEEN_TERMS}), 1, 1)",
+            "curve f: (" + 400 * "(" + "exp(z)" + 400 * ")" + ", 1, 1)",
+            "curve f: (" + 400 * "-" + "exp(z), 1, 1)",
         ],
-        ids=["power-degree", "huge-exponent", "product-terms"],
+        ids=["power-degree", "huge-exponent", "product-terms", "parentheses", "signs"],
     )
     def test_oversized_scene_is_two_and_fast(self, scene, capsys, line):
         path = scene(line + "\n")

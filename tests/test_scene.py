@@ -1,5 +1,6 @@
 """Tests for scene parsing, printing, and the round-trip fixpoint."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from curveavoid.exact_linalg import gq
 from curveavoid.projective import ComplexHyperplane
 from curveavoid.scene import (
     MAX_DEGREE,
+    MAX_DEPTH,
     MAX_TERMS,
     ParseError,
     format_scene,
@@ -210,6 +212,52 @@ class TestInputBounds:
         err = self.error(text)
         assert err.column == text.rindex(" + ") + 2
         assert f"at most {MAX_TERMS} terms" in str(err)
+
+    def test_sum_parses_in_linear_time(self):
+        # merging each term into one dict; re-sorting the sum on every '+'
+        # took about a second for this line
+        text = f"curve f: ({sum_of_exponentials(MAX_TERMS)}, 1, 1)"
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            scene = parse_scene(text)
+            elapsed.append(time.perf_counter() - start)
+        assert len(scene.curves["f"].components[0].terms) == MAX_TERMS
+        assert min(elapsed) < 0.2
+
+    def test_cancelling_sum_stays_within_the_term_bound(self):
+        text = f"curve f: ({self.FULL} - ({self.FULL}) + exp(-z), 1, 1)"
+        assert parse_scene(text) == parse_scene("curve f: (exp(-z), 1, 1)")
+
+    def test_depth_bound_is_inclusive(self):
+        deep = MAX_DEPTH * "(" + "1" + MAX_DEPTH * ")"
+        signs = MAX_DEPTH * "-" + "1"
+        inner = (MAX_DEPTH - 1) * "(" + "z" + (MAX_DEPTH - 1) * ")"
+        scene = parse_scene(f"curve f: ({deep}, {signs}, exp({inner}))")
+        assert scene == parse_scene("curve f: (1, 1, exp(z))")
+
+    @pytest.mark.parametrize(
+        "prefix, nest, body",
+        [
+            ("curve f: (", "(", "exp(z)" + 400 * ")" + ", 1, 1)"),
+            ("curve f: (", "-", "exp(z), 1, 1)"),
+            ("curve f: (", "-(", "1" + 200 * ")" + ", 1, 1)"),
+            ("hyperplane H: ", "(", "z1" + 400 * ")" + " = 0"),
+            ("real S: ", "-", "x1 = 0"),
+        ],
+        ids=["parentheses", "signs", "mixed", "linear-form", "real-form"],
+    )
+    def test_depth_above_bound_rejected_at_its_token(self, prefix, nest, body):
+        text = prefix + (400 // len(nest)) * nest + body
+        err = self.error(text)
+        # the token that opens level MAX_DEPTH + 1
+        assert (err.line, err.column) == (1, len(prefix) + MAX_DEPTH + 1)
+        assert f"nest at most {MAX_DEPTH} levels" in str(err)
+
+    def test_exp_counts_as_a_level(self):
+        text = "curve f: (" + MAX_DEPTH * "(" + "exp(z)" + MAX_DEPTH * ")" + ", 1, 1)"
+        err = self.error(text)
+        assert err.column == text.index("exp(") + 4
 
 
 class TestRoundTrip:

@@ -1,0 +1,67 @@
+"""Start-up cost: numpy is loaded only when a set needs sampling.
+
+Each test runs the package in a fresh interpreter with PYTHONPATH=src and
+reports, after `import curveavoid` and after each command, whether numpy
+is in `sys.modules`.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The README's commands that every exact certificate settles.
+EXACT_ONLY = (
+    ("gp-check", "scenes/standard4.scene"),
+    ("diagonals", "scenes/standard4.scene"),
+    ("classify", "scenes/degenerate.scene"),
+    ("witness", "--construction", "constant-projection", "scenes/five.scene"),
+    ("witness", "--construction", "degenerate-pair", "scenes/degenerate.scene"),
+    ("witness", "--construction", "three-hyperplanes", "scenes/optimality.scene"),
+    ("project", "--curve", "f", "--at", "1+i", "scenes/verify_demo.scene"),
+)
+
+PROBE = """
+import contextlib, io, json, sys
+import curveavoid
+from curveavoid.cli import main
+steps = [["import curveavoid", None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    steps.append([" ".join(argv), code, "numpy" in sys.modules])
+print(json.dumps({"package": curveavoid.__file__, "steps": steps}))
+"""
+
+
+def _numpy_after_each(commands) -> list[list]:
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(commands)],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    result = json.loads(done.stdout)
+    assert Path(result["package"]).resolve().parent == ROOT / "src" / "curveavoid"
+    return result["steps"]
+
+
+def test_exact_only_commands_never_load_numpy():
+    steps = _numpy_after_each(EXACT_ONLY)
+    assert steps == [["import curveavoid", None, False]] + [
+        [" ".join(argv), 0, False] for argv in EXACT_ONLY
+    ]
+
+
+def test_verify_loads_numpy_when_a_set_needs_sampling():
+    argv = ("verify", "--curve", "f", "scenes/verify_demo.scene")
+    assert _numpy_after_each([argv]) == [
+        ["import curveavoid", None, False],
+        [" ".join(argv), 0, True],
+    ]

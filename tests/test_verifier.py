@@ -14,6 +14,8 @@ from curveavoid.verifier import (
     SamplingPlan,
     projective_value,
     verify,
+)
+from curveavoid.sampling import (
     _base_samples,
     _margins_for_subspace,
     _targeted_for_subspace,
