@@ -4,10 +4,32 @@ Every geometric predicate in this package reduces to a rank, kernel, or
 complement computation on a small matrix.  All of it is exact: entries are
 `fractions.Fraction` or `GaussianRational`, and elimination never rounds,
 so "in general position" is decided by arithmetic, not by tolerances.
+
+Every rank, kernel, solution and inverse comes from one kernel,
+`_eliminate`: fraction-free Gauss-Jordan elimination over the Gaussian
+integers Z[i], after Bareiss (1968, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination").  Each row is first multiplied by
+the lcm of the denominators of its entries' real and imaginary parts, which
+keeps its row space, so the entries become pairs of Python ints.  With p
+the new pivot, in row r and column c, and prev the pivot before it (1 at
+the start), every other row i becomes
+
+    m[i][j] = (p * m[i][j] - m[i][c] * m[r][j]) / prev.
+
+By Sylvester's identity each entry after k pivots is, up to sign, a minor
+of order k or k + 1 of the scaled matrix, so it lies in Z[i]: prev divides
+the numerator exactly, and `x * conj(prev) // |prev|^2` on ints never
+rounds.  The identity holds over any commutative integral domain, so one
+kernel serves Q and Q(i): a real row enters with imaginary parts 0 and
+keeps them.  At the end every pivot entry equals the last pivot.  Ranks
+read the pivot count and convert nothing; `_rref` divides each row by its
+pivot once, in the input's field, which gives the unique reduced row
+echelon form with unit pivots, the one rational elimination gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, TypeVar, Union
@@ -131,43 +153,105 @@ def _check_rect(rows: Sequence[Sequence[T]]) -> int:
     return widths.pop() if widths else 0
 
 
-def _rref(rows: Sequence[Sequence[T]]) -> tuple[list[list[T]], list[int]]:
-    """Reduced row echelon form with unit pivots; returns (rows, pivot cols)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    width = len(m[0])
+def _eliminate(
+    rows: Sequence[Sequence[T]], complex_field: bool
+) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination over Z[i].
+
+    Returns the real and imaginary parts of the reduced integer rows, zero
+    rows dropped, and the pivot columns.  Every pivot entry of the result
+    equals the last pivot.
+    """
+    m_re: list[list[int]] = []
+    m_im: list[list[int]] = []
+    for r in rows:
+        parts = [p for x in r for p in (x.re, x.im)] if complex_field else r
+        scale = math.lcm(*(p.denominator for p in parts))
+        ints = [p.numerator * (scale // p.denominator) for p in parts]
+        m_re.append(ints[0::2] if complex_field else ints)
+        m_im.append(ints[1::2] if complex_field else [0] * len(ints))
+    n = len(m_re)
+    prev_re, prev_im = 1, 0
     pivots: list[int] = []
     row = 0
-    for col in range(width):
-        pivot = next((i for i in range(row, len(m)) if m[i][col]), None)
+    for col in range(len(m_re[0]) if m_re else 0):
+        pivot = next((i for i in range(row, n) if m_re[i][col] or m_im[i][col]), None)
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = m[row][col]
-        m[row] = [x / inv for x in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col]:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[row])]
+        m_re[row], m_re[pivot] = m_re[pivot], m_re[row]
+        m_im[row], m_im[pivot] = m_im[pivot], m_im[row]
+        y_re, y_im = m_re[row], m_im[row]
+        p_re, p_im = y_re[col], y_im[col]
+        norm = prev_re * prev_re + prev_im * prev_im
+        for i in range(n):
+            if i == row:
+                continue
+            x_re, x_im = m_re[i], m_im[i]
+            b_re, b_im = x_re[col], x_im[col]
+            new_re: list[int] = []
+            new_im: list[int] = []
+            for a_re, a_im, c_re, c_im in zip(x_re, x_im, y_re, y_im):
+                # p*a - b*c, then the exact division by prev
+                t_re = p_re * a_re - p_im * a_im - b_re * c_re + b_im * c_im
+                t_im = p_re * a_im + p_im * a_re - b_re * c_im - b_im * c_re
+                new_re.append((t_re * prev_re + t_im * prev_im) // norm)
+                new_im.append((t_im * prev_re - t_re * prev_im) // norm)
+            m_re[i], m_im[i] = new_re, new_im
+        prev_re, prev_im = p_re, p_im
         pivots.append(col)
         row += 1
-        if row == len(m):
+        if row == n:
             break
-    return m[:row], pivots
+    return m_re[:row], m_im[:row], pivots
 
 
-def _kernel(rows: Sequence[Sequence[T]], width: int, one: T) -> list[tuple[T, ...]]:
-    reduced, pivots = _rref(rows)
-    zero = one - one
-    free = [c for c in range(width) if c not in pivots]
+def _quotient(x_re: int, x_im: int, d_re: int, d_im: int, complex_field: bool):
+    """(x_re + i x_im) / (d_re + i d_im) in the input's field."""
+    if not complex_field:
+        return Fraction(x_re, d_re)
+    n = d_re * d_re + d_im * d_im
+    return GaussianRational(
+        Fraction(x_re * d_re + x_im * d_im, n), Fraction(x_im * d_re - x_re * d_im, n)
+    )
+
+
+def _rref(rows: Sequence[Sequence[T]]) -> tuple[list[list[T]], list[int]]:
+    """Reduced row echelon form with unit pivots; returns (rows, pivot cols)."""
+    if not rows or not rows[0]:
+        return [], []
+    complex_field = isinstance(rows[0][0], GaussianRational)
+    m_re, m_im, pivots = _eliminate(rows, complex_field)
+    reduced = []
+    for x_re, x_im, pc in zip(m_re, m_im, pivots):
+        d_re, d_im = x_re[pc], x_im[pc]
+        reduced.append(
+            [_quotient(a, b, d_re, d_im, complex_field) for a, b in zip(x_re, x_im)]
+        )
+    return reduced, pivots
+
+
+def _kernel(
+    rows: Sequence[Sequence[T]], width: int, complex_field: bool
+) -> list[tuple[T, ...]]:
+    """Kernel basis, each vector scaled so its first nonzero entry is 1.
+
+    With d the common pivot, d*e_fc - sum_r m[r][fc]*e_pc(r) is d times the
+    vector the unit-pivot RREF gives for free column fc.
+    """
+    m_re, m_im, pivots = _eliminate(rows, complex_field)
+    d_re, d_im = (m_re[0][pivots[0]], m_im[0][pivots[0]]) if pivots else (1, 0)
     basis: list[tuple[T, ...]] = []
-    for fc in free:
-        v = [zero] * width
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        basis.append(_scale_first_nonzero(tuple(v)))
+    for fc in range(width):
+        if fc in pivots:
+            continue
+        v_re, v_im = [0] * width, [0] * width
+        v_re[fc], v_im[fc] = d_re, d_im
+        for x_re, x_im, pc in zip(m_re, m_im, pivots):
+            v_re[pc], v_im[pc] = -x_re[fc], -x_im[fc]
+        l_re, l_im = next((a, b) for a, b in zip(v_re, v_im) if a or b)
+        basis.append(
+            tuple(_quotient(a, b, l_re, l_im, complex_field) for a, b in zip(v_re, v_im))
+        )
     return basis
 
 
@@ -191,13 +275,13 @@ def rank_real(rows: Sequence[Sequence[RationalLike]]) -> int:
     m = _real_rows(rows)
     if m and _check_rect(m) != 6:
         raise ValueError("real matrices here have exactly 6 columns")
-    return len(_rref(m)[1])
+    return len(_eliminate(m, False)[2])
 
 
 def rank_complex(rows: Sequence[Sequence[GQLike]]) -> int:
     m = _complex_rows(rows)
     _check_rect(m)
-    return len(_rref(m)[1])
+    return len(_eliminate(m, True)[2])
 
 
 def kernel_real(rows: Sequence[Sequence[RationalLike]], width: int) -> list[RationalVector]:
@@ -205,7 +289,7 @@ def kernel_real(rows: Sequence[Sequence[RationalLike]], width: int) -> list[Rati
     m = _real_rows(rows)
     if m and _check_rect(m) != width:
         raise ValueError(f"expected {width} columns")
-    return _kernel(m, width, Fraction(1))
+    return _kernel(m, width, False)
 
 
 def kernel_complex(rows: Sequence[Sequence[GQLike]], width: int | None = None) -> list[ComplexVector]:
@@ -216,7 +300,7 @@ def kernel_complex(rows: Sequence[Sequence[GQLike]], width: int | None = None) -
         raise ValueError("width required for an empty matrix")
     if m and width is not None and w != width:
         raise ValueError(f"expected {width} columns")
-    return _kernel(m, w, GQ_ONE)
+    return _kernel(m, w, True)
 
 
 def orthogonal_complement(rows: Sequence[Sequence[RationalLike]]) -> list[RationalVector]:
@@ -228,7 +312,7 @@ def orthogonal_complement(rows: Sequence[Sequence[RationalLike]]) -> list[Ration
     m = _real_rows(rows)
     if m and _check_rect(m) != 6:
         raise ValueError("complements are taken inside R^6")
-    return _kernel(m, 6, Fraction(1))
+    return _kernel(m, 6, False)
 
 
 def solve_complex(

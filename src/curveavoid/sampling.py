@@ -188,12 +188,15 @@ def _targeted_for_hyperplane(s: ExpSum, plan: SamplingPlan, base: np.ndarray) ->
     values = np.where(np.isfinite(values), values, np.inf)
     order = np.argsort(values, kind="stable")[:_NEWTON_STARTS]
     z = base[order].copy()
-    for _ in range(_NEWTON_STEPS):
-        fz = _sum_values(terms, z)
-        dz = _sum_derivative_values(terms, z)
-        safe = np.abs(dz) > _TINY
-        step = np.where(safe, fz / np.where(safe, dz, 1.0), 0.0)
-        z = z - step
+    # Iterates that leave the disk may overflow to inf or nan; they are
+    # dropped below, so numpy's warnings about them are noise.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            fz = _sum_values(terms, z)
+            dz = _sum_derivative_values(terms, z)
+            safe = np.abs(dz) > _TINY
+            step = np.where(safe, fz / np.where(safe, dz, 1.0), 0.0)
+            z = z - step
     keep = np.isfinite(z) & (np.abs(z) <= plan.disk_radius)
     refined = z[keep]
     return refined[np.lexsort((refined.imag, refined.real))]

@@ -14,7 +14,10 @@ equal to the original scene.
 So that no scene can stall or overflow the parser, exponent polynomials
 have degree at most MAX_DEGREE, a curve component at most MAX_TERMS terms,
 and parentheses and signs nest at most MAX_DEPTH levels deep, each checked
-before the arithmetic or recursion that would exceed it.
+before the arithmetic or recursion that would exceed it.  Every constant
+the parser reads or builds has numerators and denominators of at most
+MAX_DIGITS digits in its real and imaginary parts, since the cost of exact
+elimination grows with the size of the entries.
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ _TOKEN_RE = re.compile(
 MAX_DEGREE = 64
 MAX_TERMS = 256
 MAX_DEPTH = 64
+MAX_DIGITS = 64
+_HEIGHT_LIMIT = 10**MAX_DIGITS
 
 COMPLEX_VARS = ("z1", "z2", "z3")
 REAL_VARS = ("x1", "y1", "x2", "y2", "x3", "y3")
@@ -123,6 +128,29 @@ class _Cursor:
         return tok.error(message)
 
 
+def _height_error(tok: Token) -> ParseError:
+    return tok.error(f"numerators and denominators have at most {MAX_DIGITS} digits")
+
+
+def _bounded(c: GaussianRational, tok: Token) -> GaussianRational:
+    """c, unless one of its four integers has more than MAX_DIGITS digits."""
+    re, im = c.re, c.im
+    if max(abs(re.numerator), re.denominator, abs(im.numerator), im.denominator) >= _HEIGHT_LIMIT:
+        raise _height_error(tok)
+    return c
+
+
+def _literal(tok: Token) -> GaussianRational:
+    """A number token, its digits counted before Python converts them."""
+    parts = [p.lstrip("0") or "0" for p in tok.text.split("/")]
+    if any(len(p) > MAX_DIGITS for p in parts):
+        raise _height_error(tok)
+    try:
+        return gq(Fraction(*map(int, parts)))
+    except ZeroDivisionError:
+        raise tok.error("zero denominator") from None
+
+
 # ---------------------------------------------------------------------------
 # expression evaluation
 #
@@ -130,7 +158,8 @@ class _Cursor:
 # named variables, polynomials in z, and exponential sums.  A domain
 # supplies atoms and arithmetic; the core handles precedence and errors.
 # Binary operations receive their operator token (the exponent for '^'),
-# where any error they raise is reported.
+# where any error they raise is reported, and pass each constant they
+# build through `_bounded`.
 
 class _Domain:
     def number(self, c: GaussianRational):
@@ -203,10 +232,7 @@ def _parse_atom(cur: _Cursor, domain: _Domain):
         cur.depth -= 1
         return value
     if tok.kind == "number":
-        try:
-            c = gq(Fraction(tok.text))
-        except ZeroDivisionError:
-            raise tok.error("zero denominator") from None
+        c = _literal(tok)
         nxt = cur.peek()
         if nxt is not None and nxt.text == "i":
             cur.next()
@@ -236,8 +262,8 @@ class _LinearDomain(_Domain):
     def add(self, a, b, op):
         coeffs = dict(a[1])
         for v, c in b[1].items():
-            coeffs[v] = coeffs.get(v, GQ_ZERO) + c
-        return (a[0] + b[0], coeffs)
+            coeffs[v] = _bounded(coeffs.get(v, GQ_ZERO) + c, op)
+        return (_bounded(a[0] + b[0], op), coeffs)
 
     def negate(self, a):
         return (-a[0], {v: -c for v, c in a[1].items()})
@@ -248,12 +274,12 @@ class _LinearDomain(_Domain):
         if b[1]:
             a, b = b, a
         k = b[0]
-        return (a[0] * k, {v: c * k for v, c in a[1].items()})
+        return (_bounded(a[0] * k, op), {v: _bounded(c * k, op) for v, c in a[1].items()})
 
     def divide(self, a, b, op):
         if b[1] or not b[0]:
             raise op.error("division is only by nonzero constants")
-        return (a[0] / b[0], {v: c / b[0] for v, c in a[1].items()})
+        return (_bounded(a[0] / b[0], op), {v: _bounded(c / b[0], op) for v, c in a[1].items()})
 
 
 class _PolyDomain(_Domain):
@@ -271,7 +297,9 @@ class _PolyDomain(_Domain):
         n = max(len(a), len(b))
         return poly(
             [
-                (a[i] if i < len(a) else GQ_ZERO) + (b[i] if i < len(b) else GQ_ZERO)
+                _bounded(
+                    (a[i] if i < len(a) else GQ_ZERO) + (b[i] if i < len(b) else GQ_ZERO), op
+                )
                 for i in range(n)
             ]
         )
@@ -288,12 +316,12 @@ class _PolyDomain(_Domain):
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):
                 prod[i + j] = prod[i + j] + ca * cb
-        return poly(prod)
+        return poly([_bounded(c, op) for c in prod])
 
     def divide(self, a, b, op):
         if len(b) > 1 or not b:
             raise op.error("division is only by nonzero constants")
-        return poly([c / b[0] for c in a])
+        return poly([_bounded(c / b[0], op) for c in a])
 
     def power(self, a, exponent, op):
         if exponent > MAX_DEGREE or (len(a) - 1) * exponent > MAX_DEGREE:
@@ -304,8 +332,8 @@ class _PolyDomain(_Domain):
         return out
 
 
-def _merge(acc: dict[Poly, GaussianRational], p: Poly, c: GaussianRational) -> None:
-    total = acc.get(p, GQ_ZERO) + c
+def _merge(acc: dict[Poly, GaussianRational], p: Poly, c: GaussianRational, op: Token) -> None:
+    total = _bounded(acc.get(p, GQ_ZERO) + c, op)
     if total:
         acc[p] = total
     else:
@@ -335,7 +363,7 @@ class _CurveDomain(_Domain):
 
     def add(self, a, b, op):
         for p, c in b.items():
-            _merge(a, p, c)
+            _merge(a, p, c, op)
         if len(a) > MAX_TERMS:
             raise op.error(f"a curve component has at most {MAX_TERMS} terms")
         return a
@@ -349,14 +377,14 @@ class _CurveDomain(_Domain):
         product: dict[Poly, GaussianRational] = {}
         for pa, ca in a.items():
             for pb, cb in b.items():
-                _merge(product, _PolyDomain().add(pa, pb, op), ca * cb)
+                _merge(product, _PolyDomain().add(pa, pb, op), ca * cb, op)
         return product
 
     def divide(self, a, b, op):
         if len(b) != 1 or POLY_ZERO not in b:
             raise op.error("division is only by nonzero constants")
         k = GQ_ONE / b[POLY_ZERO]
-        return {p: c * k for p, c in a.items()}
+        return {p: _bounded(c * k, op) for p, c in a.items()}
 
 
 def _parse_component(cur: _Cursor) -> ExpSum:

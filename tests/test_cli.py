@@ -235,8 +235,13 @@ class TestVerify:
             f"curve f: (({SEVENTEEN_TERMS}) * ({SEVENTEEN_TERMS}), 1, 1)",
             "curve f: (" + 400 * "(" + "exp(z)" + 400 * ")" + ", 1, 1)",
             "curve f: (" + 400 * "-" + "exp(z), 1, 1)",
+            "curve f: (" + 5000 * "9" + "*exp(z), 1, 1)",
+            "curve f: (" + 4000 * "9" + "*" + 4000 * "7" + "*exp(z), 1, 1)",
         ],
-        ids=["power-degree", "huge-exponent", "product-terms", "parentheses", "signs"],
+        ids=[
+            "power-degree", "huge-exponent", "product-terms", "parentheses", "signs",
+            "long-literal", "long-product",
+        ],
     )
     def test_oversized_scene_is_two_and_fast(self, scene, capsys, line):
         path = scene(line + "\n")

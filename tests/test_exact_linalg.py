@@ -9,6 +9,7 @@ from curveavoid.exact_linalg import (
     GQ_ONE,
     GQ_ZERO,
     GaussianRational,
+    _rref,
     gq,
     inverse_complex,
     kernel_complex,
@@ -173,3 +174,141 @@ def test_kernel_vectors_annihilate(rows):
     for vec in kernel_real(rows, 6):
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free kernel against rational Gauss-Jordan elimination
+
+
+def reference_rref(rows):
+    """Gauss-Jordan elimination on Fraction or GaussianRational entries.
+
+    The unit-pivot reduced row echelon form is unique, so the fraction-free
+    kernel behind `_rref` must return exactly these rows and pivots.
+    """
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    width = len(m[0])
+    pivots = []
+    row = 0
+    for col in range(width):
+        pivot = next((i for i in range(row, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = m[row][col]
+        m[row] = [x / inv for x in m[row]]
+        for i in range(len(m)):
+            if i != row and m[i][col]:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(m):
+            break
+    return m[:row], pivots
+
+
+def reference_kernel(rows, width, one):
+    """Kernel basis read off `reference_rref`, first nonzero entry scaled to 1."""
+    reduced, pivots = reference_rref(rows)
+    basis = []
+    for fc in range(width):
+        if fc in pivots:
+            continue
+        v = [one - one] * width
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
+        lead = next(x for x in v if x)
+        basis.append(tuple(x / lead for x in v))
+    return basis
+
+
+def reference_solve(rows, rhs):
+    reduced, pivots = reference_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    width = len(rows[0])
+    if width in pivots:
+        return None
+    x = [GQ_ZERO] * width
+    for r, pc in enumerate(pivots):
+        x[pc] = reduced[r][width]
+    return tuple(x)
+
+
+def reference_inverse(rows):
+    n = len(rows)
+    eye = [[GQ_ONE if i == j else GQ_ZERO for j in range(n)] for i in range(n)]
+    reduced, pivots = reference_rref([list(r) + e for r, e in zip(rows, eye)])
+    if pivots != list(range(n)):
+        return None
+    return [tuple(r[n:]) for r in reduced]
+
+
+# Entries of 30 to 40 digits make the integers of the kernel long, so a
+# division that were not exact would show as a wrong rank or entry.
+scalars = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=4),
+    st.builds(F, st.integers(-(10**40), 10**40), st.integers(10**30, 10**40)),
+)
+gaussian_scalars = st.builds(gq, scalars, scalars)
+
+
+@st.composite
+def matrices(draw, entries, width=st.integers(min_value=1, max_value=8)):
+    """0-6 rows: drawn entries, zero rows, or combinations of earlier rows."""
+    width = draw(width)
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(("drawn", "zero", "dependent")))
+        if kind == "dependent" and rows:
+            r1, r2 = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(entries), draw(entries)
+            rows.append([a * x + b * y for x, y in zip(r1, r2)])
+        elif kind == "zero":
+            rows.append([draw(entries) * 0 for _ in range(width)])
+        else:
+            rows.append([draw(entries) for _ in range(width)])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(scalars, width=st.one_of(st.just(6), st.integers(min_value=1, max_value=8))))
+def test_real_kernel_matches_reference(rows):
+    width = len(rows[0]) if rows else 6
+    reduced, pivots = reference_rref(rows)
+    assert _rref(rows) == (reduced, pivots)
+    assert all(type(x) is Fraction for r in _rref(rows)[0] for x in r)
+    assert kernel_real(rows, width) == reference_kernel(rows, width, F(1))
+    if width == 6:
+        assert rank_real(rows) == len(pivots)
+        assert orthogonal_complement(rows) == reference_kernel(rows, 6, F(1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(gaussian_scalars), st.data())
+def test_complex_kernel_matches_reference(rows, data):
+    width = len(rows[0]) if rows else data.draw(st.integers(min_value=1, max_value=8))
+    reduced, pivots = reference_rref(rows)
+    assert _rref(rows) == (reduced, pivots)
+    assert rank_complex(rows) == len(pivots)
+    assert kernel_complex(rows, width) == reference_kernel(rows, width, GQ_ONE)
+    if not rows:
+        return
+    # a right-hand side in the column span, or an arbitrary one
+    if data.draw(st.booleans()):
+        x = [data.draw(gaussian_scalars) for _ in range(width)]
+        rhs = [sum((a * b for a, b in zip(r, x)), GQ_ZERO) for r in rows]
+    else:
+        rhs = [data.draw(gaussian_scalars) for _ in rows]
+    assert solve_complex(rows, rhs) == reference_solve(rows, rhs)
+    k = min(len(rows), width)
+    square = [r[:k] for r in rows[:k]]
+    expected = reference_inverse(square)
+    if expected is None:
+        with pytest.raises(ValueError):
+            inverse_complex(square)
+    else:
+        assert inverse_complex(square) == expected

@@ -13,6 +13,7 @@ and record the reason in CHANGES.md.
 import contextlib
 import io
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,6 +71,21 @@ def test_report_bytes_unchanged(name, argv, expected_code, monkeypatch):
     code, stdout = _run(argv)
     assert code == expected_code
     assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+
+
+def test_newton_overflow_leaves_stderr_empty():
+    """Newton iterates that overflow outside the disk print no numpy warnings."""
+    argv = ("verify", "--curve", "g", "scenes/hyperplane_hits.scene")
+    env = {k: v for k, v in os.environ.items() if k not in ("AVOIDANCE_SEED", "PYTHONWARNINGS")}
+    done = subprocess.run(
+        [sys.executable, "-m", "curveavoid.cli", *argv],
+        cwd=ROOT,
+        env=dict(env, PYTHONPATH="src"),
+        capture_output=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (1, b"")
+    assert done.stdout == (GOLDEN / "verify-hyperplane-hits.stdout").read_bytes()
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from curveavoid.projective import ComplexHyperplane
 from curveavoid.scene import (
     MAX_DEGREE,
     MAX_DEPTH,
+    MAX_DIGITS,
     MAX_TERMS,
     ParseError,
     format_scene,
@@ -258,6 +259,55 @@ class TestInputBounds:
         text = "curve f: (" + MAX_DEPTH * "(" + "exp(z)" + MAX_DEPTH * ")" + ", 1, 1)"
         err = self.error(text)
         assert err.column == text.index("exp(") + 4
+
+    def test_digit_bound_is_inclusive(self):
+        top = "9" * MAX_DIGITS
+        den = "1" + "0" * (MAX_DIGITS - 1)
+        half = "9" * (MAX_DIGITS // 2)
+        # (10^32 - 1) * 10^32 has exactly 64 digits
+        built = f"{half}*1{'0' * (MAX_DIGITS // 2)}"
+        scene = parse_scene(
+            f"hyperplane H: {top}/{den}*z1 + {top}i*z2 + 000{top}*z3 + {built}i*z1 = 0"
+        )
+        c = scene.hyperplanes["H"].coefficients
+        assert c[0] == gq(F(int(top), int(den)), 10**MAX_DIGITS - 10 ** (MAX_DIGITS // 2))
+        assert c[1:] == (gq(0, int(top)), gq(int(top)))
+        assert parse_constant(f"{top}/{den} - {top}i") == gq(F(int(top), int(den)), -int(top))
+
+    LONG = "9" * (MAX_DIGITS // 2 + 8)
+    # 10^40 + 1 and 10^40 + 3 are odd and differ by 2, so coprime
+    COPRIME = (f"1/1{'0' * 39}1", f"1/1{'0' * 39}3")
+
+    # the marker is the first text of the literal or operator that breaks the bound
+    @pytest.mark.parametrize(
+        "text, marker",
+        [
+            ("hyperplane H: " + "9" * (MAX_DIGITS + 1) + "*z1 = 0", "9"),
+            ("hyperplane H: 1/" + "9" * (MAX_DIGITS + 1) + "*z1 = 0", "1/"),
+            ("hyperplane H: z1 + " + "9" * (MAX_DIGITS + 1) + "i*z2 = 0", "9"),
+            # past Python's own limit on converting a digit string
+            ("curve f: (" + "9" * 5000 + "*exp(z), 1, 1)", "9"),
+            # both factors fit Python's limit; the first already breaks the bound
+            ("curve f: (" + "9" * 4000 + "*" + "7" * 4000 + ", 1, 1)", "9"),
+            (f"hyperplane H: {LONG}*{LONG}*z1 = 0", "*"),
+            (f"real S: {COPRIME[0]}*x1 + {COPRIME[1]}*x1 = 0", "+ "),
+            (f"curve f: (exp({LONG}*{LONG}*z), 1, 1)", "*"),
+            (f"curve f: (exp(z) - ({LONG}*exp(2*z))*({LONG}*exp(z)), 1, 1)", "*("),
+            (f"curve f: ({COPRIME[0]}*exp(z) + {COPRIME[1]}*exp(z), 1, 1)", "+ "),
+        ],
+        ids=[
+            "numerator", "denominator", "imaginary", "python-limit", "long-product",
+            "linear-product", "linear-sum", "poly-product", "curve-product", "curve-sum",
+        ],
+    )
+    def test_digits_above_bound_rejected_at_its_token(self, text, marker):
+        err = self.error(text)
+        assert (err.line, err.column) == (1, text.index(marker) + 1)
+        assert f"at most {MAX_DIGITS} digits" in str(err)
+
+    def test_constant_above_digit_bound(self):
+        with pytest.raises(ParseError, match=f"at most {MAX_DIGITS} digits"):
+            parse_constant(f"{self.LONG}*{self.LONG}")
 
 
 class TestRoundTrip:
