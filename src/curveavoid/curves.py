@@ -4,8 +4,9 @@ A term is c * e^(p(z)) with a Gaussian-rational coefficient and a
 polynomial exponent.  Sums of such terms admit exact identity tests:
 exponentials of distinct polynomials are linearly independent, and for
 constant exponents independence over the algebraic numbers is the
-Lindemann-Weierstrass theorem.  Everything symbolic here is exact; only
-the sampling verifier ever touches floating point.
+Lindemann-Weierstrass theorem.  Everything symbolic here is exact;
+floating point enters only through the evaluators (`evaluate_sum`,
+`ExpConstant.log`), which the verifier uses for its samples.
 """
 
 from __future__ import annotations
@@ -117,8 +118,17 @@ class ExpConstant:
         scaled = tuple((r, c * half) for r, c in (self.terms + self.conjugate().terms))
         return ExpConstant(scaled)
 
-    def to_complex(self) -> complex:
-        return sum((c.to_complex() * cmath.exp(r.to_complex()) for r, c in self.terms), 0j)
+    def log(self) -> complex | None:
+        """A logarithm of the (nonzero) value, or None where floating point cancels it to zero.
+
+        The factor e^(top), top the largest real part of an r, is taken out
+        first, so the value's size never overflows or underflows a float.
+        """
+        top = max(r.re for r, _ in self.terms)
+        rest = sum(
+            (c.to_complex() * cmath.exp(complex(r.re - top, r.im)) for r, c in self.terms), 0j
+        )
+        return float(top) + cmath.log(rest) if rest else None
 
 
 def exp_constant(c: GQLike, r: GQLike = 0) -> ExpConstant:
@@ -184,15 +194,17 @@ def is_identically_zero(s: ExpSum) -> bool:
 
 
 def is_nowhere_zero(s: ExpSum) -> str:
-    """'yes' for a single nonzero term, 'no' for the zero sum, else 'unknown'.
+    """'yes' when s has no zero, else 'no'; decided by the direction groups of s.
 
-    Genuine multi-term sums can vanish; deciding that is the sampler's job.
+    A single group c e^(d(z)) with c != 0 has no zero.  The zero sum
+    vanishes everywhere.  A sum with two or more groups has a zero: a
+    zero-free entire function of finite order is e^(g) with g a polynomial
+    (Hadamard), and Borel's theorem on sums of exponentials whose exponents
+    differ by nonconstant polynomials then leaves a single group.
     """
-    if not s.terms:
-        return "no"
     if len(s.terms) == 1:
         return "yes"
-    return "unknown"
+    return "yes" if len(_direction_groups(s)) == 1 else "no"
 
 
 def constant_value(s: ExpSum) -> ExpConstant | None:

@@ -1,8 +1,10 @@
-"""Sampled evidence for the sets that no exact certificate settles.
+"""Sampled evidence where no closed form gives the answer.
 
 This is the only module of the package that imports numpy.  `verify`
-loads it when the first set of a scene falls through the exact
-certificates, so the commands that never sample never pay for the import.
+loads it when the first set of a scene needs it: a real subspace that no
+exact certificate settles, or a hyperplane that the curve is known to
+meet but whose zero has no closed form.  The commands that never sample
+never pay for the import.
 
 A set is sampled over a deterministic grid on the disk, seeded random
 points in it, and targeted points: bisection onto the zero set of each

@@ -1,16 +1,27 @@
 """Avoidance verification for exponential curves.
 
 Given a curve and a scene of complex hyperplanes and real subspaces, decide
-for each set whether the curve avoids it.  Exact certificates are used
-whenever the composed form admits one (a single exponential term, or a
-constant value whose nonvanishing follows from linear independence of
-exponentials over the algebraic numbers); everything else falls back to
-dense sampling over a disk with targeted refinement near the zero set of
-each individual form (the `sampling` module, loaded only then).
+for each set whether the curve avoids it.
+
+Every hyperplane is decided exactly.  Its form composed with the curve is
+an exponential sum; grouped by exponent direction it has no group (the
+curve lies in the hyperplane), one group (a nowhere-zero c e^(d(z))), or
+two or more, and then it has a zero by Hadamard's factorization and
+Borel's theorem (see `curves.is_nowhere_zero`).  A violation carries a
+zero as its sample: in closed form for two groups whose directions differ
+by a linear polynomial, else the Newton search of the `sampling` module,
+whose point is kept only when its margin is below the plan's tolerance,
+so the sample may be null.
+
+A real subspace is decided exactly when every defining form restricts to
+a constant (linear independence of exponentials over the algebraic
+numbers); otherwise it falls back to dense sampling over a disk with
+targeted refinement near the zero set of each individual form.  The
+`sampling` module is loaded only when a set needs it.
 
 Sampling cannot prove avoidance.  Reports therefore label every verdict
-with the method that produced it, and sampled "avoided" verdicts carry the
-minimum relative margin observed.  The relative margin at a sample z is
+with the method that produced it, and sampled verdicts carry the minimum
+relative margin observed.  The relative margin at a sample z is
 
     max over defining forms of |form value at f(z)| / |f(z)|,
 
@@ -21,21 +32,25 @@ reproduce them byte for byte.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .arrangement import RealSubspace, holomorphic_coefficients
 from .curves import (
     ExpAffineCurve,
+    ExpConstant,
     ExpSum,
+    Poly,
+    _direction_groups,
     apply_form,
     constant_value,
     evaluate_sum,
-    is_identically_zero,
-    is_nowhere_zero,
     is_projectively_constant,
 )
+from .exact_linalg import GQ_ZERO
 from .scene import Scene, format_exp_sum
 
 AVOIDED = "avoided"
@@ -116,17 +131,49 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # per-set verdicts
 
-def _exact_hyperplane_result(name: str, s: ExpSum) -> SetResult | None:
-    """The exact verdict for a hyperplane whose form composed with the curve is s, if any."""
-    if is_identically_zero(s):
+def _exact_hyperplane_result(name: str, s: ExpSum) -> SetResult:
+    """The verdict for a hyperplane whose form composed with the curve is s.
+
+    It follows from the direction groups of s (see `is_nowhere_zero`): none
+    is a zero-set hit, one is avoidance, and two or more are a violation,
+    whose sample is the closed-form zero when there is one and is left to
+    the Newton search otherwise.
+    """
+    if len(s.terms) == 1:
+        return SetResult(name, "exact", AVOIDED, None, None)
+    groups = _direction_groups(s)
+    if not groups:
         return SetResult(name, "exact", ZERO_SET_HIT, None, (0.0, 0.0))
-    if is_nowhere_zero(s) == "yes":
+    if len(groups) == 1:
         return SetResult(name, "exact", AVOIDED, None, None)
-    # A formally nonzero combination of exponentials of distinct constants
-    # has a nonzero value, so a constant composed form settles the question.
-    if constant_value(s) is not None:
-        return SetResult(name, "exact", AVOIDED, None, None)
-    return None
+    zero = _closed_form_zero(groups)
+    sample = None if zero is None else (zero.real + 0.0, zero.imag + 0.0)
+    return SetResult(name, "exact", VIOLATED, None, sample)
+
+
+def _closed_form_zero(groups: dict[Poly, ExpConstant]) -> complex | None:
+    """The zero nearest the origin of C1 e^(d1) + C2 e^(d2), if d1 - d2 = lam z.
+
+    The zeros are z = (Log(-C2/C1) + 2 pi i k) / lam for integer k.  A tie
+    in modulus goes to the smaller k, that is the smaller Im(lam z), so
+    reports stay deterministic.  None when floating point cancels C1 or C2
+    to zero.
+    """
+    if len(groups) != 2:
+        return None
+    (d1, c1), (d2, c2) = groups.items()
+    diff = [a - b for a, b in zip_longest(d1, d2, fillvalue=GQ_ZERO)]
+    if any(diff[2:]):
+        return None
+    log1, log2 = c1.log(), c2.log()
+    if log1 is None or log2 is None:
+        return None
+    log = log2 - log1 + 1j * math.pi  # a logarithm of -C2/C1
+    k = round(-log.imag / (2 * math.pi))
+    lam_z = min(
+        (log + 2j * math.pi * j for j in (k - 1, k, k + 1)), key=lambda v: (abs(v), v.imag)
+    )
+    return lam_z / diff[1].to_complex()
 
 
 def _exact_subspace_result(name: str, subspace: RealSubspace, curve: ExpAffineCurve) -> SetResult | None:
@@ -152,6 +199,7 @@ def _exact_subspace_result(name: str, subspace: RealSubspace, curve: ExpAffineCu
 def _sampled_result(
     name: str, plan: SamplingPlan, margin: float, sample: tuple[float, float]
 ) -> SetResult:
+    """The sampled verdict for a real subspace that no exact certificate settles."""
     if margin < plan.tolerance:
         return SetResult(name, "sampled", VIOLATED, margin, sample)
     return SetResult(name, "sampled", AVOIDED, margin, None)
@@ -220,9 +268,11 @@ def verify(
             h = scene.hyperplanes[name]
             s = apply_form(h, curve)
             result = _exact_hyperplane_result(name, s)
-            if result is None:
+            if result.verdict == VIOLATED and result.violation_sample is None:
                 sampler = sampler or _sampler(plan)
-                result = _sampled_result(name, plan, *sampler.hyperplane(h, s, curve))
+                margin, sample = sampler.hyperplane(h, s, curve)
+                if margin < plan.tolerance:
+                    result = SetResult(name, "exact", VIOLATED, None, sample)
         else:
             subspace = scene.reals[name]
             result = _exact_subspace_result(name, subspace, curve)

@@ -87,8 +87,16 @@ class TestNowhereZero:
     def test_zero_sum_no(self):
         assert is_nowhere_zero(exp_sum([])) == "no"
 
-    def test_multi_term_unknown(self):
-        assert is_nowhere_zero(exp_sum([(1, ()), (1, (0, 1))])) == "unknown"
+    def test_two_groups_no(self):
+        # 1 + e^z vanishes at i pi
+        assert is_nowhere_zero(exp_sum([(1, ()), (1, (0, 1))])) == "no"
+
+    def test_one_group_of_several_terms_yes(self):
+        # e^z + e^(z + 1) = (1 + e) e^z
+        assert is_nowhere_zero(exp_sum([(1, (0, 1)), (1, (1, 1))])) == "yes"
+
+    def test_nonlinear_groups_no(self):
+        assert is_nowhere_zero(exp_sum([(1, (0, 0, 1)), (1, (0, 1)), (1, ())])) == "no"
 
 
 class TestConstantValue:

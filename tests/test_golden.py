@@ -50,7 +50,7 @@ COMMANDS = (
         0,
     ),
     ("verify-demo", ("verify", "--curve", "f", "scenes/verify_demo.scene"), 0),
-    # hyperplane sampling: Newton finds the hits inside the disk, not the one outside
+    # hyperplane hits: closed-form zeros for H1 and for H5 (outside the disk), Newton for H4
     ("verify-hyperplane-hits", ("verify", "--curve", "g", "scenes/hyperplane_hits.scene"), 1),
     ("project-demo", ("project", "--curve", "f", "--at", "1+i", "scenes/verify_demo.scene"), 0),
     ("classify-standard4", ("classify", "scenes/standard4.scene"), 2),

@@ -1,12 +1,20 @@
 """Tests for the avoidance verifier: exact paths, sampling, and determinism."""
 
+import cmath
 import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from curveavoid.scene import parse_scene
+from curveavoid.cli import main
+from curveavoid.curves import ExpAffineCurve, exp_sum, exp_term
+from curveavoid.exact_linalg import gq
+from curveavoid.projective import ComplexHyperplane
+from curveavoid.scene import Scene, parse_scene
 from curveavoid.verifier import (
     AVOIDED,
     VIOLATED,
@@ -29,6 +37,9 @@ hyperplane H4: z1 + z2 + z3 = 0
 real H: x1 - x2 = 0; x1 - x3 = 0
 curve f: (exp(z), -exp(z), exp(2*z))
 """
+
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def scene_and_curve(text, name="f"):
@@ -80,20 +91,136 @@ class TestExactPaths:
         r = verify(f, scene).results[0]
         assert (r.method, r.verdict) == ("exact", ZERO_SET_HIT)
 
-
-class TestSampledPaths:
     def test_violation_near_i_pi(self):
-        """1 + e^z vanishes at odd multiples of i pi; Newton polish finds it."""
+        """1 + e^z vanishes at the odd multiples of i pi; +i pi and -i pi tie
+        as nearest to the origin, and the tie goes to the smaller k."""
         scene, f = scene_and_curve(
             "hyperplane D: z1 + z2 = 0\ncurve f: (exp(z), 1, 1)"
         )
         r = verify(f, scene).results[0]
-        assert (r.method, r.verdict) == ("sampled", VIOLATED)
-        assert r.min_margin < 1e-12
-        x, y = r.violation_sample
-        assert abs(x) < 1e-9
-        assert min(abs(abs(y) - k * math.pi) for k in (1, 3)) < 1e-9
+        assert (r.method, r.verdict) == ("exact", VIOLATED)
+        assert r.min_margin is None
+        assert r.violation_sample == (0.0, math.pi)
 
+    def test_far_hit_is_violated_exactly(self):
+        """exp(z/100) - 2 vanishes at 100 log 2, far outside the sampling disk."""
+        scene = parse_scene((SCENES / "far_hit.scene").read_text())
+        h1, h2, s = verify(scene.curves["f"], scene).results
+        assert (h1.set, h1.method, h1.verdict) == ("H1", "exact", VIOLATED)
+        assert h1.min_margin is None
+        assert h1.violation_sample == pytest.approx((100 * math.log(2), 0.0), abs=1e-9)
+        assert (h2.method, h2.verdict) == ("exact", AVOIDED)
+        assert (s.set, s.method) == ("S", "sampled")
+
+    def test_far_hit_exits_one(self, monkeypatch, capsys):
+        monkeypatch.chdir(SCENES.parent)
+        assert main(["verify", "--curve", "f", "scenes/far_hit.scene"]) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert [(r["set"], r["verdict"]) for r in results][:2] == [
+            ("H1", VIOLATED), ("H2", AVOIDED),
+        ]
+
+    def test_nonlinear_direction_difference_has_closed_form(self):
+        """e^(z^2 + z) - e^(z^2) = e^(z^2) (e^z - 1) vanishes at 0."""
+        scene, f = scene_and_curve(
+            "hyperplane D: z1 + z2 = 0\ncurve f: (exp(z^2 + z), -exp(z^2), 1)"
+        )
+        r = verify(f, scene).results[0]
+        assert (r.method, r.verdict, r.violation_sample) == ("exact", VIOLATED, (0.0, 0.0))
+
+    def test_closed_form_survives_an_underflowing_constant(self):
+        """e^z - e^(-1000) vanishes at z = -1000, though e^(-1000) is 0.0 as a float."""
+        scene, f = scene_and_curve(
+            "hyperplane H: z1 + z2 = 0\ncurve f: (exp(z), -exp(-1000), 1)"
+        )
+        r = verify(f, scene).results[0]
+        assert (r.method, r.verdict, r.violation_sample) == ("exact", VIOLATED, (-1000.0, 0.0))
+
+    def test_constant_cancelled_in_floating_point_has_no_closed_form(self):
+        """1 - e^(10^-60) is nonzero but rounds to 0.0; the verdict still stands."""
+        scene, f = scene_and_curve(
+            "hyperplane H: z1 + z2 = 0\ncurve f: (exp(z), 1 - exp(1/10^60), 1)"
+        )
+        r = verify(f, scene).results[0]
+        assert (r.method, r.verdict, r.violation_sample) == ("exact", VIOLATED, None)
+
+    def test_three_groups_without_a_found_zero(self):
+        """e^(z/50) + e^(z/100) - 1 vanishes only outside the disk (at 100 log
+        of the golden ratio's inverse and beyond), so Newton finds no point."""
+        scene, f = scene_and_curve(
+            "hyperplane H: z1 + z2 + z3 = 0\ncurve f: (exp(z/50), exp(z/100), -1)"
+        )
+        r = verify(f, scene).results[0]
+        assert (r.method, r.verdict, r.min_margin, r.violation_sample) == (
+            "exact", VIOLATED, None, None,
+        )
+
+    def test_three_groups_with_a_zero_in_the_disk(self):
+        """e^(2z) + e^z - 1 vanishes inside the disk; Newton finds a zero."""
+        scene, f = scene_and_curve(
+            "hyperplane H: z1 + z2 + z3 = 0\ncurve f: (exp(2*z), exp(z), -1)"
+        )
+        r = verify(f, scene).results[0]
+        assert (r.method, r.verdict, r.min_margin) == ("exact", VIOLATED, None)
+        z = complex(*r.violation_sample)
+        assert abs(z) <= 10.0
+        assert abs(cmath.exp(2 * z) + cmath.exp(z) - 1) < 1e-9
+
+
+small_gaussians = st.builds(
+    gq,
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+)
+
+
+@st.composite
+def grouped_sums(draw):
+    """Terms (c, r, lam) of sum c e^(lam z + r), and how many distinct lam they use.
+
+    Offsets are distinct within a direction and coefficients nonzero, so by
+    Lindemann-Weierstrass every direction keeps a nonzero group.
+    """
+    directions = draw(st.lists(small_gaussians, min_size=1, max_size=2, unique=True))
+    terms = []
+    for lam in directions:
+        offsets = draw(st.lists(small_gaussians, min_size=1, max_size=3, unique=True))
+        terms += [(draw(small_gaussians.filter(bool)), r, lam) for r in offsets]
+    return terms, len(directions)
+
+
+def oracle_term_values(terms, z):
+    """Each term c e^(lam z + r) at z, all scaled by one positive factor against overflow."""
+
+    def to_complex(q):
+        return complex(float(q.re), float(q.im))
+
+    exponents = [to_complex(lam) * z + to_complex(r) for _, r, lam in terms]
+    top = max(e.real for e in exponents)
+    return [to_complex(c) * cmath.exp(e - top) for (c, _, _), e in zip(terms, exponents)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_sums())
+def test_hyperplane_verdict_follows_the_group_count(case):
+    """One direction group is avoided, two are met; the closed-form sample is a zero."""
+    terms, groups = case
+    s = exp_sum([(c, (r, lam)) for c, r, lam in terms])
+    curve = ExpAffineCurve((s, exp_term(1), exp_term(1)))
+    scene = Scene(
+        hyperplanes={"H": ComplexHyperplane((1, 0, 0))}, order=(("hyperplane", "H"),)
+    )
+    (r,) = verify(curve, scene).results
+    assert (r.method, r.min_margin) == ("exact", None)
+    if groups == 1:
+        assert (r.verdict, r.violation_sample) == (AVOIDED, None)
+    else:
+        assert r.verdict == VIOLATED
+        values = oracle_term_values(terms, complex(*r.violation_sample))
+        assert abs(sum(values)) <= 1e-9 * sum(abs(v) for v in values)
+
+
+class TestSampledPaths:
     def test_dim4_subspace_margin(self):
         scene, f = scene_and_curve(DIM4_SUBSPACE_SCENE)
         report = verify(f, scene)
