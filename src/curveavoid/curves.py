@@ -5,16 +5,17 @@ polynomial exponent.  Sums of such terms admit exact identity tests:
 exponentials of distinct polynomials are linearly independent, and for
 constant exponents independence over the algebraic numbers is the
 Lindemann-Weierstrass theorem.  Everything symbolic here is exact;
-floating point enters only through the evaluators (`evaluate_sum`,
-`ExpConstant.log`), which the verifier uses for its samples.
+floating point enters only through the one evaluator `scaled_values`,
+which the verifier uses for its samples and projection values.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from .arrangement import RealSubspace, holomorphic_coefficients, re_part_form, triple_rank
@@ -118,17 +119,37 @@ class ExpConstant:
         scaled = tuple((r, c * half) for r, c in (self.terms + self.conjugate().terms))
         return ExpConstant(scaled)
 
+    def float_terms(self, top: Fraction) -> list[tuple[complex, complex]]:
+        """The terms as (c, r - top) pairs in floating point, r - top taken exactly."""
+        return [(c.to_complex(), (r - top).to_complex()) for r, c in self.terms]
+
     def log(self) -> complex | None:
         """A logarithm of the (nonzero) value, or None where floating point cancels it to zero.
 
         The factor e^(top), top the largest real part of an r, is taken out
-        first, so the value's size never overflows or underflows a float.
+        exactly, so the value's size never overflows or underflows a float.
         """
         top = max(r.re for r, _ in self.terms)
-        rest = sum(
-            (c.to_complex() * cmath.exp(complex(r.re - top, r.im)) for r, c in self.terms), 0j
-        )
-        return float(top) + cmath.log(rest) if rest else None
+        shift, (rest,) = scaled_values([self.float_terms(top)])
+        return float(top) + shift + cmath.log(rest) if rest else None
+
+
+_SCALE_STEP = 512
+
+
+def scaled_values(sums: Sequence[Sequence[tuple[complex, complex]]]) -> tuple[int, list[complex]]:
+    """Sums of terms c e^x, each as e^top times its returned value, one top for all.
+
+    top is the largest Re x rounded to a multiple of 512.  It is 0 while
+    every e^x is of moderate size, so the values are then the plain sums;
+    otherwise the largest term lies between e^-256 and e^256, and neither
+    overflows nor underflows a float.  An infinite exponent is a ValueError.
+    """
+    largest = max((x.real for terms in sums for _, x in terms), default=0.0)
+    if not math.isfinite(largest):
+        raise ValueError("an exponent is beyond the float range at this point")
+    top = _SCALE_STEP * round(largest / _SCALE_STEP)
+    return top, [sum((c * cmath.exp(x - top) for c, x in terms), 0j) for terms in sums]
 
 
 def exp_constant(c: GQLike, r: GQLike = 0) -> ExpConstant:
@@ -216,10 +237,15 @@ def constant_value(s: ExpSum) -> ExpConstant | None:
     )
 
 
+def terms_at(s: ExpSum, z: complex) -> list[tuple[complex, complex]]:
+    """The terms of s at z as (c, exponent value) pairs, for `scaled_values`."""
+    return [(t.coeff.to_complex(), poly_eval(t.exponent, z)) for t in s.terms]
+
+
 def evaluate_sum(s: ExpSum, z: complex) -> complex:
-    return sum(
-        (t.coeff.to_complex() * cmath.exp(poly_eval(t.exponent, z)) for t in s.terms), 0j
-    )
+    """The value of s at z; it overflows where the largest term does."""
+    top, (value,) = scaled_values([terms_at(s, z)])
+    return value * math.exp(top)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +296,39 @@ def _direction_groups(s: ExpSum) -> dict[Poly, ExpConstant]:
         extra = exp_constant(t.coeff, r)
         groups[direction] = groups.get(direction, ExpConstant(())) + extra
     return {d: c for d, c in groups.items() if c}
+
+
+UNIT_DEGREE_CAP = 64
+
+
+def unit_form(s: ExpSum) -> tuple[GaussianRational, dict[int, ExpConstant]] | None:
+    """s as e^(d0(z)) * sum C_n w^n over n >= 0 in the unit w = e^(mu z): mu and {n: C_n}.
+
+    The C_n are the direction groups of s (see `_direction_groups`) and d0
+    is the direction of power 0.  The first direction in canonical order
+    minus the second is a positive integer multiple of mu z.  None when two
+    directions differ by a nonlinear polynomial, when two slopes are not
+    rational multiples (e^z and e^(iz)), or when the degree exceeds
+    UNIT_DEGREE_CAP.
+    """
+    groups = _direction_groups(s)
+    first = next(iter(groups), POLY_ZERO)
+    slopes = []
+    for d in groups:
+        diff = poly([a - b for a, b in zip_longest(first, d, fillvalue=GQ_ZERO)])
+        if len(diff) > 2:
+            return None
+        slopes.append(diff[1] if diff else GQ_ZERO)
+    unit = slopes[1] if len(slopes) > 1 else GQ_ONE
+    ratios = [slope / unit for slope in slopes]
+    if any(q.im for q in ratios):
+        return None
+    denominator = math.lcm(*(q.re.denominator for q in ratios))
+    powers = [-int(q.re * denominator) for q in ratios]
+    low = min(powers, default=0)
+    if max(powers, default=0) - low > UNIT_DEGREE_CAP:
+        return None
+    return unit / denominator, {n - low: c for n, c in zip(powers, groups.values())}
 
 
 def _constant_ratio(f: ExpSum, g: ExpSum) -> bool:

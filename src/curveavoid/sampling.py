@@ -1,18 +1,17 @@
-"""Sampled evidence where no closed form gives the answer.
+"""Sampled evidence for real subspaces, and polynomial roots of degree 3 and more.
 
 This is the only module of the package that imports numpy.  `verify`
-loads it when the first set of a scene needs it: a real subspace that no
-exact certificate settles, or a hyperplane that the curve is known to
-meet but whose zero has no closed form.  The commands that never sample
-never pay for the import.
+loads it when a real subspace needs sampling, because no exact
+certificate settles it, or when a hyperplane's zero comes from a unit
+polynomial of degree 3 or more (`polynomial_roots`).  The commands that
+need neither never pay for the import.
 
-A set is sampled over a deterministic grid on the disk, seeded random
-points in it, and targeted points: bisection onto the zero set of each
-real form of a subspace, and Newton refinement toward zeros of the
-composed form of a hyperplane.  Margins are the relative margins defined
-in `verifier`; a non-finite margin counts as +inf.  The coefficients of
-the exponential sums are converted to complex numbers once per call, not
-once per evaluation.
+A subspace is sampled over a deterministic grid on the disk, seeded
+random points in it, and targeted points: bisection onto the zero set of
+each of its real forms.  Margins are the relative margins defined in
+`verifier`; a non-finite margin counts as +inf.  The coefficients of the
+exponential sums are converted to complex numbers once per call, not once
+per evaluation.
 """
 
 from __future__ import annotations
@@ -25,13 +24,10 @@ import numpy as np
 
 from .arrangement import RealSubspace, holomorphic_coefficients
 from .curves import ExpAffineCurve, ExpSum
-from .projective import ComplexHyperplane
 
 if TYPE_CHECKING:
     from .verifier import SamplingPlan
 
-_NEWTON_STARTS = 32
-_NEWTON_STEPS = 60
 _BISECT_STEPS = 60
 _TINY = 1e-300
 
@@ -60,40 +56,13 @@ def _sum_values(terms: _Terms, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sum_derivative_values(terms: _Terms, z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z)
-    for coeff, exponent in terms:
-        derivative = [k * c for k, c in enumerate(exponent)][1:]
-        out = out + coeff * np.exp(_poly_values(exponent, z)) * _poly_values(derivative, z)
-    return out
-
-
-def _component_values(components: list[_Terms], z: np.ndarray) -> list[np.ndarray]:
-    return [_sum_values(c, z) for c in components]
-
-
-def _curve_scale(comps: list[np.ndarray]) -> np.ndarray:
-    return np.sqrt(sum(np.abs(c) ** 2 for c in comps))
-
-
 def _real_form_rows(subspace: RealSubspace) -> list[tuple[complex, complex, complex]]:
-    rows = []
-    for form in subspace.forms:
-        rows.append(tuple(c.to_complex() for c in holomorphic_coefficients(form)))
-    return rows
-
-
-def _margins_for_hyperplane(h: ComplexHyperplane, curve: ExpAffineCurve, z: np.ndarray) -> np.ndarray:
-    comps = _component_values([_terms(c) for c in curve.components], z)
-    coeffs = [c.to_complex() for c in h.coefficients]
-    value = sum(a * comp for a, comp in zip(coeffs, comps))
-    margin = np.abs(value) / np.maximum(_curve_scale(comps), _TINY)
-    return np.where(np.isfinite(margin), margin, np.inf)
+    return [tuple(c.to_complex() for c in holomorphic_coefficients(form)) for form in subspace.forms]
 
 
 def _margins_for_subspace(subspace: RealSubspace, curve: ExpAffineCurve, z: np.ndarray) -> np.ndarray:
-    comps = _component_values([_terms(c) for c in curve.components], z)
-    scale = np.maximum(_curve_scale(comps), _TINY)
+    comps = [_sum_values(_terms(c), z) for c in curve.components]
+    scale = np.maximum(np.sqrt(sum(np.abs(c) ** 2 for c in comps)), _TINY)
     worst = np.zeros(z.shape)
     for row in _real_form_rows(subspace):
         value = sum(a * comp for a, comp in zip(row, comps)).real
@@ -154,7 +123,7 @@ def _targeted_for_subspace(
     for row in _real_form_rows(subspace):
 
         def form_values(z: np.ndarray) -> np.ndarray:
-            comps = _component_values(components, z)
+            comps = [_sum_values(c, z) for c in components]
             return sum(a * comp for a, comp in zip(row, comps)).real
 
         values = form_values(nodes)
@@ -178,34 +147,13 @@ def _targeted_for_subspace(
     return np.concatenate(found)
 
 
-def _targeted_for_hyperplane(s: ExpSum, plan: SamplingPlan, base: np.ndarray) -> np.ndarray:
-    """Newton refinement of the composed form s from the most promising base samples.
-
-    Zeros of a multi-term exponential sum are isolated; polishing the
-    samples with the smallest composed-form modulus finds any zero that a
-    coarse grid can only approach.
-    """
-    terms = _terms(s)
-    values = np.abs(_sum_values(terms, base))
-    values = np.where(np.isfinite(values), values, np.inf)
-    order = np.argsort(values, kind="stable")[:_NEWTON_STARTS]
-    z = base[order].copy()
-    # Iterates that leave the disk may overflow to inf or nan; they are
-    # dropped below, so numpy's warnings about them are noise.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            fz = _sum_values(terms, z)
-            dz = _sum_derivative_values(terms, z)
-            safe = np.abs(dz) > _TINY
-            step = np.where(safe, fz / np.where(safe, dz, 1.0), 0.0)
-            z = z - step
-    keep = np.isfinite(z) & (np.abs(z) <= plan.disk_radius)
-    refined = z[keep]
-    return refined[np.lexsort((refined.imag, refined.real))]
-
-
 # ---------------------------------------------------------------------------
-# entry point
+# entry points
+
+def polynomial_roots(coeffs: Sequence[complex]) -> list[complex]:
+    """The roots of sum coeffs[n] w^n, lowest power first."""
+    return [complex(w) for w in np.roots(coeffs[::-1])]
+
 
 def _smallest(margins: np.ndarray, samples: np.ndarray) -> tuple[float, tuple[float, float]]:
     index = int(np.argmin(margins))
@@ -213,18 +161,11 @@ def _smallest(margins: np.ndarray, samples: np.ndarray) -> tuple[float, tuple[fl
 
 
 class Sampler:
-    """The samples of one verification; the base samples are shared by its sets."""
+    """The samples of one verification; the base samples are shared by its subspaces."""
 
     def __init__(self, plan: SamplingPlan) -> None:
         self.plan = plan
         self.base = _base_samples(plan)
-
-    def hyperplane(
-        self, h: ComplexHyperplane, s: ExpSum, curve: ExpAffineCurve
-    ) -> tuple[float, tuple[float, float]]:
-        """The smallest margin to h over the samples and where it occurs; s is h composed with curve."""
-        samples = np.concatenate([self.base, _targeted_for_hyperplane(s, self.plan, self.base)])
-        return _smallest(_margins_for_hyperplane(h, curve, samples), samples)
 
     def subspace(
         self, subspace: RealSubspace, curve: ExpAffineCurve

@@ -7,17 +7,17 @@ Every hyperplane is decided exactly.  Its form composed with the curve is
 an exponential sum; grouped by exponent direction it has no group (the
 curve lies in the hyperplane), one group (a nowhere-zero c e^(d(z))), or
 two or more, and then it has a zero by Hadamard's factorization and
-Borel's theorem (see `curves.is_nowhere_zero`).  A violation carries a
-zero as its sample: in closed form for two groups whose directions differ
-by a linear polynomial, else the Newton search of the `sampling` module,
-whose point is kept only when its margin is below the plan's tolerance,
-so the sample may be null.
+Borel's theorem (see `curves.is_nowhere_zero`).  A violation carries the
+zero nearest the origin as its sample, from the roots of the sum's unit
+polynomial (see `curves.unit_form`); a sum without a unit form carries a
+null sample.
 
 A real subspace is decided exactly when every defining form restricts to
 a constant (linear independence of exponentials over the algebraic
 numbers); otherwise it falls back to dense sampling over a disk with
 targeted refinement near the zero set of each individual form.  The
-`sampling` module is loaded only when a set needs it.
+`sampling` module is loaded only when a subspace needs it, or a unit
+polynomial of degree 3 or more needs its roots.
 
 Sampling cannot prove avoidance.  Reports therefore label every verdict
 with the method that produced it, and sampled verdicts carry the minimum
@@ -35,22 +35,20 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
-from itertools import zip_longest
+from dataclasses import asdict, dataclass
 
 from .arrangement import RealSubspace, holomorphic_coefficients
 from .curves import (
     ExpAffineCurve,
-    ExpConstant,
     ExpSum,
-    Poly,
     _direction_groups,
     apply_form,
     constant_value,
-    evaluate_sum,
     is_projectively_constant,
+    scaled_values,
+    terms_at,
+    unit_form,
 )
-from .exact_linalg import GQ_ZERO
 from .scene import Scene, format_exp_sum
 
 AVOIDED = "avoided"
@@ -73,13 +71,7 @@ class SamplingPlan:
             raise ValueError("sample counts must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "disk_radius": self.disk_radius,
-            "grid_points": self.grid_points,
-            "random_points": self.random_points,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,15 +83,8 @@ class SetResult:
     violation_sample: tuple[float, float] | None
 
     def to_dict(self) -> dict:
-        return {
-            "set": self.set,
-            "method": self.method,
-            "verdict": self.verdict,
-            "min_margin": self.min_margin,
-            "violation_sample": list(self.violation_sample)
-            if self.violation_sample is not None
-            else None,
-        }
+        sample = self.violation_sample
+        return asdict(self) | {"violation_sample": None if sample is None else list(sample)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,8 +121,7 @@ def _exact_hyperplane_result(name: str, s: ExpSum) -> SetResult:
 
     It follows from the direction groups of s (see `is_nowhere_zero`): none
     is a zero-set hit, one is avoidance, and two or more are a violation,
-    whose sample is the closed-form zero when there is one and is left to
-    the Newton search otherwise.
+    whose sample is the zero nearest the origin when `_nearest_zero` finds it.
     """
     if len(s.terms) == 1:
         return SetResult(name, "exact", AVOIDED, None, None)
@@ -146,34 +130,56 @@ def _exact_hyperplane_result(name: str, s: ExpSum) -> SetResult:
         return SetResult(name, "exact", ZERO_SET_HIT, None, (0.0, 0.0))
     if len(groups) == 1:
         return SetResult(name, "exact", AVOIDED, None, None)
-    zero = _closed_form_zero(groups)
+    zero = _nearest_zero(s)
     sample = None if zero is None else (zero.real + 0.0, zero.imag + 0.0)
     return SetResult(name, "exact", VIOLATED, None, sample)
 
 
-def _closed_form_zero(groups: dict[Poly, ExpConstant]) -> complex | None:
-    """The zero nearest the origin of C1 e^(d1) + C2 e^(d2), if d1 - d2 = lam z.
+def _nearest_zero(s: ExpSum) -> complex | None:
+    """The zero nearest the origin of s = e^(d0) P(w), w = e^(mu z) (see `unit_form`).
 
-    The zeros are z = (Log(-C2/C1) + 2 pi i k) / lam for integer k.  A tie
-    in modulus goes to the smaller k, that is the smaller Im(lam z), so
-    reports stay deterministic.  None when floating point cancels C1 or C2
-    to zero.
+    The zeros are z = (Log w + 2 pi i k) / mu over the nonzero roots w of P
+    and the integers k; a tie in modulus goes to the smaller Im(mu z).  For
+    degree 1, Log w = log C0 - log C1 + i pi in the log domain, so constants
+    beyond the float range keep their zero.  None when s has no unit form
+    or floating point loses every root.
     """
-    if len(groups) != 2:
+    form = unit_form(s)
+    if form is None:
         return None
-    (d1, c1), (d2, c2) = groups.items()
-    diff = [a - b for a, b in zip_longest(d1, d2, fillvalue=GQ_ZERO)]
-    if any(diff[2:]):
+    mu, coeffs = form
+    if len(coeffs) == 2:
+        log0, log1 = coeffs[0].log(), coeffs[1].log()
+        logs = [] if log0 is None or log1 is None else [log0 - log1 + 1j * math.pi]
+    else:
+        top = max(r.re for c in coeffs.values() for r, _ in c.terms)
+        terms = [coeffs[n].float_terms(top) if n in coeffs else [] for n in range(max(coeffs) + 1)]
+        logs = [cmath.log(w) for w in _roots(scaled_values(terms)[1]) if w]
+    candidates = []
+    for log in logs:
+        k = round(-log.imag / (2 * math.pi))
+        candidates += [log + 2j * math.pi * j for j in (k - 1, k, k + 1)]
+    if not candidates:
         return None
-    log1, log2 = c1.log(), c2.log()
-    if log1 is None or log2 is None:
-        return None
-    log = log2 - log1 + 1j * math.pi  # a logarithm of -C2/C1
-    k = round(-log.imag / (2 * math.pi))
-    lam_z = min(
-        (log + 2j * math.pi * j for j in (k - 1, k, k + 1)), key=lambda v: (abs(v), v.imag)
-    )
-    return lam_z / diff[1].to_complex()
+    return min(candidates, key=lambda v: (abs(v), v.imag)) / mu.to_complex()
+
+
+def _roots(values: list[complex]) -> list[complex]:
+    """The roots of sum values[n] w^n; numpy's only for degree 3 and more."""
+    while values and not values[-1]:
+        values.pop()
+    if len(values) == 2:
+        return [-values[0] / values[1]]
+    if len(values) == 3:
+        c, b, a = values
+        root = cmath.sqrt(b * b - 4 * a * c)
+        q = -(b + root if (b.conjugate() * root).real >= 0 else b - root) / 2
+        return [q / a, c / q] if q else []
+    if len(values) > 3:
+        from .sampling import polynomial_roots
+
+        return polynomial_roots(values)
+    return []
 
 
 def _exact_subspace_result(name: str, subspace: RealSubspace, curve: ExpAffineCurve) -> SetResult | None:
@@ -212,9 +218,14 @@ _PROJECTION_PROBES = (0, 1, -1, 1j, -1j, 2, -2, 2j, 1 + 1j, 1 - 1j, 3, 3j)
 
 
 def projective_value(curve: ExpAffineCurve, z: complex) -> tuple[tuple[float, float], ...] | None:
-    """The projectivised curve at z, scaled by its first sizable component."""
-    values = [evaluate_sum(c, z) for c in curve.components]
-    pivot = next((v for v in values if abs(v) > 1e-12), None)
+    """The projectivised curve at z, divided by its first component above 1e-12 of the largest.
+
+    The components share one factor e^top (`curves.scaled_values`), so
+    exponents beyond the float range still give finite coordinates.
+    """
+    _, values = scaled_values([terms_at(c, z) for c in curve.components])
+    size = max(abs(v) for v in values)
+    pivot = next((v for v in values if abs(v) > 1e-12 * size), None)
     if pivot is None:
         return None
     return tuple((w.real + 0.0, w.imag + 0.0) for w in ((v / pivot) for v in values))
@@ -244,13 +255,6 @@ def _projection_values(curve: ExpAffineCurve, constant: bool) -> tuple:
 # ---------------------------------------------------------------------------
 # entry point
 
-def _sampler(plan: SamplingPlan):
-    """Load the sampling code, the first time a set needs it."""
-    from .sampling import Sampler
-
-    return Sampler(plan)
-
-
 def verify(
     curve: ExpAffineCurve,
     scene: Scene,
@@ -265,19 +269,14 @@ def verify(
         if kind == "curve":
             continue
         if kind == "hyperplane":
-            h = scene.hyperplanes[name]
-            s = apply_form(h, curve)
-            result = _exact_hyperplane_result(name, s)
-            if result.verdict == VIOLATED and result.violation_sample is None:
-                sampler = sampler or _sampler(plan)
-                margin, sample = sampler.hyperplane(h, s, curve)
-                if margin < plan.tolerance:
-                    result = SetResult(name, "exact", VIOLATED, None, sample)
+            result = _exact_hyperplane_result(name, apply_form(scene.hyperplanes[name], curve))
         else:
             subspace = scene.reals[name]
             result = _exact_subspace_result(name, subspace, curve)
             if result is None:
-                sampler = sampler or _sampler(plan)
+                from .sampling import Sampler  # loaded the first time a subspace needs it
+
+                sampler = sampler or Sampler(plan)
                 result = _sampled_result(name, plan, *sampler.subspace(subspace, curve))
         results.append(result)
     constant = is_projectively_constant(curve)

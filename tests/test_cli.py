@@ -1,7 +1,9 @@
 """End-to-end CLI tests: exit codes, JSON schema, output modes, seeding."""
 
 import json
+import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +253,16 @@ class TestVerify:
         assert code == 2
         assert "line 1, column" in err
 
+    def test_far_exponent_gives_finite_projection_values(self, scene, capsys):
+        code, data = run_json(
+            capsys, "verify", "--curve", "f",
+            scene("hyperplane H1: z2 = 0\ncurve f: (exp(z+1000), 1, 1)\n"),
+        )
+        assert code == 0
+        assert data["results"][0]["verdict"] == "avoided"
+        coords = [x for value in data["projection_values"] for c in value for x in c]
+        assert coords and all(math.isfinite(x) for x in coords)
+
     def test_human_mode_lists_verdicts(self, scene, capsys):
         code, out, err = run(
             capsys, "verify", "--curve", "f", "--human", scene(VIOLATING)
@@ -300,6 +312,23 @@ class TestProject:
         )
         assert code == 0
         assert data["at"] == [1.0, 1.0]
+
+    def test_far_point_stays_finite(self, capsys, monkeypatch):
+        """e^2000 overflows a float; the projective point [0 : 0 : 1] does not."""
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        code, data = run_json(
+            capsys, "project", "--curve", "f", "--at", "1000", "scenes/verify_demo.scene"
+        )
+        assert code == 0
+        assert data["value"] == [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+
+    def test_exponent_beyond_the_float_range_is_two(self, scene, capsys):
+        code, out, err = run(
+            capsys, "project", "--curve", "f", "--at", "1" + "0" * 60,
+            scene("curve f: (exp(z^6), 1, 1)\n"),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: an exponent is beyond the float range")
 
     def test_bad_point_is_two(self, scene, capsys):
         code, out, err = run(

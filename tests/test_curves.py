@@ -29,6 +29,7 @@ from curveavoid.curves import (
     is_nowhere_zero,
     is_projectively_constant,
     normalize_four,
+    unit_form,
     witness_constant_projection,
     witness_degenerate_pair,
     witness_dim4_subspace,
@@ -97,6 +98,37 @@ class TestNowhereZero:
 
     def test_nonlinear_groups_no(self):
         assert is_nowhere_zero(exp_sum([(1, (0, 0, 1)), (1, (0, 1)), (1, ())])) == "no"
+
+
+class TestUnitForm:
+    def test_powers_of_the_unit(self):
+        # (e^z - 2) + e^(2z) + 1 = e^(2z) (-w^2 + w + 1) with w = e^(-z)
+        mu, coeffs = unit_form(exp_sum([(-1, ()), (1, (0, 1)), (1, (0, 2))]))
+        assert mu == gq(-1)
+        assert coeffs == {0: exp_constant(1), 1: exp_constant(1), 2: exp_constant(-1)}
+
+    def test_rational_slopes_share_one_unit(self):
+        # e^(z/50) + e^(z/100) - 1, with w = e^(-z/100)
+        mu, coeffs = unit_form(
+            exp_sum([(1, (0, Fraction(1, 50))), (1, (0, Fraction(1, 100))), (-1, ())])
+        )
+        assert (mu, sorted(coeffs)) == (gq(Fraction(-1, 100)), [0, 1, 2])
+
+    def test_common_nonlinear_direction_is_factored_out(self):
+        # e^(z^2 + z + 3) - e^(z^2) = e^(z^2 + z) (e^3 - w) with w = e^(-z)
+        mu, coeffs = unit_form(exp_sum([(1, (3, 1, 1)), (-1, (0, 0, 1))]))
+        assert (mu, coeffs) == (gq(-1), {0: exp_constant(1, 3), 1: exp_constant(-1)})
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [(1, (0, 1)), (1, (0, gq(0, 1))), (1, ())],  # slopes 1 and i
+            [(1, (0, 0, 1)), (1, (0, 1)), (1, ())],  # a nonlinear difference
+            [(1, (0, 1)), (1, (0, Fraction(1, 1000))), (-1, ())],  # degree 1000
+        ],
+    )
+    def test_no_unit_form(self, terms):
+        assert unit_form(exp_sum(terms)) is None
 
 
 class TestConstantValue:

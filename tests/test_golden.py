@@ -50,7 +50,7 @@ COMMANDS = (
         0,
     ),
     ("verify-demo", ("verify", "--curve", "f", "scenes/verify_demo.scene"), 0),
-    # hyperplane hits: closed-form zeros for H1 and for H5 (outside the disk), Newton for H4
+    # hyperplane hits: unit-polynomial zeros, degree 1 for H1 and H5 (outside the disk), 2 for H4
     ("verify-hyperplane-hits", ("verify", "--curve", "g", "scenes/hyperplane_hits.scene"), 1),
     ("project-demo", ("project", "--curve", "f", "--at", "1+i", "scenes/verify_demo.scene"), 0),
     ("classify-standard4", ("classify", "scenes/standard4.scene"), 2),
@@ -74,7 +74,7 @@ def test_report_bytes_unchanged(name, argv, expected_code, monkeypatch):
 
 
 def test_newton_overflow_leaves_stderr_empty():
-    """Newton iterates that overflow outside the disk print no numpy warnings."""
+    """Verifying hyperplane hits prints nothing to stderr: no numpy warnings, no traceback."""
     argv = ("verify", "--curve", "g", "scenes/hyperplane_hits.scene")
     env = {k: v for k, v in os.environ.items() if k not in ("AVOIDANCE_SEED", "PYTHONWARNINGS")}
     done = subprocess.run(

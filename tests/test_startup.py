@@ -1,6 +1,7 @@
 """Start-up cost: numpy is loaded only when a set needs sampling.
 
-A hyperplane met by a curve needs none when its zero has a closed form.
+A hyperplane met by a curve needs none when its zero is a root of a unit
+polynomial of degree 1 or 2.
 
 Each test runs the package in a fresh interpreter with PYTHONPATH=src and
 reports, after `import curveavoid` and after each command, whether numpy
@@ -70,12 +71,15 @@ def test_verify_loads_numpy_when_a_set_needs_sampling():
 
 
 def test_closed_form_hits_never_load_numpy(tmp_path):
-    """The hyperplanes of scenes/far_hit.scene: one met (two linear groups), one avoided."""
+    """The hyperplanes of scenes/far_hit.scene (one met, two linear groups; one
+    avoided) and scenes/hyperplane_hits.scene (H4 met where w^2 + w - 1 = 0)."""
     lines = (ROOT / "scenes" / "far_hit.scene").read_text().splitlines()
     path = tmp_path / "far_hit_hyperplanes.scene"
     path.write_text("\n".join(line for line in lines if not line.startswith("real ")) + "\n")
-    argv = ("verify", "--curve", "f", str(path))
-    assert _numpy_after_each([argv]) == [
-        ["import curveavoid", None, False],
-        [" ".join(argv), 1, False],
+    commands = [
+        ("verify", "--curve", "f", str(path)),
+        ("verify", "--curve", "g", "scenes/hyperplane_hits.scene"),
+    ]
+    assert _numpy_after_each(commands) == [["import curveavoid", None, False]] + [
+        [" ".join(argv), 1, False] for argv in commands
     ]

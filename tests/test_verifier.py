@@ -144,19 +144,24 @@ class TestExactPaths:
         r = verify(f, scene).results[0]
         assert (r.method, r.verdict, r.violation_sample) == ("exact", VIOLATED, None)
 
-    def test_three_groups_without_a_found_zero(self):
-        """e^(z/50) + e^(z/100) - 1 vanishes only outside the disk (at 100 log
-        of the golden ratio's inverse and beyond), so Newton finds no point."""
+    def test_three_groups_zero_from_the_unit_quadratic(self):
+        """e^(z/50) + e^(z/100) - 1 is w^2 + w - 1 in w = e^(z/100), so it
+        vanishes at 100 log((sqrt 5 - 1)/2), outside the disk."""
         scene, f = scene_and_curve(
             "hyperplane H: z1 + z2 + z3 = 0\ncurve f: (exp(z/50), exp(z/100), -1)"
         )
         r = verify(f, scene).results[0]
-        assert (r.method, r.verdict, r.min_margin, r.violation_sample) == (
-            "exact", VIOLATED, None, None,
+        assert (r.method, r.verdict, r.min_margin) == ("exact", VIOLATED, None)
+        assert r.violation_sample == pytest.approx(
+            (100 * math.log((math.sqrt(5) - 1) / 2), 0.0), abs=1e-9
         )
+        terms = [(gq(1), gq(0), gq(Fraction(1, 50))), (gq(1), gq(0), gq(Fraction(1, 100))),
+                 (gq(-1), gq(0), gq(0))]
+        values = oracle_term_values(terms, complex(*r.violation_sample))
+        assert abs(sum(values)) <= 1e-9 * sum(abs(v) for v in values)
 
     def test_three_groups_with_a_zero_in_the_disk(self):
-        """e^(2z) + e^z - 1 vanishes inside the disk; Newton finds a zero."""
+        """e^(2z) + e^z - 1 is a quadratic in w = e^z; its zero is log((sqrt 5 - 1)/2)."""
         scene, f = scene_and_curve(
             "hyperplane H: z1 + z2 + z3 = 0\ncurve f: (exp(2*z), exp(z), -1)"
         )
@@ -166,58 +171,105 @@ class TestExactPaths:
         assert abs(z) <= 10.0
         assert abs(cmath.exp(2 * z) + cmath.exp(z) - 1) < 1e-9
 
+    @pytest.mark.parametrize(
+        "components",
+        [
+            "exp(z), exp(i*z), 1",  # the slopes 1 and i are not rational multiples
+            "exp(z^2), exp(z), 1",  # the directions differ by a nonlinear polynomial
+            "exp(z), exp(z/1000), -1",  # a unit polynomial of degree 1000, over the cap
+        ],
+    )
+    def test_hit_without_a_unit_form_has_a_null_sample(self, components, monkeypatch):
+        def no_sampler(plan):
+            raise AssertionError("a hyperplane built a Sampler")
 
-small_gaussians = st.builds(
-    gq,
-    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
-    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
-)
+        monkeypatch.setattr("curveavoid.sampling.Sampler", no_sampler)
+        scene, f = scene_and_curve(f"hyperplane H: z1 + z2 + z3 = 0\ncurve f: ({components})")
+        r = verify(f, scene).results[0]
+        assert (r.method, r.verdict, r.min_margin, r.violation_sample) == (
+            "exact", VIOLATED, None, None,
+        )
+
+
+small_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+small_gaussians = st.builds(gq, small_rationals, small_rationals)
 
 
 @st.composite
 def grouped_sums(draw):
-    """Terms (c, r, lam) of sum c e^(lam z + r), and how many distinct lam they use.
+    """Terms (c, r, q) of sum c e^((base + q step) z + r), and base and step.
 
-    Offsets are distinct within a direction and coefficients nonzero, so by
-    Lindemann-Weierstrass every direction keeps a nonzero group.
+    Either one or two arbitrary directions (q = 0, 1), or one to four
+    rational multiples q step of one slope, whose unit polynomial then has
+    degree 1, 2, 3 or more.  Offsets are distinct within a direction and
+    coefficients nonzero, so by Lindemann-Weierstrass every direction keeps
+    a nonzero group.
     """
-    directions = draw(st.lists(small_gaussians, min_size=1, max_size=2, unique=True))
+    if draw(st.booleans()):
+        lams = draw(st.lists(small_gaussians, min_size=1, max_size=2, unique=True))
+        base, step, qs = lams[0], lams[-1] - lams[0], [Fraction(0), Fraction(1)][: len(lams)]
+    else:
+        base, step = gq(0), draw(small_gaussians.filter(bool))
+        qs = draw(st.lists(small_rationals, min_size=1, max_size=4, unique=True))
     terms = []
-    for lam in directions:
+    for q in qs:
         offsets = draw(st.lists(small_gaussians, min_size=1, max_size=3, unique=True))
-        terms += [(draw(small_gaussians.filter(bool)), r, lam) for r in offsets]
-    return terms, len(directions)
+        terms += [(draw(small_gaussians.filter(bool)), r, q) for r in offsets]
+    return terms, base, step
+
+
+def to_complex(q):
+    return complex(float(q.re), float(q.im))
 
 
 def oracle_term_values(terms, z):
     """Each term c e^(lam z + r) at z, all scaled by one positive factor against overflow."""
-
-    def to_complex(q):
-        return complex(float(q.re), float(q.im))
-
     exponents = [to_complex(lam) * z + to_complex(r) for _, r, lam in terms]
     top = max(e.real for e in exponents)
     return [to_complex(c) * cmath.exp(e - top) for (c, _, _), e in zip(terms, exponents)]
 
 
+def oracle_zero_moduli(terms, step):
+    """|z| for the zeros z of sum c e^(q step z + r) near the origin, by numpy's roots.
+
+    With D the common denominator of the qs, the sum is a power of
+    w = e^(step z / D) times a polynomial in w; each root w != 0 gives the
+    zeros (Log w + 2 pi i k) D / step.
+    """
+    d = math.lcm(*(q.denominator for _, _, q in terms))
+    low = min(q for _, _, q in terms)
+    coeffs = np.zeros(int((max(q for _, _, q in terms) - low) * d) + 1, dtype=complex)
+    for c, r, q in terms:
+        coeffs[int((q - low) * d)] += to_complex(c) * cmath.exp(to_complex(r))
+    mu = to_complex(step) / d
+    return [
+        abs((cmath.log(w) + 2j * math.pi * k) / mu)
+        for w in np.roots(coeffs[::-1])
+        if w
+        for k in range(-2, 3)
+    ]
+
+
 @settings(max_examples=200, deadline=None)
 @given(grouped_sums())
 def test_hyperplane_verdict_follows_the_group_count(case):
-    """One direction group is avoided, two are met; the closed-form sample is a zero."""
-    terms, groups = case
-    s = exp_sum([(c, (r, lam)) for c, r, lam in terms])
+    """One direction group is avoided, two or more are met at the zero nearest the origin."""
+    terms, base, step = case
+    s = exp_sum([(c, (offset, base + step * q)) for c, offset, q in terms])
     curve = ExpAffineCurve((s, exp_term(1), exp_term(1)))
     scene = Scene(
         hyperplanes={"H": ComplexHyperplane((1, 0, 0))}, order=(("hyperplane", "H"),)
     )
     (r,) = verify(curve, scene).results
     assert (r.method, r.min_margin) == ("exact", None)
-    if groups == 1:
+    if len({q for _, _, q in terms}) == 1:
         assert (r.verdict, r.violation_sample) == (AVOIDED, None)
     else:
         assert r.verdict == VIOLATED
-        values = oracle_term_values(terms, complex(*r.violation_sample))
+        z = complex(*r.violation_sample)
+        values = oracle_term_values([(c, offset, base + step * q) for c, offset, q in terms], z)
         assert abs(sum(values)) <= 1e-9 * sum(abs(v) for v in values)
+        assert abs(z) <= min(oracle_zero_moduli(terms, step)) * (1 + 1e-4) + 1e-9
 
 
 class TestSampledPaths:
