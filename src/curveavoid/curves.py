@@ -5,8 +5,9 @@ polynomial exponent.  Sums of such terms admit exact identity tests:
 exponentials of distinct polynomials are linearly independent, and for
 constant exponents independence over the algebraic numbers is the
 Lindemann-Weierstrass theorem.  Everything symbolic here is exact;
-floating point enters only through the one evaluator `scaled_values`,
-which the verifier uses for its samples and projection values.
+floating point enters only through `terms_at` and the scale rule of
+`scaled_values`, which the verifier uses for its projection values and
+the sampler applies to arrays of sample points.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .exact_linalg import (
     ComplexVector,
     GaussianRational,
     GQLike,
+    GQ_I,
     GQ_ONE,
     GQ_ZERO,
     gq,
@@ -238,7 +240,10 @@ def constant_value(s: ExpSum) -> ExpConstant | None:
 
 
 def terms_at(s: ExpSum, z: complex) -> list[tuple[complex, complex]]:
-    """The terms of s at z as (c, exponent value) pairs, for `scaled_values`."""
+    """The terms of s at z as (c, exponent value) pairs, for `scaled_values`.
+
+    z may be a numpy array; a zero exponent then stays the scalar 0j.
+    """
     return [(t.coeff.to_complex(), poly_eval(t.exponent, z)) for t in s.terms]
 
 
@@ -403,23 +408,18 @@ def enumerate_coefficient_pairs() -> Iterator[tuple[GaussianRational, GaussianRa
         yield cache[n], cache[n]
 
 
-def _re_of_product_nonzero(b: GaussianRational, c: GaussianRational) -> bool:
-    """Exact test Re(b * e^c) != 0 for Gaussian rationals b != 0 and c.
+def first_constant_with_nonzero_re(b: GaussianRational) -> GaussianRational:
+    """The first c of `enumerate_gaussian_rationals` with Re(b e^c) != 0: 0 if Re b != 0, else i.
 
-    Write c = u + vi.  For v = 0 the value is e^u Re(b).  For rational
-    v != 0, vanishing would force e^(2iv) to equal the algebraic number
-    -conj(b)/b, impossible by Lindemann.
+    The enumeration starts 0, 1, -1, i.  Write c = u + vi.  For v = 0 the
+    value is e^u Re(b), so a real c works exactly when Re b != 0.  For
+    rational v != 0, Re(b e^c) = 0 would force e^(2iv) to equal the
+    algebraic number -conj(b)/b, which Lindemann rules out; so c = i works
+    for every b != 0.  b = 0 has no such c and is a ValueError.
     """
     if not b:
-        return False
-    return bool(c.im) or bool(b.re)
-
-
-def first_constant_with_nonzero_re(b: GaussianRational) -> GaussianRational:
-    for c in enumerate_gaussian_rationals():
-        if _re_of_product_nonzero(b, c):
-            return c
-    raise AssertionError("unreachable")
+        raise ValueError("Re(0 * e^c) is 0 for every c")
+    return GQ_ZERO if b.re else GQ_I
 
 
 # ---------------------------------------------------------------------------

@@ -9,21 +9,23 @@ need neither never pay for the import.
 A subspace is sampled over a deterministic grid on the disk, seeded
 random points in it, and targeted points: bisection onto the zero set of
 each of its real forms.  Margins are the relative margins defined in
-`verifier`; a non-finite margin counts as +inf.  The coefficients of the
-exponential sums are converted to complex numbers once per call, not once
-per evaluation.
+`verifier`.  The curve is evaluated by the rule of `curves.scaled_values`
+applied at each point: the three components there share one factor e^top,
+which margins and sign tests do not see, so exponents far outside the
+float range still give finite margins.  A margin is non-finite, and
+counts as +inf, only where an exponent itself is infinite.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .arrangement import RealSubspace, holomorphic_coefficients
-from .curves import ExpAffineCurve, ExpSum
+from .curves import _SCALE_STEP, ExpAffineCurve, terms_at
 
 if TYPE_CHECKING:
     from .verifier import SamplingPlan
@@ -31,42 +33,44 @@ if TYPE_CHECKING:
 _BISECT_STEPS = 60
 _TINY = 1e-300
 
-# An exponential sum as (coefficient, exponent polynomial) pairs in floating point.
-_Terms = list[tuple[complex, list[complex]]]
-
 
 # ---------------------------------------------------------------------------
 # vectorized evaluation
 
-def _terms(s: ExpSum) -> _Terms:
-    return [(t.coeff.to_complex(), [c.to_complex() for c in t.exponent]) for t in s.terms]
+def _scaled_components(curve: ExpAffineCurve, z: np.ndarray) -> list[np.ndarray]:
+    """The components at the points z, divided at each point by one factor e^top.
+
+    top is the largest real exponent at that point rounded to a multiple of
+    512, as in `curves.scaled_values`; it is 0, and the values are the
+    plain sums, wherever every |Re x| < 256.
+    """
+    sums = [terms_at(c, z) for c in curve.components]
+    largest = -np.inf
+    for terms in sums:
+        for _, x in terms:
+            largest = np.maximum(largest, x.real)
+    top = _SCALE_STEP * np.round(largest / _SCALE_STEP)
+    values = []
+    for terms in sums:
+        acc = np.zeros_like(z)
+        for c, x in terms:
+            acc = acc + c * np.exp(x - top)
+        values.append(acc)
+    return values
 
 
-def _poly_values(coeffs: Sequence[complex], z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z)
-    for c in reversed(coeffs):
-        out = out * z + c
-    return out
-
-
-def _sum_values(terms: _Terms, z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z)
-    for coeff, exponent in terms:
-        out = out + coeff * np.exp(_poly_values(exponent, z))
-    return out
-
-
-def _real_form_rows(subspace: RealSubspace) -> list[tuple[complex, complex, complex]]:
-    return [tuple(c.to_complex() for c in holomorphic_coefficients(form)) for form in subspace.forms]
+def _form_values(row: Sequence[complex], comps: list[np.ndarray]) -> np.ndarray:
+    return sum(a * comp for a, comp in zip(row, comps)).real
 
 
 def _margins_for_subspace(subspace: RealSubspace, curve: ExpAffineCurve, z: np.ndarray) -> np.ndarray:
-    comps = [_sum_values(_terms(c), z) for c in curve.components]
+    # keep z one array: numpy computes in place from 16,384 complex values, with other last bits
+    comps = _scaled_components(curve, z)
     scale = np.maximum(np.sqrt(sum(np.abs(c) ** 2 for c in comps)), _TINY)
     worst = np.zeros(z.shape)
-    for row in _real_form_rows(subspace):
-        value = sum(a * comp for a, comp in zip(row, comps)).real
-        worst = np.maximum(worst, np.abs(value))
+    for form in subspace.forms:
+        row = [c.to_complex() for c in holomorphic_coefficients(form)]
+        worst = np.maximum(worst, np.abs(_form_values(row, comps)))
     margin = worst / scale
     return np.where(np.isfinite(margin), margin, np.inf)
 
@@ -82,8 +86,7 @@ def _grid(plan: SamplingPlan) -> tuple[np.ndarray, np.ndarray]:
     return nodes, np.abs(nodes) <= plan.disk_radius
 
 
-def _base_samples(plan: SamplingPlan) -> np.ndarray:
-    nodes, inside = _grid(plan)
+def _random_points(plan: SamplingPlan) -> np.ndarray:
     radius = plan.disk_radius
     rng = random.Random(plan.seed)
     points = []
@@ -91,25 +94,11 @@ def _base_samples(plan: SamplingPlan) -> np.ndarray:
         r = radius * math.sqrt(rng.random())
         theta = 2.0 * math.pi * rng.random()
         points.append(complex(r * math.cos(theta), r * math.sin(theta)))
-    return np.concatenate([nodes[inside], np.array(points, dtype=complex)])
-
-
-def _bisect_edges(
-    fun: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    value_lo = fun(lo)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        value_mid = fun(mid)
-        same_side = value_lo * value_mid > 0
-        lo = np.where(same_side, mid, lo)
-        value_lo = np.where(same_side, value_mid, value_lo)
-        hi = np.where(same_side, hi, mid)
-    return 0.5 * (lo + hi)
+    return np.array(points, dtype=complex)
 
 
 def _targeted_for_subspace(
-    subspace: RealSubspace, curve: ExpAffineCurve, plan: SamplingPlan
+    subspace: RealSubspace, curve: ExpAffineCurve, nodes: np.ndarray, inside: np.ndarray
 ) -> np.ndarray:
     """Seed samples on the zero set of each individual defining form.
 
@@ -117,31 +106,29 @@ def _targeted_for_subspace(
     opposite signs, bisection localizes a crossing; these are the points
     where a conjunctive membership test is under the most stress.
     """
-    nodes, inside = _grid(plan)
-    components = [_terms(c) for c in curve.components]
+    comps = _scaled_components(curve, nodes)
     found: list[np.ndarray] = []
-    for row in _real_form_rows(subspace):
-
-        def form_values(z: np.ndarray) -> np.ndarray:
-            comps = [_sum_values(c, z) for c in components]
-            return sum(a * comp for a, comp in zip(row, comps)).real
-
-        values = form_values(nodes)
-        for lo, hi, value_lo, value_hi, ok in (
-            (
-                nodes[:-1, :], nodes[1:, :],
-                values[:-1, :], values[1:, :],
-                inside[:-1, :] & inside[1:, :],
-            ),
-            (
-                nodes[:, :-1], nodes[:, 1:],
-                values[:, :-1], values[:, 1:],
-                inside[:, :-1] & inside[:, 1:],
-            ),
-        ):
-            crossing = ok & (value_lo * value_hi < 0)
-            if crossing.any():
-                found.append(_bisect_edges(form_values, lo[crossing], hi[crossing]))
+    for form in subspace.forms:
+        row = [c.to_complex() for c in holomorphic_coefficients(form)]
+        values = _form_values(row, comps)
+        lo, hi, value_lo = [], [], []
+        # edges between neighbours along the first axis, then along the second
+        for a, b in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
+            crossing = inside[a] & inside[b] & (values[a] * values[b] < 0)
+            lo.append(nodes[a][crossing])
+            hi.append(nodes[b][crossing])
+            value_lo.append(values[a][crossing])
+        lo, hi, value_lo = (np.concatenate(x) for x in (lo, hi, value_lo))
+        if not lo.size:
+            continue
+        for _ in range(_BISECT_STEPS):
+            mid = 0.5 * (lo + hi)
+            value_mid = _form_values(row, _scaled_components(curve, mid))
+            same_side = value_lo * value_mid > 0
+            lo = np.where(same_side, mid, lo)
+            value_lo = np.where(same_side, value_mid, value_lo)
+            hi = np.where(same_side, hi, mid)
+        found.append(0.5 * (lo + hi))
     if not found:
         return np.empty(0, dtype=complex)
     return np.concatenate(found)
@@ -161,15 +148,16 @@ def _smallest(margins: np.ndarray, samples: np.ndarray) -> tuple[float, tuple[fl
 
 
 class Sampler:
-    """The samples of one verification; the base samples are shared by its subspaces."""
+    """The samples of one verification; the grid and base samples are shared by its subspaces."""
 
     def __init__(self, plan: SamplingPlan) -> None:
-        self.plan = plan
-        self.base = _base_samples(plan)
+        self.nodes, self.inside = _grid(plan)
+        self.base = np.concatenate([self.nodes[self.inside], _random_points(plan)])
 
     def subspace(
         self, subspace: RealSubspace, curve: ExpAffineCurve
     ) -> tuple[float, tuple[float, float]]:
         """The smallest margin to the subspace over the samples and where it occurs."""
-        samples = np.concatenate([self.base, _targeted_for_subspace(subspace, curve, self.plan)])
+        targeted = _targeted_for_subspace(subspace, curve, self.nodes, self.inside)
+        samples = np.concatenate([self.base, targeted])
         return _smallest(_margins_for_subspace(subspace, curve, samples), samples)

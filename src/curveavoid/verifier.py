@@ -25,9 +25,12 @@ relative margin observed.  The relative margin at a sample z is
 
     max over defining forms of |form value at f(z)| / |f(z)|,
 
-which is invariant under rescaling f(z) and so measures the projective
-distance to the set.  Reports are deterministic: a fixed plan and seed
-reproduce them byte for byte.
+which is invariant under rescaling f(z) by a positive factor and so
+measures the projective distance to the set.  The sampler uses that: it
+divides f(z) at each point by the factor e^top of `curves.scaled_values`,
+so exponents far outside the float range still give finite margins.
+Reports are deterministic: a fixed plan and seed reproduce them byte for
+byte with one numpy build.
 """
 
 from __future__ import annotations

@@ -208,6 +208,11 @@ class TestEnumeration:
         assert first_constant_with_nonzero_re(gq(2)) == gq(0)
         assert first_constant_with_nonzero_re(gq(0, 3)) == gq(0, 1)
 
+    def test_first_constant_with_nonzero_re_rejects_zero(self):
+        """Re(0 * e^c) vanishes for every c; the enumeration used to scan forever."""
+        with pytest.raises(ValueError):
+            first_constant_with_nonzero_re(gq(0))
+
 
 class TestWitnessConstantProjection:
     FIVE = STANDARD + [ComplexHyperplane((1, 2, 3))]

@@ -3,13 +3,17 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from curveavoid.arrangement import RealSubspace, holomorphic_coefficients
 from curveavoid.cli import main
 from curveavoid.curves import ExpAffineCurve, exp_sum, exp_term
 from curveavoid.exact_linalg import gq
@@ -23,11 +27,7 @@ from curveavoid.verifier import (
     projective_value,
     verify,
 )
-from curveavoid.sampling import (
-    _base_samples,
-    _margins_for_subspace,
-    _targeted_for_subspace,
-)
+from curveavoid.sampling import Sampler, _margins_for_subspace, _targeted_for_subspace
 
 DIM4_SUBSPACE_SCENE = """
 hyperplane H1: z1 = 0
@@ -302,8 +302,8 @@ class TestTargeting:
     def test_targeted_points_sit_on_individual_zero_sets(self):
         scene, f = scene_and_curve(DIM4_SUBSPACE_SCENE)
         subspace = scene.reals["H"]
-        plan = SamplingPlan()
-        points = _targeted_for_subspace(subspace, f, plan)
+        sampler = Sampler(SamplingPlan())
+        points = _targeted_for_subspace(subspace, f, sampler.nodes, sampler.inside)
         assert len(points) > 100
         margins = _margins_for_subspace(subspace, f, points)
         # each point nearly kills one form, never both
@@ -311,9 +311,136 @@ class TestTargeting:
 
     def test_base_samples_respect_the_disk(self):
         plan = SamplingPlan(disk_radius=5.0, grid_points=21, random_points=100)
-        samples = _base_samples(plan)
+        samples = Sampler(plan).base
         assert len(samples) > 100
         assert np.abs(samples).max() <= 5.0 + 1e-12
+
+
+def far_dim4_scene(slope):
+    """The dim-4 witness in w = slope z: on the disk, Re w leaves the float range of e^w."""
+    return (
+        "real H: x1 - x2 = 0; x1 - x3 = 0\n"
+        f"curve f: (exp({slope}*z), -exp({slope}*z), exp({2 * slope}*z))\n"
+    )
+
+
+class TestFarExponents:
+    """The components share one factor e^top per sample point, so margins stay finite.
+
+    The curve avoids H, but along Re e^w = 0 its relative margin is about
+    e^(-960), below the tolerance, so the verdict stays violated (sampled).
+    """
+
+    @pytest.mark.parametrize("slope", [100, -100])
+    def test_verify_leaves_stderr_empty(self, slope, tmp_path):
+        path = tmp_path / "far.scene"
+        path.write_text(far_dim4_scene(slope))
+        env = {k: v for k, v in os.environ.items() if k not in ("AVOIDANCE_SEED", "PYTHONWARNINGS")}
+        done = subprocess.run(
+            [sys.executable, "-m", "curveavoid.cli", "verify", "--curve", "f", str(path)],
+            env=dict(env, PYTHONPATH=str(SCENES.parent / "src")),
+            capture_output=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (1, b"")
+        (r,) = json.loads(done.stdout)["results"]
+        assert (r["method"], r["verdict"]) == ("sampled", VIOLATED)
+        assert math.isfinite(r["min_margin"])
+
+    def test_margin_where_every_component_underflows(self):
+        scene, f = scene_and_curve(far_dim4_scene(100))
+        (margin,) = _margins_for_subspace(scene.reals["H"], f, np.array([-10 + 0j]))
+        assert 0 < margin < math.inf
+
+    def test_violation_sample_reproduces_the_hit(self):
+        """At the sample, the relative margin from cmath lies below the tolerance."""
+        scene, f = scene_and_curve(far_dim4_scene(-100))
+        (r,) = verify(f, scene).results
+        assert (r.method, r.verdict) == ("sampled", VIOLATED)
+        w = -100 * complex(*r.violation_sample)
+        # f / e^(Re w): (e^(i Im w), -e^(i Im w), e^(w + i Im w))
+        g = (cmath.exp(1j * w.imag), -cmath.exp(1j * w.imag), cmath.exp(w + 1j * w.imag))
+        size = math.sqrt(sum(abs(v) ** 2 for v in g))
+        # the forms are Re(z1 - z2) and Re(z1 - z3)
+        assert max(abs((g[0] - g[j]).real) / size for j in (1, 2)) <= 1e-9
+
+
+def _reference_poly_values(coeffs, z):
+    out = np.zeros_like(z)
+    for c in reversed(coeffs):
+        out = out * z + c
+    return out
+
+
+def _reference_sum_values(terms, z):
+    out = np.zeros_like(z)
+    for coeff, exponent in terms:
+        out = out + coeff * np.exp(_reference_poly_values(exponent, z))
+    return out
+
+
+def reference_margins(subspace, curve, z):
+    """The margins from the plain, unscaled sums: the sampler's evaluation before scaling."""
+    comps = [
+        _reference_sum_values(
+            [(t.coeff.to_complex(), [c.to_complex() for c in t.exponent]) for t in comp.terms], z
+        )
+        for comp in curve.components
+    ]
+    scale = np.maximum(np.sqrt(sum(np.abs(c) ** 2 for c in comps)), 1e-300)
+    worst = np.zeros(z.shape)
+    for form in subspace.forms:
+        row = [c.to_complex() for c in holomorphic_coefficients(form)]
+        worst = np.maximum(worst, np.abs(sum(a * comp for a, comp in zip(row, comps)).real))
+    margin = worst / scale
+    return np.where(np.isfinite(margin), margin, np.inf)
+
+
+@st.composite
+def linear_curves(draw):
+    """Terms (c, s, r) of c e^(s z + r) per component, integer slopes |s| <= 20 or <= 200."""
+    bound = draw(st.sampled_from((20, 200)))
+    term = st.tuples(small_gaussians, st.integers(-bound, bound), small_gaussians)
+    components = [draw(st.lists(term, max_size=3)) for _ in range(3)]
+    assume(any(c for comp in components for c, _, _ in comp))
+    return bound, components
+
+
+def linear_curve(components, shift=0):
+    return ExpAffineCurve(
+        tuple(exp_sum((c, (r, s + shift)) for c, s, r in comp) for comp in components)
+    )
+
+
+real_forms = st.lists(st.integers(-2, 2), min_size=6, max_size=6).filter(any)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    linear_curves(),
+    st.lists(real_forms, min_size=1, max_size=2),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 2000),
+    st.integers(-100, 100),
+)
+def test_scaled_margins_match_the_plain_sums(case, forms, seed, count, shift):
+    """Where every |Re x| < 256 the margins are the plain sums' bit for bit; beyond it
+    they stay finite and do not change when every exponent gains the same real lam z."""
+    bound, components = case
+    subspace = RealSubspace(tuple(forms))
+    f = linear_curve(components)
+    rng = np.random.default_rng(seed)
+    z = 10.0 * np.sqrt(rng.random(count)) * np.exp(2j * math.pi * rng.random(count))
+    margins = _margins_for_subspace(subspace, f, z)
+    assert np.isfinite(margins).all()
+    if bound == 20:
+        assert np.array_equal(margins, reference_margins(subspace, f, z))
+    # e^(lam t) is a positive factor at real points t
+    t = z.real + 0j
+    plain = _margins_for_subspace(subspace, f, t)
+    shifted = _margins_for_subspace(subspace, linear_curve(components, shift), t)
+    assert np.isfinite(shifted).all()
+    assert np.allclose(plain, shifted, rtol=0, atol=1e-9)
 
 
 class TestDeterminism:
@@ -330,15 +457,15 @@ class TestDeterminism:
         assert a.results[4].verdict == b.results[4].verdict == AVOIDED
         # the worst margin sits at a targeted (seed-free) point, but the
         # random portion of the stream really does move
-        pts_a = _base_samples(SamplingPlan(seed=0, grid_points=2))
-        pts_b = _base_samples(SamplingPlan(seed=1, grid_points=2))
+        pts_a = Sampler(SamplingPlan(seed=0, grid_points=2)).base
+        pts_b = Sampler(SamplingPlan(seed=1, grid_points=2)).base
         assert not np.array_equal(pts_a, pts_b)
 
     def test_aggregation_is_partition_independent(self):
         """Min margins agree no matter how the samples are chunked."""
         scene, f = scene_and_curve(DIM4_SUBSPACE_SCENE)
         subspace = scene.reals["H"]
-        samples = _base_samples(SamplingPlan())
+        samples = Sampler(SamplingPlan()).base
         whole = _margins_for_subspace(subspace, f, samples).min()
         pieces = [
             _margins_for_subspace(subspace, f, chunk).min()
