@@ -21,12 +21,10 @@ from .arrangement import (
     classify,
     realify,
     triple_in_general_position,
-    triple_ranks,
 )
 from .curves import (
     ConstructionError,
     witness_constant_projection,
-    witness_degenerate_pair,
     witness_dim4_subspace,
     witness_three_hyperplanes,
 )
@@ -228,15 +226,14 @@ def _cmd_witness(args: argparse.Namespace, scene: Scene) -> int:
         )
     elif args.construction == "degenerate-pair":
         real_name, real = _the_real_hyperplane(scene)
-        degenerate = [
-            t.pair for t in triple_ranks([h for _, h in hyperplanes], real) if t.rank < 6
-        ]
-        if not degenerate:
+        verdict = classify([h for _, h in hyperplanes], real)
+        if verdict.witness is None:
             raise ValueError("every triple is in general position; nothing to construct")
-        curve = witness_degenerate_pair([h for _, h in hyperplanes], real, degenerate[0])
+        curve = verdict.witness
+        pair = next(t.pair for t in verdict.evidence if t.rank < 6)
         sets = _witness_scene(hyperplanes, [(real_name, real)])
-        payload["pair"] = list(degenerate[0])
-        extra.append(f"degenerate pair: {degenerate[0]}")
+        payload["pair"] = list(pair)
+        extra.append(f"degenerate pair: {pair}")
     else:
         real_name, real = _the_real_hyperplane(scene)
         curve = witness_three_hyperplanes([h for _, h in hyperplanes], real)

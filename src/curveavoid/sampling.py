@@ -12,8 +12,9 @@ each of its real forms.  Margins are the relative margins defined in
 `verifier`.  The curve is evaluated by the rule of `curves.scaled_values`
 applied at each point: the three components there share one factor e^top,
 which margins and sign tests do not see, so exponents far outside the
-float range still give finite margins.  A margin is non-finite, and
-counts as +inf, only where an exponent itself is infinite.
+float range still give finite margins.  An exponent that is itself
+infinite at a sample point, say exp(z^64) on a disk of radius 10^5, is a
+ValueError, as in `curves.scaled_values`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ def _scaled_components(curve: ExpAffineCurve, z: np.ndarray) -> list[np.ndarray]
 
     top is the largest real exponent at that point rounded to a multiple of
     512, as in `curves.scaled_values`; it is 0, and the values are the
-    plain sums, wherever every |Re x| < 256.
+    plain sums, wherever every |Re x| < 256.  They are finite wherever every
+    exponent is.  An infinite exponent gives nan values with numpy warnings,
+    so callers evaluate under np.errstate, once for many calls.
     """
     sums = [terms_at(c, z) for c in curve.components]
     largest = -np.inf
@@ -65,14 +68,16 @@ def _form_values(row: Sequence[complex], comps: list[np.ndarray]) -> np.ndarray:
 
 def _margins_for_subspace(subspace: RealSubspace, curve: ExpAffineCurve, z: np.ndarray) -> np.ndarray:
     # keep z one array: numpy computes in place from 16,384 complex values, with other last bits
-    comps = _scaled_components(curve, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        comps = _scaled_components(curve, z)
+    if not all(np.isfinite(c).all() for c in comps):
+        raise ValueError("an exponent is beyond the float range at a sample point")
     scale = np.maximum(np.sqrt(sum(np.abs(c) ** 2 for c in comps)), _TINY)
     worst = np.zeros(z.shape)
     for form in subspace.forms:
         row = [c.to_complex() for c in holomorphic_coefficients(form)]
         worst = np.maximum(worst, np.abs(_form_values(row, comps)))
-    margin = worst / scale
-    return np.where(np.isfinite(margin), margin, np.inf)
+    return worst / scale
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +163,8 @@ class Sampler:
         self, subspace: RealSubspace, curve: ExpAffineCurve
     ) -> tuple[float, tuple[float, float]]:
         """The smallest margin to the subspace over the samples and where it occurs."""
-        targeted = _targeted_for_subspace(subspace, curve, self.nodes, self.inside)
+        # an infinite exponent only steers the bisection; the margins reject it
+        with np.errstate(over="ignore", invalid="ignore"):
+            targeted = _targeted_for_subspace(subspace, curve, self.nodes, self.inside)
         samples = np.concatenate([self.base, targeted])
         return _smallest(_margins_for_subspace(subspace, curve, samples), samples)

@@ -25,7 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from itertools import zip_longest
+from typing import Iterable, Sequence
 
 from .arrangement import RealSubspace
 from .curves import (
@@ -155,32 +156,66 @@ def _literal(tok: Token) -> GaussianRational:
 # expression evaluation
 #
 # One recursive-descent core serves three value domains: linear forms in
-# named variables, polynomials in z, and exponential sums.  A domain
-# supplies atoms and arithmetic; the core handles precedence and errors.
-# Binary operations receive their operator token (the exponent for '^'),
-# where any error they raise is reported, and pass each constant they
-# build through `_bounded`.
+# named variables, polynomials in z, and exponential sums.  In each a value
+# is a sparse sum, a dict from monomials to nonzero coefficients, so
+# `_Domain` holds all the arithmetic and a subclass only says what its
+# monomials are.  Binary operations receive their operator token (the
+# exponent for '^'), where any error they raise is reported, and pass each
+# coefficient they build through `_bounded`.  A value belongs to the one
+# expression being parsed, so a sum merges its right operand into its left
+# in place: n terms cost n dict updates.
+
+def _merge(acc: dict, m, c: GaussianRational) -> GaussianRational:
+    """Add c to the coefficient of m in acc, dropping it if it cancels; the new coefficient."""
+    total = acc.get(m, GQ_ZERO) + c
+    if total:
+        acc[m] = total
+    else:
+        acc.pop(m, None)
+    return total
+
 
 class _Domain:
-    def number(self, c: GaussianRational):
-        raise NotImplementedError
+    """Arithmetic on sparse sums, the same in every domain.
 
-    def variable(self, cur: _Cursor, tok: Token):
-        raise cur.fail(f"unexpected name {tok.text!r}")
+    A subclass supplies `one`, its constant monomial; `variable`;
+    `check_product(a, b, op)`, which raises at op if a*b leaves the domain;
+    and `monomial_product(m, n, op)`.
+    """
 
-    def add(self, a, b, op: Token):
-        raise NotImplementedError
+    one: object
 
-    def negate(self, a):
-        raise NotImplementedError
+    def number(self, c: GaussianRational) -> dict:
+        return {self.one: c} if c else {}
 
-    def multiply(self, a, b, op: Token):
-        raise NotImplementedError
+    def add(self, a: dict, b: dict, op: Token) -> dict:
+        for m, c in b.items():
+            _bounded(_merge(a, m, c), op)
+        # only curve components can have this many terms
+        if len(a) > MAX_TERMS:
+            raise op.error(f"a curve component has at most {MAX_TERMS} terms")
+        return a
 
-    def divide(self, a, b, op: Token):
-        raise NotImplementedError
+    def negate(self, a: dict) -> dict:
+        return {m: -c for m, c in a.items()}
 
-    def power(self, a, exponent: int, op: Token):
+    def multiply(self, a: dict, b: dict, op: Token) -> dict:
+        self.check_product(a, b, op)
+        product: dict = {}
+        for m, c in a.items():
+            for n, d in b.items():
+                _merge(product, self.monomial_product(m, n, op), c * d)
+        for c in product.values():
+            _bounded(c, op)
+        return product
+
+    def divide(self, a: dict, b: dict, op: Token) -> dict:
+        if b.keys() != {self.one}:
+            raise op.error("division is only by nonzero constants")
+        k = b[self.one]
+        return {m: _bounded(c / k, op) for m, c in a.items()}
+
+    def power(self, a: dict, exponent: int, op: Token) -> dict:
         raise op.error("'^' is not allowed here")
 
 
@@ -246,111 +281,56 @@ def _parse_atom(cur: _Cursor, domain: _Domain):
 
 
 class _LinearDomain(_Domain):
-    """Value: (constant, coefficient dict); multiplication must stay linear."""
+    """Monomials: the named variables, and 1."""
+
+    one = 1
 
     def __init__(self, variables: Sequence[str]) -> None:
         self.variables = variables
 
-    def number(self, c):
-        return (c, {})
-
     def variable(self, cur, tok):
         if tok.text not in self.variables:
             raise tok.error(f"unknown variable {tok.text!r}")
-        return (GQ_ZERO, {tok.text: GQ_ONE})
+        return {tok.text: GQ_ONE}
 
-    def add(self, a, b, op):
-        coeffs = dict(a[1])
-        for v, c in b[1].items():
-            coeffs[v] = _bounded(coeffs.get(v, GQ_ZERO) + c, op)
-        return (_bounded(a[0] + b[0], op), coeffs)
-
-    def negate(self, a):
-        return (-a[0], {v: -c for v, c in a[1].items()})
-
-    def multiply(self, a, b, op):
-        if a[1] and b[1]:
+    def check_product(self, a, b, op):
+        if a.keys() - {1} and b.keys() - {1}:
             raise op.error("products of variables are not linear")
-        if b[1]:
-            a, b = b, a
-        k = b[0]
-        return (_bounded(a[0] * k, op), {v: _bounded(c * k, op) for v, c in a[1].items()})
 
-    def divide(self, a, b, op):
-        if b[1] or not b[0]:
-            raise op.error("division is only by nonzero constants")
-        return (_bounded(a[0] / b[0], op), {v: _bounded(c / b[0], op) for v, c in a[1].items()})
+    def monomial_product(self, m, n, op):
+        return n if m == 1 else m
 
 
 class _PolyDomain(_Domain):
-    """Value: a polynomial in z."""
+    """Monomials: the powers of z, as their exponents."""
 
-    def number(self, c):
-        return poly((c,))
+    one = 0
 
     def variable(self, cur, tok):
         if tok.text != "z":
             raise tok.error(f"only z may appear inside exp(), not {tok.text!r}")
-        return poly((0, 1))
+        return {1: GQ_ONE}
 
-    def add(self, a, b, op):
-        n = max(len(a), len(b))
-        return poly(
-            [
-                _bounded(
-                    (a[i] if i < len(a) else GQ_ZERO) + (b[i] if i < len(b) else GQ_ZERO), op
-                )
-                for i in range(n)
-            ]
-        )
-
-    def negate(self, a):
-        return poly([-c for c in a])
-
-    def multiply(self, a, b, op):
-        if not a or not b:
-            return poly(())
-        if len(a) + len(b) - 2 > MAX_DEGREE:
+    def check_product(self, a, b, op):
+        if a and b and max(a) + max(b) > MAX_DEGREE:
             raise op.error(f"exponent polynomials have degree at most {MAX_DEGREE}")
-        prod = [GQ_ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                prod[i + j] = prod[i + j] + ca * cb
-        return poly([_bounded(c, op) for c in prod])
 
-    def divide(self, a, b, op):
-        if len(b) > 1 or not b:
-            raise op.error("division is only by nonzero constants")
-        return poly([_bounded(c / b[0], op) for c in a])
+    def monomial_product(self, m, n, op):
+        return m + n
 
     def power(self, a, exponent, op):
-        if exponent > MAX_DEGREE or (len(a) - 1) * exponent > MAX_DEGREE:
+        if exponent > MAX_DEGREE or max(a, default=0) * exponent > MAX_DEGREE:
             raise op.error(f"exponent polynomials have degree at most {MAX_DEGREE}")
-        out = poly((1,))
+        out = self.number(GQ_ONE)
         for _ in range(exponent):
             out = self.multiply(out, a, op)
         return out
 
 
-def _merge(acc: dict[Poly, GaussianRational], p: Poly, c: GaussianRational, op: Token) -> None:
-    total = _bounded(acc.get(p, GQ_ZERO) + c, op)
-    if total:
-        acc[p] = total
-    else:
-        acc.pop(p, None)
-
-
 class _CurveDomain(_Domain):
-    """Value: an exponential sum as an exponent -> nonzero coefficient dict.
+    """Monomials: exponentials e^p, as their exponent polynomials p; exp(...) descends into p."""
 
-    Each value belongs to the one expression being parsed, so a sum merges
-    its right operand into its left in place: n terms cost n dict updates,
-    and `_parse_component` builds one ExpSum at the end.  exp(...)
-    descends into the poly domain.
-    """
-
-    def number(self, c):
-        return {POLY_ZERO: c} if c else {}
+    one = POLY_ZERO
 
     def variable(self, cur, tok):
         if tok.text != "exp":
@@ -359,32 +339,14 @@ class _CurveDomain(_Domain):
         p = _parse_expression(cur, _PolyDomain())
         cur.expect(")")
         cur.depth -= 1
-        return {p: GQ_ONE}
+        return {poly([p.get(k, GQ_ZERO) for k in range(max(p, default=-1) + 1)]): GQ_ONE}
 
-    def add(self, a, b, op):
-        for p, c in b.items():
-            _merge(a, p, c, op)
-        if len(a) > MAX_TERMS:
-            raise op.error(f"a curve component has at most {MAX_TERMS} terms")
-        return a
-
-    def negate(self, a):
-        return {p: -c for p, c in a.items()}
-
-    def multiply(self, a, b, op):
+    def check_product(self, a, b, op):
         if len(a) * len(b) > MAX_TERMS:
             raise op.error(f"a curve component has at most {MAX_TERMS} terms")
-        product: dict[Poly, GaussianRational] = {}
-        for pa, ca in a.items():
-            for pb, cb in b.items():
-                _merge(product, _PolyDomain().add(pa, pb, op), ca * cb, op)
-        return product
 
-    def divide(self, a, b, op):
-        if len(b) != 1 or POLY_ZERO not in b:
-            raise op.error("division is only by nonzero constants")
-        k = GQ_ONE / b[POLY_ZERO]
-        return {p: _bounded(c * k, op) for p, c in a.items()}
+    def monomial_product(self, p, q, op):
+        return poly([_bounded(x + y, op) for x, y in zip_longest(p, q, fillvalue=GQ_ZERO)])
 
 
 def _parse_component(cur: _Cursor) -> ExpSum:
@@ -411,10 +373,9 @@ def _parse_zero_form(cur: _Cursor, variables: Sequence[str]) -> tuple[GaussianRa
     zero = cur.next()
     if zero.text != "0":
         raise zero.error("declarations end with '= 0'")
-    constant, coeffs = value
-    if constant:
+    if 1 in value:
         raise cur.fail("a linear form may not have a constant part")
-    vec = tuple(coeffs.get(v, GQ_ZERO) for v in variables)
+    vec = tuple(value.get(v, GQ_ZERO) for v in variables)
     if not any(vec):
         raise cur.fail("the zero form defines nothing")
     return vec
@@ -478,65 +439,47 @@ def parse_scene(text: str) -> Scene:
 # ---------------------------------------------------------------------------
 # canonical printing
 
-def _coeff_times(c: GaussianRational, body: str) -> str:
-    if c == GQ_ONE:
-        return body
-    if c == gq(-1):
-        return f"-{body}"
-    cs = str(c)
-    if c.re and c.im:
-        cs = f"({cs})"
-    return f"{cs}*{body}"
-
-
-def _join_terms(pieces: list[str]) -> str:
-    out = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
+def _format_sum(terms: Iterable[tuple[GaussianRational, str]]) -> str:
+    """c1*m1 + c2*m2 - ... over (coefficient, monomial text) pairs, "" the monomial 1."""
+    out = ""
+    for c, body in terms:
+        if not c:
+            continue
+        if body and c == GQ_ONE:
+            piece = body
+        elif body and c == -GQ_ONE:
+            piece = f"-{body}"
+        else:
+            piece = f"({c})" if c.re and c.im else str(c)
+            if body:
+                piece += f"*{body}"
+        if not out:
+            out = piece
+        elif piece.startswith("-"):
             out += f" - {piece[1:]}"
         else:
             out += f" + {piece}"
-    return out
+    return out or "0"
 
 
 def format_complex_form(coeffs: Sequence[GaussianRational], variables: Sequence[str]) -> str:
-    pieces = [_coeff_times(c, v) for c, v in zip(coeffs, variables) if c]
-    return _join_terms(pieces) if pieces else "0"
+    return _format_sum(zip(coeffs, variables))
 
 
 def format_real_form(coeffs: Sequence[Fraction], variables: Sequence[str] = REAL_VARS) -> str:
-    pieces = [_coeff_times(gq(c), v) for c, v in zip(coeffs, variables) if c]
-    return _join_terms(pieces) if pieces else "0"
+    return _format_sum((gq(c), v) for c, v in zip(coeffs, variables))
 
 
 def format_poly(p: Poly) -> str:
-    if not p:
-        return "0"
-    pieces = []
-    for k in range(len(p) - 1, -1, -1):
-        c = p[k]
-        if not c:
-            continue
-        if k == 0:
-            cs = str(c)
-            pieces.append(f"({cs})" if c.re and c.im else cs)
-        else:
-            body = "z" if k == 1 else f"z^{k}"
-            pieces.append(_coeff_times(c, body))
-    return _join_terms(pieces)
+    return _format_sum(
+        (p[k], "" if k == 0 else "z" if k == 1 else f"z^{k}") for k in reversed(range(len(p)))
+    )
 
 
 def format_exp_sum(s: ExpSum) -> str:
-    if not s.terms:
-        return "0"
-    pieces = []
-    for t in s.terms:
-        if not t.exponent:
-            cs = str(t.coeff)
-            pieces.append(f"({cs})" if t.coeff.re and t.coeff.im else cs)
-        else:
-            pieces.append(_coeff_times(t.coeff, f"exp({format_poly(t.exponent)})"))
-    return _join_terms(pieces)
+    return _format_sum(
+        (t.coeff, f"exp({format_poly(t.exponent)})" if t.exponent else "") for t in s.terms
+    )
 
 
 def format_scene(scene: Scene) -> str:

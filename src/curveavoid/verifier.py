@@ -72,6 +72,12 @@ class SamplingPlan:
             raise ValueError("disk radius and tolerance must be positive and finite")
         if self.grid_points <= 0 or self.random_points < 0:
             raise ValueError("sample counts must be positive")
+        if self.grid_points < 3 and not self.random_points:
+            # a grid of 1 or 2 points per axis has every node outside the disk
+            raise ValueError(
+                "a grid of fewer than 3 points per axis puts no sample in the disk;"
+                " random points are needed"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)

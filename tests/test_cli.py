@@ -27,6 +27,7 @@ real S: x1 + x2 + x3 = 0
 """
 VIOLATING = "hyperplane D: z1 + z2 = 0\ncurve f: (exp(z), 1, 1)\n"
 SEVENTEEN_TERMS = " + ".join(f"exp({k}*z)" for k in range(17))
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 @pytest.fixture
@@ -142,7 +143,13 @@ class TestClassify:
 
     @pytest.mark.parametrize(
         "flags",
-        [("--radius", "nan"), ("--radius", "-1"), ("--tolerance", "inf"), ("--grid", "0")],
+        [
+            ("--radius", "nan"),
+            ("--radius", "-1"),
+            ("--tolerance", "inf"),
+            ("--grid", "0"),
+            ("--grid", "2", "--random", "0"),
+        ],
     )
     def test_invalid_plan_is_two_without_a_witness(self, scene, capsys, flags):
         path = scene(STANDARD4 + "real S: x1 + 2*x2 + 3*x3 = 0\n")
@@ -228,6 +235,26 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("grid", ["1", "2"])
+    def test_plan_with_no_sample_in_the_disk_is_two(self, capsys, grid):
+        code, out, err = run(
+            capsys, "verify", "--curve", "f", "--grid", grid, "--random", "0",
+            str(SCENES / "verify_demo.scene"),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a grid of fewer than 3 points per axis puts no sample in the disk;"
+            " random points are needed\n"
+        )
+
+    def test_three_point_grid_alone_samples_the_disk(self, capsys):
+        code, data = run_json(
+            capsys, "verify", "--curve", "f", "--grid", "3", "--random", "0",
+            str(SCENES / "verify_demo.scene"),
+        )
+        assert code == 0
+        assert data["results"][-1]["method"] == "sampled"
 
     @pytest.mark.parametrize(
         "line",

@@ -97,6 +97,18 @@ class TestParsing:
         scene = parse_scene("hyperplane H: 2i*z1 + z2 = 0")
         assert scene.hyperplanes["H"].coefficients[0] == gq(0, 2)
 
+    @pytest.mark.parametrize(
+        "text, canonical",
+        [
+            ("hyperplane H: 0*z1*z2 + z3 = 0", "hyperplane H: z3 = 0\n"),
+            ("hyperplane H: (z1 - z1)*z2 + z3 = 0", "hyperplane H: z3 = 0\n"),
+            ("real S: x1/(y1 - y1 + 2) = 0", "real S: x1 = 0\n"),
+        ],
+    )
+    def test_linear_form_is_judged_by_its_value(self, text, canonical):
+        """A factor whose variables cancel is a constant, as in exponents and curve components."""
+        assert format_scene(parse_scene(text)) == canonical
+
     def test_declaration_order_preserved(self):
         scene = parse_scene("curve f: (1, 1, 1)\nhyperplane H: z1 = 0")
         assert scene.order == (("curve", "f"), ("hyperplane", "H"))

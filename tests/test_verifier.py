@@ -324,6 +324,16 @@ def far_dim4_scene(slope):
     )
 
 
+def verify_in_fresh_process(path, *flags):
+    env = {k: v for k, v in os.environ.items() if k not in ("AVOIDANCE_SEED", "PYTHONWARNINGS")}
+    return subprocess.run(
+        [sys.executable, "-m", "curveavoid.cli", "verify", "--curve", "f", *flags, str(path)],
+        env=dict(env, PYTHONPATH=str(SCENES.parent / "src")),
+        capture_output=True,
+        timeout=120,
+    )
+
+
 class TestFarExponents:
     """The components share one factor e^top per sample point, so margins stay finite.
 
@@ -335,17 +345,23 @@ class TestFarExponents:
     def test_verify_leaves_stderr_empty(self, slope, tmp_path):
         path = tmp_path / "far.scene"
         path.write_text(far_dim4_scene(slope))
-        env = {k: v for k, v in os.environ.items() if k not in ("AVOIDANCE_SEED", "PYTHONWARNINGS")}
-        done = subprocess.run(
-            [sys.executable, "-m", "curveavoid.cli", "verify", "--curve", "f", str(path)],
-            env=dict(env, PYTHONPATH=str(SCENES.parent / "src")),
-            capture_output=True,
-            timeout=120,
-        )
+        done = verify_in_fresh_process(path)
         assert (done.returncode, done.stderr) == (1, b"")
         (r,) = json.loads(done.stdout)["results"]
         assert (r["method"], r["verdict"]) == ("sampled", VIOLATED)
         assert math.isfinite(r["min_margin"])
+
+    def test_infinite_exponent_is_an_input_error(self, tmp_path):
+        """exp(z^64) is infinite on much of a disk of radius 10^5: exit 2, no warning."""
+        path = tmp_path / "infinite.scene"
+        path.write_text(
+            "real H: x1 - x2 = 0; x1 - x3 = 0\ncurve f: (exp(z), -exp(z), exp(z^64))\n"
+        )
+        done = verify_in_fresh_process(path, "--radius", "100000", "--grid", "5", "--random", "10")
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr.decode().splitlines() == [
+            "error: an exponent is beyond the float range at a sample point"
+        ]
 
     def test_margin_where_every_component_underflows(self):
         scene, f = scene_and_curve(far_dim4_scene(100))
