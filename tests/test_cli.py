@@ -107,6 +107,34 @@ class TestGpCheck:
         assert code == 0
         assert "general position: yes" in out
 
+    @pytest.mark.parametrize(
+        "text, members, failing",
+        [
+            (DIM4_SUBSPACE, ["H1", "H2", "H3", "H4", "H"], ["H1", "H2", "H"]),
+            (
+                "".join(
+                    f"hyperplane {n}: {form} = 0\n"
+                    for n, form in zip("ABCD", ("z1", "z2", "z3", "z1 + z2"))
+                ),
+                ["A", "B", "C", "D"],
+                ["A", "B", "D"],
+            ),
+        ],
+    )
+    def test_first_failing_triple_in_lexicographic_order(
+        self, scene, capsys, text, members, failing
+    ):
+        path = scene(text)
+        code, data = run_json(capsys, "gp-check", path)
+        assert code == 1
+        assert data == {"failing_triple": failing, "general_position": False, "members": members}
+        code, out, err = run(capsys, "gp-check", "--human", path)
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            f"members: {', '.join(members)}",
+            f"general position: no (triple {', '.join(failing)})",
+        ]
+
 
 class TestDiagonals:
     def test_three_diagonals_of_four_planes(self, scene, capsys):
