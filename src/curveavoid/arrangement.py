@@ -132,13 +132,6 @@ def triple_in_general_position(a: RealSubspace, b: RealSubspace, c: RealSubspace
     return rank_real(stacked) == 6
 
 
-def family_in_general_position(family: Sequence[RealSubspace]) -> bool:
-    """Every triple of the family passes triple_in_general_position."""
-    if len(family) < 3:
-        raise ValueError("a family needs at least 3 members")
-    return all(triple_in_general_position(a, b, c) for a, b, c in combinations(family, 3))
-
-
 def extract_complex_hyperplane(s: RealSubspace) -> ComplexHyperplane:
     """The unique complex hyperplane contained in a real hyperplane of R^6.
 

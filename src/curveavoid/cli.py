@@ -12,16 +12,10 @@ import argparse
 import json
 import os
 import sys
-from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
-from .arrangement import (
-    RealSubspace,
-    classify,
-    realify,
-    triple_in_general_position,
-)
+from .arrangement import RealSubspace, classify, realify
 from .curves import (
     ConstructionError,
     witness_constant_projection,
@@ -29,7 +23,7 @@ from .curves import (
     witness_three_hyperplanes,
 )
 from .diagonals import enumerate_diagonals
-from .projective import ComplexHyperplane
+from .projective import ComplexHyperplane, dependent_subset
 from .scene import (
     ParseError,
     Scene,
@@ -127,11 +121,8 @@ def _cmd_gp_check(args: argparse.Namespace, scene: Scene) -> int:
         (name, realify(h)) for name, h in _ordered_hyperplanes(scene)
     ]
     members += [(n, s) for n, s in _ordered_reals(scene) if s.dimension == 4]
-    failing = None
-    for (na, a), (nb, b), (nc, c) in combinations(members, 3):
-        if not triple_in_general_position(a, b, c):
-            failing = [na, nb, nc]
-            break
+    subset = dependent_subset([s.forms for _, s in members], 3)
+    failing = None if subset is None else [members[i][0] for i in subset]
     ok = failing is None
     payload = {
         "members": [n for n, _ in members],

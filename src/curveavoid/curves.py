@@ -29,7 +29,7 @@ from .exact_linalg import (
     GQ_ZERO,
     gq,
     inverse_complex,
-    solve_complex,
+    kernel_complex,
 )
 from .projective import ComplexHyperplane, require_general_position
 
@@ -459,9 +459,10 @@ def normalize_four(
         raise ValueError("hyperplanes live in C^3")
     require_general_position(hyperplanes, 3)
     rows = [h.coefficients for h in hyperplanes]
-    transpose = [[rows[i][j] for i in range(3)] for j in range(3)]
-    lam = solve_complex(transpose, rows[3])
-    assert lam is not None and all(lam)
+    # mu spans the relations sum mu_i rows[i] = 0, so rows[3] = sum lambda_i rows[i]
+    (mu,) = kernel_complex([[row[j] for row in rows] for j in range(3)])
+    lam = [-x / mu[3] for x in mu[:3]]
+    assert all(lam)
     matrix = tuple(tuple(l * a for a in rows[i]) for i, l in enumerate(lam))
     standard = (
         ComplexHyperplane((GQ_ONE, GQ_ZERO, GQ_ZERO)),
@@ -479,18 +480,6 @@ def _row_times_matrix(row: ComplexVector, matrix: Sequence[ComplexVector]) -> Co
     )
 
 
-def _matrix_times_curve(
-    matrix: Sequence[ComplexVector], components: Sequence[ExpSum]
-) -> tuple[ExpSum, ExpSum, ExpSum]:
-    out = []
-    for row in matrix:
-        acc = ExpSum(())
-        for a, comp in zip(row, components):
-            acc = acc + comp.scale(a)
-        out.append(acc)
-    return tuple(out)
-
-
 def witness_dim4_subspace(
     hyperplanes: Sequence[ComplexHyperplane],
 ) -> tuple[RealSubspace, ExpAffineCurve]:
@@ -503,12 +492,8 @@ def witness_dim4_subspace(
     """
     matrix, _ = normalize_four(hyperplanes)
     inv = inverse_complex(matrix)
-    g = (
-        exp_term(1, POLY_Z),
-        exp_term(-1, POLY_Z),
-        exp_term(1, (0, 2)),
-    )
-    curve = ExpAffineCurve(_matrix_times_curve(inv, g))
+    g = ExpAffineCurve((exp_term(1, POLY_Z), exp_term(-1, POLY_Z), exp_term(1, (0, 2))))
+    curve = ExpAffineCurve(tuple(apply_form(row, g) for row in inv))
     d1 = _row_times_matrix((GQ_ONE, gq(-1), GQ_ZERO), matrix)
     d2 = _row_times_matrix((GQ_ONE, GQ_ZERO, gq(-1)), matrix)
     subspace = RealSubspace((re_part_form(d1), re_part_form(d2)))
@@ -574,7 +559,8 @@ def witness_degenerate_pair(
         comps[a - 1] = exp_term(1, tied_exp)
         comps[b - 1] = exp_term(-1, tied_exp)
         comps[u - 1] = exp_term(1, free_exp)
-        curve = ExpAffineCurve(_matrix_times_curve(inv, comps))
+        tied = ExpAffineCurve(tuple(comps))
+        curve = ExpAffineCurve(tuple(apply_form(row, tied) for row in inv))
         for h in hyperplanes:
             assert is_nowhere_zero(apply_form(h, curve)) == "yes"
         value = constant_value(apply_form(alpha, curve))

@@ -5,9 +5,9 @@ complement computation on a small matrix.  All of it is exact: entries are
 `fractions.Fraction` or `GaussianRational`, and elimination never rounds,
 so "in general position" is decided by arithmetic, not by tolerances.
 
-Every rank, kernel, solution and inverse comes from one kernel,
-`_eliminate`: fraction-free Gauss-Jordan elimination over the Gaussian
-integers Z[i], after Bareiss (1968, "Sylvester's identity and multistep
+Every rank, kernel and inverse comes from one kernel, `_eliminate`:
+fraction-free Gauss-Jordan elimination over the Gaussian integers Z[i],
+after Bareiss (1968, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination").  Each row is first multiplied by
 the lcm of the denominators of its entries' real and imaginary parts, which
 keeps its row space, so the entries become pairs of Python ints.  With p
@@ -306,35 +306,10 @@ def kernel_complex(rows: Sequence[Sequence[GQLike]], width: int | None = None) -
 def orthogonal_complement(rows: Sequence[Sequence[RationalLike]]) -> list[RationalVector]:
     """Basis of the Euclidean orthogonal complement in R^6 of the row span.
 
-    Applying this twice returns a basis of the original span, and the two
-    dimensions always add up to 6.
+    It is the right kernel; applying this twice returns a basis of the
+    original span, and the two dimensions always add up to 6.
     """
-    m = _real_rows(rows)
-    if m and _check_rect(m) != 6:
-        raise ValueError("complements are taken inside R^6")
-    return _kernel(m, 6, False)
-
-
-def solve_complex(
-    rows: Sequence[Sequence[GQLike]], rhs: Sequence[GQLike]
-) -> ComplexVector | None:
-    """One exact solution of m x = rhs, or None when the system is inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    m = _complex_rows(rows)
-    b = [gq(x) for x in rhs]
-    if len(m) != len(b):
-        raise ValueError("right-hand side length mismatch")
-    width = _check_rect(m)
-    augmented = [row + [val] for row, val in zip(m, b)]
-    reduced, pivots = _rref(augmented)
-    if width in pivots:
-        return None
-    x = [GQ_ZERO] * width
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced[r][width]
-    return tuple(x)
+    return kernel_real(rows, 6)
 
 
 def inverse_complex(rows: Sequence[Sequence[GQLike]]) -> list[ComplexVector]:

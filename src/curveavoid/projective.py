@@ -78,16 +78,6 @@ class ComplexHyperplane:
         return hash(self.canonical())
 
 
-def project_point(v: Sequence[GQLike]) -> ProjPoint:
-    """Class of a nonzero vector; rejects the zero vector."""
-    return ProjPoint(tuple(gq(x) for x in v))
-
-
-def project_hyperplane(h: ComplexHyperplane) -> ProjLine:
-    """The projective line (hyperplane) cut out by h."""
-    return ProjLine(h.coefficients)
-
-
 def incident(p: ProjPoint, line: ProjLine) -> bool:
     if len(p.coords) != len(line.coefficients):
         raise ValueError("dimension mismatch")
@@ -105,40 +95,25 @@ def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     return ProjLine(basis[0])
 
 
-def intersect_lines(l1: ProjLine, l2: ProjLine) -> ProjPoint:
-    """The intersection point of two distinct lines of CP^2."""
-    if len(l1.coefficients) != 3 or len(l2.coefficients) != 3:
-        raise ValueError("intersect_lines works in CP^2")
-    if l1 == l2:
-        raise ValueError("identical lines meet in a line, not a point")
-    basis = kernel_complex([l1.coefficients, l2.coefficients])
-    assert len(basis) == 1
-    return ProjPoint(basis[0])
+def dependent_subset(
+    members: Sequence[Sequence[Sequence[GQLike]]], size: int
+) -> tuple[int, ...] | None:
+    """The first `size` members, in lexicographic order, whose stacked rows are dependent.
 
-
-def dependent_subset(vectors: Sequence[ComplexVector], size: int) -> tuple[int, ...] | None:
-    """The first `size` indices, in lexicographic order, whose vectors are dependent."""
-    for subset in combinations(range(len(vectors)), size):
-        if rank_complex([vectors[i] for i in subset]) != size:
+    A member is the list of rows that cut it out: [h.coefficients] for a
+    complex hyperplane, s.forms for a real subspace.  A rational matrix has
+    the same rank over Q and over Q(i), so one complex rank serves both.
+    """
+    for subset in combinations(range(len(members)), size):
+        rows = [row for i in subset for row in members[i]]
+        if rank_complex(rows) < len(rows):
             return subset
     return None
 
 
 def require_general_position(hyperplanes: Sequence[ComplexHyperplane], size: int) -> None:
     """Raise unless every `size` of the coefficient vectors are independent."""
-    subset = dependent_subset([h.coefficients for h in hyperplanes], size)
+    subset = dependent_subset([[h.coefficients] for h in hyperplanes], size)
     if subset is not None:
         labels = ", ".join(str(i + 1) for i in subset)
         raise ValueError(f"hyperplanes {labels} are not in general position")
-
-
-def lines_in_general_position(lines: Sequence[ProjLine]) -> bool:
-    """True when every 3 of the coefficient vectors are independent.
-
-    Fewer than 3 lines is rejected: the predicate is about triples.
-    """
-    if len(lines) < 3:
-        raise ValueError("general position needs at least 3 lines")
-    if any(len(l.coefficients) != 3 for l in lines):
-        raise ValueError("general position of lines is a CP^2 predicate")
-    return dependent_subset([l.coefficients for l in lines], 3) is None

@@ -13,7 +13,6 @@ from curveavoid.arrangement import (
     classify,
     collapse_real_form,
     extract_complex_hyperplane,
-    family_in_general_position,
     holomorphic_coefficients,
     re_part_form,
     realify,
@@ -88,7 +87,8 @@ class TestRealify:
 
 class TestGeneralPosition:
     def test_standard_family(self):
-        assert family_in_general_position([realify(h) for h in STANDARD])
+        family = [realify(h) for h in STANDARD]
+        assert all(triple_in_general_position(*triple) for triple in combinations(family, 3))
 
     def test_coincident_pair_fails(self):
         family = [realify(h) for h in STANDARD[:2]]

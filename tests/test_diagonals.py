@@ -11,7 +11,7 @@ from curveavoid.diagonals import (
     intersection_point,
 )
 from curveavoid.exact_linalg import GQ_ZERO, gq
-from curveavoid.projective import ComplexHyperplane, ProjLine, incident, project_point
+from curveavoid.projective import ComplexHyperplane, ProjLine, ProjPoint, incident
 
 STANDARD = [
     ComplexHyperplane((1, 0, 0)),
@@ -55,7 +55,7 @@ class TestPartition:
 class TestIntersectionPoint:
     def test_two_planes(self):
         p = intersection_point(STANDARD[:2])
-        assert p == project_point((0, 0, 1))
+        assert p == ProjPoint((0, 0, 1))
 
     def test_dependent_planes_rejected(self):
         with pytest.raises(ValueError):
@@ -81,8 +81,8 @@ class TestDiagonalsOfFour:
 
     def test_frozen_intersection_points(self):
         d12 = enumerate_diagonals(STANDARD)[0]
-        assert d12.p == project_point((0, 0, 1))
-        assert d12.q == project_point((1, -1, 0))
+        assert d12.p == ProjPoint((0, 0, 1))
+        assert d12.q == ProjPoint((1, -1, 0))
 
     def test_relabelling_gives_same_lines(self):
         """Permuting the hyperplanes permutes labels but not the line set."""

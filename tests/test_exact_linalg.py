@@ -17,7 +17,6 @@ from curveavoid.exact_linalg import (
     orthogonal_complement,
     rank_complex,
     rank_real,
-    solve_complex,
 )
 
 F = Fraction
@@ -135,15 +134,6 @@ class TestRankAndKernel:
 
 
 class TestSolveAndInverse:
-    def test_solve_unique(self):
-        rows = [(gq(1), gq(1), gq(0)), (gq(0), gq(1), gq(0)), (gq(0), gq(0), gq(2))]
-        x = solve_complex([[r[i] for i in range(3)] for r in rows], (gq(3), gq(1), gq(4)))
-        assert x == (gq(2), gq(1), gq(2))
-
-    def test_solve_inconsistent(self):
-        rows = [(gq(1), gq(0), gq(0)), (gq(1), gq(0), gq(0))]
-        assert solve_complex(rows, (gq(1), gq(2))) is None
-
     def test_inverse(self):
         m = [(gq(1), gq(2), gq(0)), (gq(0), gq(1), gq(0)), (gq(0, 1), gq(0), gq(1))]
         inv = inverse_complex(m)
@@ -242,17 +232,6 @@ def reference_kernel(rows, width, one):
     return basis
 
 
-def reference_solve(rows, rhs):
-    reduced, pivots = reference_rref([list(r) + [b] for r, b in zip(rows, rhs)])
-    width = len(rows[0])
-    if width in pivots:
-        return None
-    x = [GQ_ZERO] * width
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced[r][width]
-    return tuple(x)
-
-
 def reference_inverse(rows):
     n = len(rows)
     eye = [[GQ_ONE if i == j else GQ_ZERO for j in range(n)] for i in range(n)]
@@ -313,13 +292,6 @@ def test_complex_kernel_matches_reference(rows, data):
     assert kernel_complex(rows, width) == reference_kernel(rows, width, GQ_ONE)
     if not rows:
         return
-    # a right-hand side in the column span, or an arbitrary one
-    if data.draw(st.booleans()):
-        x = [data.draw(gaussian_scalars) for _ in range(width)]
-        rhs = [sum((a * b for a, b in zip(r, x)), GQ_ZERO) for r in rows]
-    else:
-        rhs = [data.draw(gaussian_scalars) for _ in rows]
-    assert solve_complex(rows, rhs) == reference_solve(rows, rhs)
     k = min(len(rows), width)
     square = [r[:k] for r in rows[:k]]
     expected = reference_inverse(square)

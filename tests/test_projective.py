@@ -9,11 +9,7 @@ from curveavoid.projective import (
     ProjPoint,
     dependent_subset,
     incident,
-    intersect_lines,
     line_through,
-    lines_in_general_position,
-    project_hyperplane,
-    project_point,
     require_general_position,
 )
 
@@ -49,66 +45,60 @@ class TestCanonicalisation:
 
 class TestIncidence:
     def test_line_through_standard_points(self):
-        line = line_through(project_point((1, 0, 0)), project_point((0, 1, 0)))
+        line = line_through(ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0)))
         assert line == ProjLine((0, 0, 1))
 
     def test_line_through_equal_points(self):
         with pytest.raises(ValueError):
-            line_through(project_point((1, 1, 1)), project_point((2, 2, 2)))
-
-    def test_intersect_standard_lines(self):
-        p = intersect_lines(ProjLine((1, 0, 0)), ProjLine((0, 1, 0)))
-        assert p == project_point((0, 0, 1))
-
-    def test_intersect_identical_lines(self):
-        with pytest.raises(ValueError):
-            intersect_lines(ProjLine((1, 2, 0)), ProjLine((2, 4, 0)))
+            line_through(ProjPoint((1, 1, 1)), ProjPoint((2, 2, 2)))
 
     def test_incident(self):
         line = ProjLine((1, 1, 1))
-        assert incident(project_point((1, -1, 0)), line)
-        assert not incident(project_point((1, 1, 1)), line)
+        assert incident(ProjPoint((1, -1, 0)), line)
+        assert not incident(ProjPoint((1, 1, 1)), line)
 
     def test_incidence_of_join(self):
-        p = project_point((gq(1, 2), 3, gq(0, -1)))
-        q = project_point((5, gq(2, 2), 7))
+        p = ProjPoint((gq(1, 2), 3, gq(0, -1)))
+        q = ProjPoint((5, gq(2, 2), 7))
         line = line_through(p, q)
         assert incident(p, line)
         assert incident(q, line)
 
-    def test_project_hyperplane(self):
-        h = ComplexHyperplane((2, 2, 0))
-        assert project_hyperplane(h) == ProjLine((1, 1, 0))
-
 
 class TestGeneralPosition:
+    """`dependent_subset` on complex hyperplanes: each member is one coefficient row."""
+
     def test_standard_triple(self):
-        lines = [ProjLine((1, 0, 0)), ProjLine((0, 1, 0)), ProjLine((0, 0, 1))]
-        assert lines_in_general_position(lines)
+        members = [[(1, 0, 0)], [(0, 1, 0)], [(0, 0, 1)]]
+        assert dependent_subset(members, 3) is None
 
     def test_concurrent_triple_fails(self):
         # all three pass through [0:0:1]
-        lines = [ProjLine((1, 0, 0)), ProjLine((0, 1, 0)), ProjLine((1, 1, 0))]
-        assert not lines_in_general_position(lines)
+        members = [[(1, 0, 0)], [(0, 1, 0)], [(1, 1, 0)]]
+        assert dependent_subset(members, 3) == (0, 1, 2)
 
     def test_four_lines(self):
-        lines = [
-            ProjLine((1, 0, 0)),
-            ProjLine((0, 1, 0)),
-            ProjLine((0, 0, 1)),
-            ProjLine((1, 1, 1)),
-        ]
-        assert lines_in_general_position(lines)
+        members = [[(1, 0, 0)], [(0, 1, 0)], [(0, 0, 1)], [(1, 1, 1)]]
+        assert dependent_subset(members, 3) is None
 
     def test_needs_three(self):
-        with pytest.raises(ValueError):
-            lines_in_general_position([ProjLine((1, 0, 0)), ProjLine((0, 1, 0))])
+        # fewer members than the subset size have no dependent subset
+        assert dependent_subset([[(1, 0, 0)], [(0, 1, 0)]], 3) is None
 
     def test_first_dependent_subset_in_lexicographic_order(self):
-        vectors = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)]
-        assert dependent_subset(vectors, 3) == (0, 1, 3)
-        assert dependent_subset(vectors[2:], 3) is None
-        assert dependent_subset([(1, 0), (1, 1), (2, 2)], 2) == (1, 2)
+        members = [[v] for v in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)]]
+        assert dependent_subset(members, 3) == (0, 1, 3)
+        assert dependent_subset(members[2:], 3) is None
+        assert dependent_subset([[(1, 0)], [(1, 1)], [(2, 2)]], 2) == (1, 2)
+
+    def test_members_of_several_rows(self):
+        """Real codimension-2 subspaces: a triple is dependent when its six forms are."""
+        e = [tuple(int(j == k) for j in range(6)) for k in range(6)]
+        members = [[e[0], e[1]], [e[2], e[3]], [e[4], e[5]]]
+        assert dependent_subset(members, 3) is None
+        members[2] = [e[4], (1, 0, 1, 0, 0, 0)]
+        assert dependent_subset(members, 3) == (0, 1, 2)
+        assert dependent_subset(members, 2) is None
 
     def test_require_general_position_labels_from_one(self):
         hyperplanes = [ComplexHyperplane(v) for v in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]]
