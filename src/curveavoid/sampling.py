@@ -42,12 +42,17 @@ def _scaled_components(curve: ExpAffineCurve, z: np.ndarray) -> list[np.ndarray]
     """The components at the points z, divided at each point by one factor e^top.
 
     top is the largest real exponent at that point rounded to a multiple of
-    512, as in `curves.scaled_values`; it is 0, and the values are the
-    plain sums, wherever every |Re x| < 256.  They are finite wherever every
-    exponent is.  An infinite exponent gives nan values with numpy warnings,
-    so callers evaluate under np.errstate, once for many calls.
+    512, as in `curves.scaled_values`; it is 0 wherever every |Re x| < 256.
+    Every coefficient is also divided by one power of two, 2^k with k the
+    largest binary exponent of a |c|, so the largest is below 1 and |f(z)|^2
+    stays in the float range for coefficients of any size; the division is
+    exact, and margins and signs do not see it.  The values are finite
+    wherever every exponent is.  An infinite exponent gives nan values with
+    numpy warnings, so callers evaluate under np.errstate, once for many
+    calls.
     """
     sums = [terms_at(c, z) for c in curve.components]
+    unit = math.ldexp(1.0, -max(math.frexp(abs(c))[1] for terms in sums for c, _ in terms))
     largest = -np.inf
     for terms in sums:
         for _, x in terms:
@@ -57,7 +62,7 @@ def _scaled_components(curve: ExpAffineCurve, z: np.ndarray) -> list[np.ndarray]
     for terms in sums:
         acc = np.zeros_like(z)
         for c, x in terms:
-            acc = acc + c * np.exp(x - top)
+            acc = acc + c * unit * np.exp(x - top)
         values.append(acc)
     return values
 

@@ -14,10 +14,13 @@ null sample.
 
 A real subspace is decided exactly when every defining form restricts to
 a constant (linear independence of exponentials over the algebraic
-numbers); otherwise it falls back to dense sampling over a disk with
-targeted refinement near the zero set of each individual form.  The
-`sampling` module is loaded only when a subspace needs it, or a unit
-polynomial of degree 3 or more needs its roots.
+numbers), or when it is a real hyperplane: a nonconstant restriction g
+then takes an imaginary value (little Picard), so Re g vanishes, and the
+sample is a zero of g - it as for a hyperplane.  Any other subspace falls
+back to dense sampling over a disk with targeted refinement near the zero
+set of each individual form.  The `sampling` module is loaded only when a
+subspace needs it, or a unit polynomial of degree 3 or more needs its
+roots.
 
 Sampling cannot prove avoidance.  Reports therefore label every verdict
 with the method that produced it, and sampled verdicts carry the minimum
@@ -42,16 +45,19 @@ from dataclasses import asdict, dataclass
 
 from .arrangement import RealSubspace, holomorphic_coefficients
 from .curves import (
+    POLY_ZERO,
     ExpAffineCurve,
     ExpSum,
     _direction_groups,
     apply_form,
     constant_value,
+    exp_term,
     is_projectively_constant,
     scaled_values,
     terms_at,
     unit_form,
 )
+from .exact_linalg import gq
 from .scene import Scene, format_exp_sum
 
 AVOIDED = "avoided"
@@ -208,6 +214,13 @@ def _exact_subspace_result(name: str, subspace: RealSubspace, curve: ExpAffineCu
         real_parts.append(real)
     if all(r is not None for r in real_parts):
         return SetResult(name, "exact", ZERO_SET_HIT, None, (0.0, 0.0))
+    if len(real_parts) == 1:
+        # A nonconstant entire g = c.f omits at most one value (little
+        # Picard), so g = it for some real t, where Re g = 0.  For the point:
+        # with t = 0 when g has a nonzero constant group and t = 1 otherwise,
+        # g - it has two or more groups and so a zero (`is_nowhere_zero`).
+        t = 0 if POLY_ZERO in _direction_groups(s) else 1
+        return _exact_hyperplane_result(name, s + exp_term(gq(0, -t)))
     return None
 
 

@@ -70,14 +70,12 @@ def test_verify_loads_numpy_when_a_set_needs_sampling():
     ]
 
 
-def test_closed_form_hits_never_load_numpy(tmp_path):
-    """The hyperplanes of scenes/far_hit.scene (one met, two linear groups; one
-    avoided) and scenes/hyperplane_hits.scene (H4 met where w^2 + w - 1 = 0)."""
-    lines = (ROOT / "scenes" / "far_hit.scene").read_text().splitlines()
-    path = tmp_path / "far_hit_hyperplanes.scene"
-    path.write_text("\n".join(line for line in lines if not line.startswith("real ")) + "\n")
+def test_closed_form_hits_never_load_numpy():
+    """scenes/far_hit.scene (H1 met, two linear groups; H2 avoided; the real
+    hyperplane S met by little Picard) and scenes/hyperplane_hits.scene (H4
+    met where w^2 + w - 1 = 0)."""
     commands = [
-        ("verify", "--curve", "f", str(path)),
+        ("verify", "--curve", "f", "scenes/far_hit.scene"),
         ("verify", "--curve", "g", "scenes/hyperplane_hits.scene"),
     ]
     assert _numpy_after_each(commands) == [["import curveavoid", None, False]] + [

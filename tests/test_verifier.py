@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,14 +104,17 @@ class TestExactPaths:
         assert r.violation_sample == (0.0, math.pi)
 
     def test_far_hit_is_violated_exactly(self):
-        """exp(z/100) - 2 vanishes at 100 log 2, far outside the sampling disk."""
+        """exp(z/100) - 2 vanishes at 100 log 2, far outside the sampling disk; S's
+        form restricts to the nonconstant exp(z/100) - 3, whose real part vanishes
+        at its zero 100 log 3 (little Picard decides it)."""
         scene = parse_scene((SCENES / "far_hit.scene").read_text())
         h1, h2, s = verify(scene.curves["f"], scene).results
         assert (h1.set, h1.method, h1.verdict) == ("H1", "exact", VIOLATED)
         assert h1.min_margin is None
         assert h1.violation_sample == pytest.approx((100 * math.log(2), 0.0), abs=1e-9)
         assert (h2.method, h2.verdict) == ("exact", AVOIDED)
-        assert (s.set, s.method) == ("S", "sampled")
+        assert (s.set, s.method, s.verdict, s.min_margin) == ("S", "exact", VIOLATED, None)
+        assert s.violation_sample == pytest.approx((100 * math.log(3), 0.0), abs=1e-9)
 
     def test_far_hit_exits_one(self, monkeypatch, capsys):
         monkeypatch.chdir(SCENES.parent)
@@ -272,6 +276,58 @@ def test_hyperplane_verdict_follows_the_group_count(case):
         assert abs(z) <= min(oracle_zero_moduli(terms, step)) * (1 + 1e-4) + 1e-9
 
 
+gaussian_pairs = st.tuples(small_rationals, small_rationals)
+
+
+@st.composite
+def real_hyperplane_cases(draw):
+    """A form (a1, b1, a2, b2, a3, b3) and per component terms (c, slope, offset) of
+    c e^(slope z + offset), Gaussian rationals as (re, im) pairs; the curve is nonzero."""
+    form = draw(st.lists(small_rationals, min_size=6, max_size=6).filter(any))
+    term = st.tuples(gaussian_pairs, st.one_of(st.just((0, 0)), gaussian_pairs), gaussian_pairs)
+    components = [draw(st.lists(term, max_size=3)) for _ in range(3)]
+    assume(any(oracle_merged([((1, 0), comp)]) for comp in components))
+    return form, components
+
+
+def oracle_merged(scaled_components):
+    """sum_j c_j f_j as {(slope, offset): coefficient}, for (c_j, f_j) pairs, zeros dropped."""
+    merged = {}
+    for (a, b), comp in scaled_components:
+        for (c, d), slope, offset in comp:
+            re, im = merged.get((slope, offset), (0, 0))
+            merged[(slope, offset)] = (re + a * c - b * d, im + a * d + b * c)
+    return {key: value for key, value in merged.items() if any(value)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(real_hyperplane_cases())
+def test_real_hyperplane_is_met_exactly_when_its_form_is_nonconstant(case):
+    """A nonconstant g = c.f omits at most one value (little Picard), so Re g
+    vanishes somewhere; the sample is a point where it does."""
+    form, components = case
+    curve = ExpAffineCurve(
+        tuple(
+            exp_sum((gq(*c), (gq(*offset), gq(*slope))) for c, slope, offset in comp)
+            for comp in components
+        )
+    )
+    scene = Scene(reals={"S": RealSubspace((tuple(form),))}, order=(("real", "S"),))
+    (r,) = verify(curve, scene).results
+    # Re(sum c_j z_j) with c_j = a_j - i b_j is the form a_j x_j + b_j y_j
+    holomorphic = [(form[2 * j], -form[2 * j + 1]) for j in range(3)]
+    composed = oracle_merged(zip(holomorphic, components))
+    nonconstant = any(slope != (0, 0) for slope, _ in composed)
+    assert (r.method, r.min_margin) == ("exact", None)
+    assert (r.verdict == VIOLATED) == nonconstant
+    if r.violation_sample is not None:
+        z = complex(*r.violation_sample)
+        exponents = [complex(*slope) * z + complex(*offset) for slope, offset in composed]
+        top = max((x.real for x in exponents), default=0.0)
+        values = [complex(*c) * cmath.exp(x - top) for c, x in zip(composed.values(), exponents)]
+        assert abs(sum(values).real) <= 1e-9 * sum(abs(v) for v in values)
+
+
 class TestSampledPaths:
     def test_dim4_subspace_margin(self):
         scene, f = scene_and_curve(DIM4_SUBSPACE_SCENE)
@@ -362,6 +418,21 @@ class TestFarExponents:
         assert done.stderr.decode().splitlines() == [
             "error: an exponent is beyond the float range at a sample point"
         ]
+
+    def test_coefficients_of_many_digits_keep_the_margin(self):
+        """|f(z)|^2 with coefficients 10^60 on e^(50 z) would pass the float range."""
+        plan = SamplingPlan(grid_points=21, random_points=100)
+        margins = []
+        for c in (10**60, 1):
+            scene, f = scene_and_curve(
+                f"real H: x1 - x2 = 0; x1 - x3 = 0\n"
+                f"curve f: ({c}*exp(25*z), -{c}*exp(25*z), {c}*exp(50*z))\n"
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                (r,) = verify(f, scene, plan).results
+            margins.append(r.min_margin)
+        assert 0 < margins[0] == pytest.approx(margins[1], rel=1e-9)
 
     def test_margin_where_every_component_underflows(self):
         scene, f = scene_and_curve(far_dim4_scene(100))
