@@ -459,9 +459,10 @@ def normalize_four(
         raise ValueError("hyperplanes live in C^3")
     require_general_position(hyperplanes, 3)
     rows = [h.coefficients for h in hyperplanes]
-    # mu spans the relations sum mu_i rows[i] = 0, so rows[3] = sum lambda_i rows[i]
-    (mu,) = kernel_complex([[row[j] for row in rows] for j in range(3)])
-    lam = [-x / mu[3] for x in mu[:3]]
+    # the relations among the columns (rows[3], rows[0], rows[1], rows[2]) are
+    # spanned by one kernel vector, scaled to (1, -lambda_1, -lambda_2, -lambda_3)
+    (mu,) = kernel_complex([[row[j] for row in (rows[3], *rows[:3])] for j in range(3)])
+    lam = [-x for x in mu[1:]]
     assert all(lam)
     matrix = tuple(tuple(l * a for a in rows[i]) for i, l in enumerate(lam))
     standard = (
