@@ -57,7 +57,7 @@ from .curves import (
     terms_at,
     unit_form,
 )
-from .exact_linalg import gq
+from .exact_linalg import GQ_I
 from .scene import Scene, format_exp_sum
 
 AVOIDED = "avoided"
@@ -219,8 +219,9 @@ def _exact_subspace_result(name: str, subspace: RealSubspace, curve: ExpAffineCu
         # Picard), so g = it for some real t, where Re g = 0.  For the point:
         # with t = 0 when g has a nonzero constant group and t = 1 otherwise,
         # g - it has two or more groups and so a zero (`is_nowhere_zero`).
-        t = 0 if POLY_ZERO in _direction_groups(s) else 1
-        return _exact_hyperplane_result(name, s + exp_term(gq(0, -t)))
+        if POLY_ZERO not in _direction_groups(s):
+            s = s + exp_term(-GQ_I)
+        return _exact_hyperplane_result(name, s)
     return None
 
 
