@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curveavoid.arrangement import (
     RealSubspace,
@@ -145,6 +146,53 @@ class TestConstantValue:
         # Re(i) = 0 formally; Re(i e^i) != 0 because i and -i stay distinct
         assert not exp_constant(gq(0, 1)).real_part()
         assert exp_constant(gq(0, 1), gq(0, 1)).real_part()
+
+    def test_log_sums_terms_in_increasing_exponent(self):
+        """The float sum runs over r = -3, -2, 0; the order fixes the last digits."""
+        s = exp_constant(1) + exp_constant(1, -2) + exp_constant(1, -3)
+        assert s.log() == 0.1698460195562857 + 0j
+
+
+# few exponents and small coefficients, so that sums merge and cancel
+model_exponents = st.sampled_from([gq(0), gq(1), gq(-2), gq(0, 1), gq(0, -1), gq(F(1, 2), 1)])
+model_coefficients = st.builds(gq, st.integers(-2, 2), st.integers(-2, 2))
+model_terms = st.lists(st.tuples(model_coefficients, model_exponents), max_size=4)
+
+
+def model_merge(terms):
+    """sum c e^r as {r: c}: like exponents merged exactly, zero coefficients dropped."""
+    merged = {}
+    for c, r in terms:
+        merged[r] = merged.get(r, GQ_ZERO) + c
+    return {r: c for r, c in merged.items() if c}
+
+
+def model_constant(terms):
+    """The package's formal constant of terms (c, r), built in one call from exp_sum."""
+    return constant_value(exp_sum([(c, (r,)) for r, c in model_merge(terms).items()]))
+
+
+def package_constant(terms):
+    acc = exp_constant(0)
+    for c, r in terms:
+        acc = acc + exp_constant(c, r)
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_terms, model_terms)
+def test_constant_arithmetic_matches_a_dict_model(a, b):
+    x, y = package_constant(a), package_constant(b)
+    negated = [(-c, r) for c, r in b]
+    product = [(c1 * c2, r1 + r2) for c1, r1 in a for c2, r2 in b]
+    half = gq(F(1, 2))
+    real = [t for c, r in a for t in ((c * half, r), (c.conjugate() * half, r.conjugate()))]
+    assert x + y == model_constant(a + b)
+    assert x - y == model_constant(a + negated)
+    assert x * y == model_constant(product)
+    assert x.real_part() == model_constant(real)
+    assert bool(x) == bool(model_merge(a))
+    assert bool(x.real_part()) == bool(model_merge(real))
 
 
 class TestProjectiveConstancy:
