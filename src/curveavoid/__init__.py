@@ -24,7 +24,6 @@ from .arrangement import (
 from .curves import (
     ConstructionError,
     ExpAffineCurve,
-    ExpConstant,
     ExpSum,
     apply_form,
     constant_value,
@@ -75,7 +74,6 @@ __all__ = [
     "ConstructionError",
     "DiagonalLine",
     "ExpAffineCurve",
-    "ExpConstant",
     "ExpSum",
     "GaussianRational",
     "ParseError",

@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count, zip_longest
+from itertools import combinations, count, product, zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from .arrangement import RealSubspace, holomorphic_coefficients, re_part_form, triple_rank
@@ -74,68 +74,6 @@ def _poly_key(p: Poly) -> tuple:
     return (len(p), tuple(_gq_key(c) for c in p))
 
 
-# ---------------------------------------------------------------------------
-# formal constants sum_k c_k e^(r_k) with Gaussian-rational c_k, r_k
-
-@dataclass(frozen=True, slots=True)
-class ExpConstant:
-    """A constant written as a sum of c * e^r over distinct Gaussian rationals r.
-
-    By Lindemann-Weierstrass the e^r are linearly independent over the
-    algebraic numbers, so this canonical form is zero as a complex number
-    exactly when it has no terms.
-    """
-
-    terms: tuple[tuple[GaussianRational, GaussianRational], ...]
-
-    def __post_init__(self) -> None:
-        merged: dict[GaussianRational, GaussianRational] = {}
-        for r, c in self.terms:
-            acc = merged.get(r, GQ_ZERO) + c
-            if acc:
-                merged[r] = acc
-            elif r in merged:
-                del merged[r]
-        ordered = tuple(sorted(merged.items(), key=lambda rc: _gq_key(rc[0])))
-        object.__setattr__(self, "terms", ordered)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "ExpConstant") -> "ExpConstant":
-        return ExpConstant(self.terms + other.terms)
-
-    def __sub__(self, other: "ExpConstant") -> "ExpConstant":
-        negated = tuple((r, -c) for r, c in other.terms)
-        return ExpConstant(self.terms + negated)
-
-    def __mul__(self, other: "ExpConstant") -> "ExpConstant":
-        prods = [(r1 + r2, c1 * c2) for r1, c1 in self.terms for r2, c2 in other.terms]
-        return ExpConstant(tuple(prods))
-
-    def conjugate(self) -> "ExpConstant":
-        return ExpConstant(tuple((r.conjugate(), c.conjugate()) for r, c in self.terms))
-
-    def real_part(self) -> "ExpConstant":
-        half = gq(Fraction(1, 2))
-        scaled = tuple((r, c * half) for r, c in (self.terms + self.conjugate().terms))
-        return ExpConstant(scaled)
-
-    def float_terms(self, top: Fraction) -> list[tuple[complex, complex]]:
-        """The terms as (c, r - top) pairs in floating point, r - top taken exactly."""
-        return [(c.to_complex(), (r - top).to_complex()) for r, c in self.terms]
-
-    def log(self) -> complex | None:
-        """A logarithm of the (nonzero) value, or None where floating point cancels it to zero.
-
-        The factor e^(top), top the largest real part of an r, is taken out
-        exactly, so the value's size never overflows or underflows a float.
-        """
-        top = max(r.re for r, _ in self.terms)
-        shift, (rest,) = scaled_values([self.float_terms(top)])
-        return float(top) + shift + cmath.log(rest) if rest else None
-
-
 _SCALE_STEP = 512
 
 
@@ -154,10 +92,6 @@ def scaled_values(sums: Sequence[Sequence[tuple[complex, complex]]]) -> tuple[in
     return top, [sum((c * cmath.exp(x - top) for c, x in terms), 0j) for terms in sums]
 
 
-def exp_constant(c: GQLike, r: GQLike = 0) -> ExpConstant:
-    return ExpConstant(((gq(r), gq(c)),))
-
-
 # ---------------------------------------------------------------------------
 # exponential sums
 
@@ -172,10 +106,20 @@ class ExpPoly:
         object.__setattr__(self, "coeff", gq(self.coeff))
         object.__setattr__(self, "exponent", poly(self.exponent))
 
+    @property
+    def offset(self) -> GaussianRational:
+        """The constant term of the exponent: r for a term c e^r."""
+        return self.exponent[0] if self.exponent else GQ_ZERO
+
 
 @dataclass(frozen=True, slots=True)
 class ExpSum:
-    """A finite sum of exponential terms in canonical grouped form."""
+    """A finite sum of exponential terms in canonical grouped form.
+
+    With constant exponents it is a formal constant, a sum of c e^r over
+    distinct r; by Lindemann-Weierstrass it is zero exactly when it has no
+    terms.  `real_part`, `float_terms` and `log` take formal constants.
+    """
 
     terms: tuple[ExpPoly, ...]
 
@@ -192,15 +136,54 @@ class ExpSum:
         )
         object.__setattr__(self, "terms", ordered)
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def __add__(self, other: "ExpSum") -> "ExpSum":
         return ExpSum(self.terms + other.terms)
+
+    def __sub__(self, other: "ExpSum") -> "ExpSum":
+        return self + -other
 
     def __neg__(self) -> "ExpSum":
         return self.scale(gq(-1))
 
+    def __mul__(self, other: "ExpSum") -> "ExpSum":
+        """The product: c e^p times d e^q is cd e^(p + q)."""
+        products = []
+        for a, b in product(self.terms, other.terms):
+            exponent = [x + y for x, y in zip_longest(a.exponent, b.exponent, fillvalue=GQ_ZERO)]
+            products.append(ExpPoly(a.coeff * b.coeff, exponent))
+        return ExpSum(tuple(products))
+
     def scale(self, c: GQLike) -> "ExpSum":
         k = gq(c)
         return ExpSum(tuple(ExpPoly(t.coeff * k, t.exponent) for t in self.terms))
+
+    def real_part(self) -> "ExpSum":
+        """The real part of a formal constant, as half of c e^r plus conj(c) e^(conj r) per term."""
+        half = gq(Fraction(1, 2))
+        conjugates = tuple(ExpPoly(t.coeff.conjugate(), [t.offset.conjugate()]) for t in self.terms)
+        return (self + ExpSum(conjugates)).scale(half)
+
+    def float_terms(self, top: Fraction) -> list[tuple[complex, complex]]:
+        """The terms c e^r of a formal constant as (c, r - top) pairs in floating point.
+
+        r - top is taken exactly, and the pairs come in increasing r (`_gq_key`),
+        which fixes the order of any float sum over them.
+        """
+        ordered = sorted(self.terms, key=lambda t: _gq_key(t.offset))
+        return [(t.coeff.to_complex(), (t.offset - top).to_complex()) for t in ordered]
+
+    def log(self) -> complex | None:
+        """A logarithm of a nonzero formal constant, or None where floating point cancels it to zero.
+
+        The factor e^(top), top the largest real part of an r, is taken out
+        exactly, so the value's size never overflows or underflows a float.
+        """
+        top = max(t.offset.re for t in self.terms)
+        shift, (rest,) = scaled_values([self.float_terms(top)])
+        return float(top) + shift + cmath.log(rest) if rest else None
 
 
 def exp_term(coeff: GQLike, exponent: Sequence[GQLike] = POLY_ZERO) -> ExpSum:
@@ -209,6 +192,10 @@ def exp_term(coeff: GQLike, exponent: Sequence[GQLike] = POLY_ZERO) -> ExpSum:
 
 def exp_sum(terms: Iterable[tuple[GQLike, Sequence[GQLike]]]) -> ExpSum:
     return ExpSum(tuple(ExpPoly(gq(c), poly(p)) for c, p in terms))
+
+
+def exp_constant(c: GQLike, r: GQLike = 0) -> ExpSum:
+    return exp_term(c, (r,))
 
 
 def is_identically_zero(s: ExpSum) -> bool:
@@ -230,13 +217,9 @@ def is_nowhere_zero(s: ExpSum) -> str:
     return "yes" if len(_direction_groups(s)) == 1 else "no"
 
 
-def constant_value(s: ExpSum) -> ExpConstant | None:
-    """The value of s as a formal constant, when every exponent is constant."""
-    if any(len(t.exponent) > 1 for t in s.terms):
-        return None
-    return ExpConstant(
-        tuple((t.exponent[0] if t.exponent else GQ_ZERO, t.coeff) for t in s.terms)
-    )
+def constant_value(s: ExpSum) -> ExpSum | None:
+    """s itself when every exponent is constant, so that s is a formal constant; else None."""
+    return None if any(len(t.exponent) > 1 for t in s.terms) else s
 
 
 def terms_at(s: ExpSum, z: complex) -> list[tuple[complex, complex]]:
@@ -292,21 +275,21 @@ def _dropped_constant(p: Poly) -> Poly:
     return poly((GQ_ZERO,) + p[1:])
 
 
-def _direction_groups(s: ExpSum) -> dict[Poly, ExpConstant]:
-    """Group terms by exponent modulo constants; constants become e^r factors."""
-    groups: dict[Poly, ExpConstant] = {}
+def _direction_groups(s: ExpSum) -> dict[Poly, ExpSum]:
+    """Group terms by exponent modulo constants, each group as the formal constant of its c e^r.
+
+    No group is zero: the exponents of s, and so the r within a group, are distinct.
+    """
+    groups: dict[Poly, list[ExpPoly]] = {}
     for t in s.terms:
-        direction = _dropped_constant(t.exponent)
-        r = t.exponent[0] if t.exponent else GQ_ZERO
-        extra = exp_constant(t.coeff, r)
-        groups[direction] = groups.get(direction, ExpConstant(())) + extra
-    return {d: c for d, c in groups.items() if c}
+        groups.setdefault(_dropped_constant(t.exponent), []).append(ExpPoly(t.coeff, t.exponent[:1]))
+    return {d: ExpSum(tuple(terms)) for d, terms in groups.items()}
 
 
 UNIT_DEGREE_CAP = 64
 
 
-def unit_form(s: ExpSum) -> tuple[GaussianRational, dict[int, ExpConstant]] | None:
+def unit_form(s: ExpSum) -> tuple[GaussianRational, dict[int, ExpSum]] | None:
     """s as e^(d0(z)) * sum C_n w^n over n >= 0 in the unit w = e^(mu z): mu and {n: C_n}.
 
     The C_n are the direction groups of s (see `_direction_groups`) and d0
@@ -341,7 +324,7 @@ def _constant_ratio(f: ExpSum, g: ExpSum) -> bool:
 
     f = lambda * g forces the exponent directions to match group by group;
     the scalar is then consistent exactly when all cross products of the
-    group coefficients agree, which is a formal identity of ExpConstants.
+    group coefficients agree, which is a formal identity of constant sums.
     """
     gf, gg = _direction_groups(f), _direction_groups(g)
     if set(gf) != set(gg):

@@ -167,7 +167,7 @@ def _nearest_zero(s: ExpSum) -> complex | None:
         log0, log1 = coeffs[0].log(), coeffs[1].log()
         logs = [] if log0 is None or log1 is None else [log0 - log1 + 1j * math.pi]
     else:
-        top = max(r.re for c in coeffs.values() for r, _ in c.terms)
+        top = max(t.offset.re for c in coeffs.values() for t in c.terms)
         terms = [coeffs[n].float_terms(top) if n in coeffs else [] for n in range(max(coeffs) + 1)]
         logs = [cmath.log(w) for w in _roots(scaled_values(terms)[1]) if w]
     candidates = []
