@@ -33,7 +33,7 @@ from .exact_linalg import (
     rank_complex,
     rank_real,
 )
-from .projective import ComplexHyperplane
+from .projective import ComplexHyperplane, require_general_position
 
 if TYPE_CHECKING:
     from .curves import ExpAffineCurve
@@ -203,12 +203,14 @@ def triple_ranks(
 def classify(hyperplanes: Sequence[ComplexHyperplane], s: RealSubspace) -> Verdict:
     """Decide whether curves avoiding the arrangement can have nonconstant image.
 
+    The four hyperplanes must be in general position (else a ValueError).
     With H~ the complex hyperplane inside s: if every triple (H~, H_j, H_k)
     is in general position, every entire curve avoiding the four hyperplanes
     and s projects to a constant in CP^2.  Otherwise a nonconstant witness
     is constructed and attached to the verdict.
     """
     evidence = triple_ranks(hyperplanes, s)
+    require_general_position(hyperplanes, 3)
     degenerate = [t.pair for t in evidence if t.rank < 6]
     if not degenerate:
         return Verdict(ALL_CURVES_CONSTANT, None, evidence)

@@ -12,10 +12,11 @@ zero nearest the origin as its sample, from the roots of the sum's unit
 polynomial (see `curves.unit_form`); a sum without a unit form carries a
 null sample.
 
-A real subspace is decided exactly when every defining form restricts to
-a constant (linear independence of exponentials over the algebraic
-numbers), or when it is a real hyperplane: a nonconstant restriction g
-then takes an imaginary value (little Picard), so Re g vanishes, and the
+A real subspace is decided exactly when at most one of its defining forms
+restricts to a nonconstant g.  A constant restriction (linear independence
+of exponentials over the algebraic numbers) with nonzero real part means
+avoidance; one with zero real part holds everywhere and drops out.  A lone
+g takes an imaginary value (little Picard), so Re g vanishes, and the
 sample is a zero of g - it as for a hyperplane.  Any other subspace falls
 back to dense sampling over a disk with targeted refinement near the zero
 set of each individual form.  The `sampling` module is loaded only when a
@@ -198,31 +199,30 @@ def _roots(values: list[complex]) -> list[complex]:
 
 
 def _exact_subspace_result(name: str, subspace: RealSubspace, curve: ExpAffineCurve) -> SetResult | None:
-    # Re(S) vanishes identically iff S is constant with formally real-free
-    # value: a nonconstant entire S has open image, and exactness for the
-    # constant case is linear independence of exponentials again.
-    real_parts = []
+    """The exact verdict for a real subspace, from the restrictions g of its forms to the curve.
+
+    A constant g has Re g = 0 everywhere or nowhere (linear independence of
+    exponentials): one with Re g != 0 means avoidance, one with Re g = 0
+    drops out.  With no nonconstant g left the curve lies in the subspace.
+    With one, Re g vanishes where g = it (little Picard); t = 0 when g has a
+    constant group, else t = 1, and g - it has a zero (`is_nowhere_zero`).
+    With more, None.
+    """
+    nonconstant = []
     for form in subspace.forms:
-        s = apply_form(holomorphic_coefficients(form), curve)
-        v = constant_value(s)
-        if v is None:
-            real_parts.append(None)
-            continue
-        real = v.real_part()
-        if real:
+        g = apply_form(holomorphic_coefficients(form), curve)
+        if constant_value(g) is None:
+            nonconstant.append(g)
+        elif g.real_part():
             return SetResult(name, "exact", AVOIDED, None, None)
-        real_parts.append(real)
-    if all(r is not None for r in real_parts):
+    if not nonconstant:
         return SetResult(name, "exact", ZERO_SET_HIT, None, (0.0, 0.0))
-    if len(real_parts) == 1:
-        # A nonconstant entire g = c.f omits at most one value (little
-        # Picard), so g = it for some real t, where Re g = 0.  For the point:
-        # with t = 0 when g has a nonzero constant group and t = 1 otherwise,
-        # g - it has two or more groups and so a zero (`is_nowhere_zero`).
-        if POLY_ZERO not in _direction_groups(s):
-            s = s + exp_term(-GQ_I)
-        return _exact_hyperplane_result(name, s)
-    return None
+    if len(nonconstant) > 1:
+        return None
+    (g,) = nonconstant
+    if POLY_ZERO not in _direction_groups(g):
+        g = g - exp_term(GQ_I)
+    return _exact_hyperplane_result(name, g)
 
 
 def _sampled_result(

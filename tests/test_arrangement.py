@@ -249,6 +249,13 @@ class TestClassifier:
         with pytest.raises(ValueError):
             classify([STANDARD[0]] * 4, s)
 
+    @pytest.mark.parametrize("form", [(1, 0, 2, 0, 3, 0), (1, 0, 1, 0, 0, 0)])
+    def test_rejects_hyperplanes_not_in_general_position(self, form):
+        """z1, z2, z1 + z2 meet in a line; with x1 + 2 x2 + 3 x3 every triple rank is 6."""
+        concurrent = [STANDARD[0], STANDARD[1], ComplexHyperplane((1, 1, 0)), STANDARD[2]]
+        with pytest.raises(ValueError, match="hyperplanes 1, 2, 3 are not in general position"):
+            classify(concurrent, real_subspace(form))
+
 
 PAIRS = list(combinations(range(4), 2))
 small_gaussians = st.builds(

@@ -169,6 +169,15 @@ class TestClassify:
         assert data["witness"] is None
         assert all(entry["rank"] == 6 for entry in data["triple_ranks"])
 
+    @pytest.mark.parametrize("form", ["x1 + 2*x2 + 3*x3", "x1 + x2"])
+    def test_hyperplanes_not_in_general_position_is_two(self, scene, capsys, form):
+        text = "".join(
+            f"hyperplane H{n}: {h} = 0\n" for n, h in enumerate(("z1", "z2", "z1 + z2", "z3"), 1)
+        )
+        code, out, err = run(capsys, "classify", scene(text + f"real S: {form} = 0\n"))
+        assert (code, out) == (2, "")
+        assert err == "error: hyperplanes 1, 2, 3 are not in general position\n"
+
     @pytest.mark.parametrize(
         "flags",
         [

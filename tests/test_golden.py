@@ -54,6 +54,10 @@ COMMANDS = (
     ("verify-hyperplane-hits", ("verify", "--curve", "g", "scenes/hyperplane_hits.scene"), 1),
     ("project-demo", ("project", "--curve", "f", "--at", "1+i", "scenes/verify_demo.scene"), 0),
     ("classify-standard4", ("classify", "scenes/standard4.scene"), 2),
+    # a real subspace decided by little Picard after a form that holds everywhere drops out
+    ("verify-reduced-hit", ("verify", "--curve", "f", "scenes/reduced_hit.scene"), 1),
+    # four hyperplanes not in general position, although every triple rank is 6
+    ("classify-concurrent", ("classify", "scenes/concurrent.scene"), 2),
 )
 
 

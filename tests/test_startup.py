@@ -72,11 +72,13 @@ def test_verify_loads_numpy_when_a_set_needs_sampling():
 
 def test_closed_form_hits_never_load_numpy():
     """scenes/far_hit.scene (H1 met, two linear groups; H2 avoided; the real
-    hyperplane S met by little Picard) and scenes/hyperplane_hits.scene (H4
-    met where w^2 + w - 1 = 0)."""
+    hyperplane S met by little Picard), scenes/hyperplane_hits.scene (H4
+    met where w^2 + w - 1 = 0) and scenes/reduced_hit.scene (S met by little
+    Picard once a form that holds everywhere drops out)."""
     commands = [
         ("verify", "--curve", "f", "scenes/far_hit.scene"),
         ("verify", "--curve", "g", "scenes/hyperplane_hits.scene"),
+        ("verify", "--curve", "f", "scenes/reduced_hit.scene"),
     ]
     assert _numpy_after_each(commands) == [["import curveavoid", None, False]] + [
         [" ".join(argv), 1, False] for argv in commands

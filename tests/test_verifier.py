@@ -281,13 +281,18 @@ gaussian_pairs = st.tuples(small_rationals, small_rationals)
 
 @st.composite
 def real_hyperplane_cases(draw):
-    """A form (a1, b1, a2, b2, a3, b3) and per component terms (c, slope, offset) of
-    c e^(slope z + offset), Gaussian rationals as (re, im) pairs; the curve is nonzero."""
+    """A form (a1, b1, a2, b2, a3, b3), per component terms (c, slope, offset) of
+    c e^(slope z + offset), Gaussian rationals as (re, im) pairs, and optionally a
+    coordinate k: component k is then an imaginary constant and the subspace has the
+    second form x_k, which holds on the whole curve.  The curve is nonzero."""
     form = draw(st.lists(small_rationals, min_size=6, max_size=6).filter(any))
     term = st.tuples(gaussian_pairs, st.one_of(st.just((0, 0)), gaussian_pairs), gaussian_pairs)
     components = [draw(st.lists(term, max_size=3)) for _ in range(3)]
+    k = draw(st.one_of(st.none(), st.integers(0, 2)))
+    if k is not None:
+        components[k] = [((0, draw(small_rationals)), (0, 0), (0, 0))]
     assume(any(oracle_merged([((1, 0), comp)]) for comp in components))
-    return form, components
+    return form, components, k
 
 
 def oracle_merged(scaled_components):
@@ -304,15 +309,17 @@ def oracle_merged(scaled_components):
 @given(real_hyperplane_cases())
 def test_real_hyperplane_is_met_exactly_when_its_form_is_nonconstant(case):
     """A nonconstant g = c.f omits at most one value (little Picard), so Re g
-    vanishes somewhere; the sample is a point where it does."""
-    form, components = case
+    vanishes somewhere; the sample is a point where it does.  A second form
+    whose restriction is an imaginary constant changes nothing."""
+    form, components, k = case
     curve = ExpAffineCurve(
         tuple(
             exp_sum((gq(*c), (gq(*offset), gq(*slope))) for c, slope, offset in comp)
             for comp in components
         )
     )
-    scene = Scene(reals={"S": RealSubspace((tuple(form),))}, order=(("real", "S"),))
+    forms = [tuple(form)] + ([] if k is None else [tuple(int(i == 2 * k) for i in range(6))])
+    scene = Scene(reals={"S": RealSubspace(tuple(forms))}, order=(("real", "S"),))
     (r,) = verify(curve, scene).results
     # Re(sum c_j z_j) with c_j = a_j - i b_j is the form a_j x_j + b_j y_j
     holomorphic = [(form[2 * j], -form[2 * j + 1]) for j in range(3)]
