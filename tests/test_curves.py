@@ -2,6 +2,7 @@
 
 import cmath
 import random
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from curveavoid.arrangement import (
     RealSubspace,
     holomorphic_coefficients,
+    re_part_form,
     triple_ranks,
 )
 from curveavoid.curves import (
@@ -36,8 +38,11 @@ from curveavoid.curves import (
     witness_dim4_subspace,
     witness_three_hyperplanes,
 )
-from curveavoid.exact_linalg import GQ_ONE, GQ_ZERO, gq
-from curveavoid.projective import ComplexHyperplane
+from curveavoid.diagonals import enumerate_diagonals
+from curveavoid.exact_linalg import GQ_ONE, GQ_ZERO, gq, rank_complex
+from curveavoid.projective import ComplexHyperplane, ProjLine
+from curveavoid.scene import Scene
+from curveavoid.verifier import verify
 
 F = Fraction
 
@@ -430,6 +435,68 @@ class TestWitnessDegeneratePair:
         value = constant_value(apply_form(holomorphic_coefficients(s.forms[0]), curve))
         assert value is not None and value.real_part()
         assert not is_projectively_constant(curve)
+
+    def test_fails_exactly_when_the_form_is_its_diagonal(self):
+        """Random GL3(Q(i)) images of the standard four, with deficient forms by construction.
+
+        alpha is s a_j + t a_k, a multiple of a diagonal line's form, or
+        random.  For each deficient pair (j, k) the construction fails
+        exactly when H~ is the diagonal whose partition has {j, k} as a
+        block; otherwise its curve is verified exactly.
+        """
+        rng = random.Random(1975)
+
+        def gaussian():
+            return gq(rng.randint(-3, 3), rng.randint(-3, 3))
+
+        def nonzero_gaussian():
+            return next(c for c in iter(gaussian, None) if c)
+
+        outcomes = {"raised": 0, "witnessed": 0}
+        started = time.perf_counter()
+        for _ in range(150):
+            rows = [tuple(gaussian() for _ in range(3)) for _ in range(3)]
+            if rank_complex(rows) < 3:
+                continue
+            rows.append(tuple(a + b + c for a, b, c in zip(*rows)))
+            scales = [nonzero_gaussian() for _ in rows]
+            hyperplanes = [ComplexHyperplane(tuple(c * x for x in row)) for c, row in zip(scales, rows)]
+            diagonals = enumerate_diagonals(hyperplanes)
+            kind = rng.randrange(3)
+            if kind == 0:
+                j, k = rng.sample(range(4), 2)
+                s_, t_ = gaussian(), gaussian()
+                alpha = tuple(s_ * x + t_ * y for x, y in zip(rows[j], rows[k]))
+            elif kind == 1:
+                c = nonzero_gaussian()
+                alpha = tuple(c * x for x in rng.choice(diagonals).form.coefficients)
+            else:
+                alpha = tuple(gaussian() for _ in range(3))
+            if not any(alpha):
+                continue
+            s = RealSubspace((re_part_form(alpha),))
+            scene = Scene(
+                hyperplanes={f"H{i + 1}": h for i, h in enumerate(hyperplanes)},
+                reals={"S": s},
+                curves={},
+                order=tuple(("hyperplane", f"H{i + 1}") for i in range(4)) + (("real", "S"),),
+            )
+            for t in triple_ranks(hyperplanes, s):
+                if t.rank == 6:
+                    continue
+                (diagonal,) = [d for d in diagonals if t.pair in (d.partition.left, d.partition.right)]
+                if ProjLine(holomorphic_coefficients(s.forms[0])) == diagonal.form:
+                    with pytest.raises(ConstructionError, match="construction failed"):
+                        witness_degenerate_pair(hyperplanes, s, t.pair)
+                    outcomes["raised"] += 1
+                    continue
+                report = verify(witness_degenerate_pair(hyperplanes, s, t.pair), scene)
+                assert report.all_avoided()
+                assert all(r.method == "exact" for r in report.results)
+                assert not report.projection_constant
+                outcomes["witnessed"] += 1
+        assert time.perf_counter() - started < 2.0
+        assert min(outcomes.values()) >= 20, outcomes
 
 
 class TestWitnessThreeHyperplanes:
