@@ -207,12 +207,14 @@ def classify(hyperplanes: Sequence[ComplexHyperplane], s: RealSubspace) -> Verdi
     With H~ the complex hyperplane inside s: if every triple (H~, H_j, H_k)
     is in general position, every entire curve avoiding the four hyperplanes
     and s projects to a constant in CP^2.  Otherwise a nonconstant witness
-    is constructed and attached to the verdict.
+    is constructed and attached to the verdict.  General position is checked
+    once on either path: here before a constant verdict, and by
+    `curves.normalize_four` before a witness.
     """
     evidence = triple_ranks(hyperplanes, s)
-    require_general_position(hyperplanes, 3)
     degenerate = [t.pair for t in evidence if t.rank < 6]
     if not degenerate:
+        require_general_position(hyperplanes, 3)
         return Verdict(ALL_CURVES_CONSTANT, None, evidence)
     from .curves import witness_degenerate_pair
 

@@ -189,15 +189,10 @@ def _cmd_classify(args: argparse.Namespace, scene: Scene) -> int:
     if verdict.witness is None:
         _emit(payload, lines, args.human)
         return 0
-    report = verify(
-        verdict.witness,
-        _witness_scene(hyperplanes, [(real_name, real)]),
-        plan,
-    )
+    report = verify(verdict.witness, _witness_scene(hyperplanes, [(real_name, real)]), plan)
     payload["witness"] = report.curve
     payload["report"] = report.to_dict()
-    _emit(payload, lines + _report_lines(report), args.human)
-    return 0 if report.all_avoided() else 1
+    return _finish_verification(report, payload, args.human, lines)
 
 
 def _cmd_witness(args: argparse.Namespace, scene: Scene) -> int:

@@ -35,7 +35,11 @@ from .projective import ComplexHyperplane, require_general_position
 
 
 class ConstructionError(RuntimeError):
-    """Raised when a witness search exhausts its candidates."""
+    """Raised when a witness construction has no curve for its input.
+
+    `witness_degenerate_pair` raises it exactly when H~ is the diagonal
+    line its curve would lie on.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +433,13 @@ def witness_constant_projection(hyperplanes: Sequence[ComplexHyperplane]) -> Exp
 
 def normalize_four(
     hyperplanes: Sequence[ComplexHyperplane],
-) -> tuple[tuple[ComplexVector, ...], tuple[ComplexHyperplane, ...]]:
-    """Exact change of coordinates w = M z standardising four hyperplanes.
+) -> tuple[tuple[ComplexVector, ...], tuple[ComplexVector, ...]]:
+    """Exact change of coordinates w = M z standardising four hyperplanes: M and M^-1.
 
-    In the new coordinates the forms become w1, w2, w3, w1+w2+w3 (the
-    first three exactly, the last up to the original scaling).  Requires
-    every three of the coefficient vectors to be independent.
+    A form a on z reads a M^-1 on w, and the four forms become w1, w2, w3,
+    w1+w2+w3 (the first three exactly, the last up to the original
+    scaling).  Requires every three of the coefficient vectors to be
+    independent.
     """
     if len(hyperplanes) != 4:
         raise ValueError("exactly four hyperplanes are required")
@@ -448,13 +453,7 @@ def normalize_four(
     lam = [-x for x in mu[1:]]
     assert all(lam)
     matrix = tuple(tuple(l * a for a in rows[i]) for i, l in enumerate(lam))
-    standard = (
-        ComplexHyperplane((GQ_ONE, GQ_ZERO, GQ_ZERO)),
-        ComplexHyperplane((GQ_ZERO, GQ_ONE, GQ_ZERO)),
-        ComplexHyperplane((GQ_ZERO, GQ_ZERO, GQ_ONE)),
-        ComplexHyperplane((GQ_ONE, GQ_ONE, GQ_ONE)),
-    )
-    return matrix, standard
+    return matrix, tuple(inverse_complex(matrix))
 
 
 def _row_times_matrix(row: ComplexVector, matrix: Sequence[ComplexVector]) -> ComplexVector:
@@ -474,8 +473,7 @@ def witness_dim4_subspace(
     -Im(e^z)^2 < 0, so the two forms never vanish simultaneously on g.
     Both are pulled back to the original coordinates.
     """
-    matrix, _ = normalize_four(hyperplanes)
-    inv = inverse_complex(matrix)
+    matrix, inv = normalize_four(hyperplanes)
     g = ExpAffineCurve((exp_term(1, POLY_Z), exp_term(-1, POLY_Z), exp_term(1, (0, 2))))
     curve = ExpAffineCurve(tuple(apply_form(row, g) for row in inv))
     d1 = _row_times_matrix((GQ_ONE, gq(-1), GQ_ZERO), matrix)
@@ -487,17 +485,6 @@ def witness_dim4_subspace(
     return subspace, curve
 
 
-_TIED_PAIRS = ((1, 2), (1, 3), (2, 3))
-
-
-def _natural_tied_pair(pair: tuple[int, int]) -> tuple[int, int]:
-    j, k = pair
-    if k <= 3:
-        return (j, k)
-    (s, t) = tuple(i for i in (1, 2, 3) if i != j)
-    return (s, t)
-
-
 def witness_degenerate_pair(
     hyperplanes: Sequence[ComplexHyperplane],
     s: RealSubspace,
@@ -505,12 +492,19 @@ def witness_degenerate_pair(
 ) -> ExpAffineCurve:
     """A nonconstant-projection curve avoiding four hyperplanes and a real hyperplane.
 
-    The curve lives on a diagonal: two components are e and -e of one
-    exponent, the third is exponential of another, and the restriction of
-    the defining form of s is a constant, certified nonzero exactly.  The
-    search tries the diagonal matching the degenerate pair first and then
-    the other two; if no diagonal admits a bounded form it raises, since
-    on every diagonal the form then takes the value zero somewhere.
+    In standardised coordinates the curve lies on the diagonal through
+    H_j and H_k: its tied components a, b are (j, k) when k <= 3 and the
+    two indices of {1, 2, 3} other than j when k = 4; they carry e^h and
+    -e^h, and the free component u carries e^g.  The form alpha of s
+    restricts to T e^h + F e^g with T = alpha_a - alpha_b and F = alpha_u.
+    The degenerate triple puts alpha in the span of a_j and a_k, which
+    makes F = 0 (k <= 3) or T = 0 (k = 4).  If the other one is nonzero,
+    it gets a constant exponent with Re(T e^h) or Re(F e^g) nonzero and the
+    zero one the exponent z, so the form's restriction is a constant with
+    nonzero real part, certified exactly.  If both are zero, H~ is this
+    diagonal and the construction raises.  No other diagonal helps then:
+    on each of them T and F are both nonzero, so the real part of the
+    restriction vanishes somewhere unless the curve projects to a point.
     """
     if s.dimension != 5:
         raise ValueError("a real hyperplane is required")
@@ -522,38 +516,31 @@ def witness_degenerate_pair(
     alpha = holomorphic_coefficients(s.forms[0])
     if triple_rank(alpha, hyperplanes[j - 1].coefficients, hyperplanes[k - 1].coefficients) == 6:
         raise ValueError(f"triple for pair {pair} is in general position")
-    matrix, _ = normalize_four(hyperplanes)
-    inv = inverse_complex(matrix)
+    _, inv = normalize_four(hyperplanes)
     alpha_w = _row_times_matrix(alpha, inv)
-    natural = _natural_tied_pair(pair)
-    order = [natural] + [p for p in _TIED_PAIRS if p != natural]
-    for a, b in order:
-        u = next(i for i in (1, 2, 3) if i not in (a, b))
-        tied_coeff = alpha_w[a - 1] - alpha_w[b - 1]
-        free_coeff = alpha_w[u - 1]
-        if tied_coeff and not free_coeff:
-            c = first_constant_with_nonzero_re(tied_coeff)
-            tied_exp, free_exp = poly_constant(c), POLY_Z
-        elif free_coeff and not tied_coeff:
-            c = first_constant_with_nonzero_re(free_coeff)
-            tied_exp, free_exp = POLY_Z, poly_constant(c)
-        else:
-            continue
-        comps: list[ExpSum] = [ExpSum(())] * 3
-        comps[a - 1] = exp_term(1, tied_exp)
-        comps[b - 1] = exp_term(-1, tied_exp)
-        comps[u - 1] = exp_term(1, free_exp)
-        tied = ExpAffineCurve(tuple(comps))
-        curve = ExpAffineCurve(tuple(apply_form(row, tied) for row in inv))
-        for h in hyperplanes:
-            assert is_nowhere_zero(apply_form(h, curve)) == "yes"
-        value = constant_value(apply_form(alpha, curve))
-        assert value is not None and value.real_part()
-        assert not is_projectively_constant(curve)
-        return curve
-    raise ConstructionError(
-        "construction failed: the form vanishes somewhere on every diagonal"
-    )
+    a, b = (j, k) if k <= 3 else [i for i in (1, 2, 3) if i != j]
+    (u,) = {1, 2, 3} - {a, b}
+    tied_coeff = alpha_w[a - 1] - alpha_w[b - 1]
+    free_coeff = alpha_w[u - 1]
+    if tied_coeff:
+        tied_exp, free_exp = poly_constant(first_constant_with_nonzero_re(tied_coeff)), POLY_Z
+    elif free_coeff:
+        tied_exp, free_exp = POLY_Z, poly_constant(first_constant_with_nonzero_re(free_coeff))
+    else:
+        raise ConstructionError(
+            "construction failed: the form vanishes somewhere on every diagonal"
+        )
+    comps: list[ExpSum] = [ExpSum(())] * 3
+    comps[a - 1] = exp_term(1, tied_exp)
+    comps[b - 1] = exp_term(-1, tied_exp)
+    comps[u - 1] = exp_term(1, free_exp)
+    curve = ExpAffineCurve(tuple(apply_form(row, ExpAffineCurve(tuple(comps))) for row in inv))
+    for h in hyperplanes:
+        assert is_nowhere_zero(apply_form(h, curve)) == "yes"
+    value = constant_value(apply_form(alpha, curve))
+    assert value is not None and value.real_part()
+    assert not is_projectively_constant(curve)
+    return curve
 
 
 _STANDARD_TRIPLE = {

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,9 +22,12 @@ from curveavoid.arrangement import (
 )
 from curveavoid.curves import ConstructionError
 from curveavoid.exact_linalg import GQ_ZERO, gq, rank_complex, rank_real
+from curveavoid import projective
 from curveavoid.projective import ComplexHyperplane
+from curveavoid.scene import parse_scene
 
 F = Fraction
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 STANDARD = (
     ComplexHyperplane((1, 0, 0)),
@@ -255,6 +259,21 @@ class TestClassifier:
         concurrent = [STANDARD[0], STANDARD[1], ComplexHyperplane((1, 1, 0)), STANDARD[2]]
         with pytest.raises(ValueError, match="hyperplanes 1, 2, 3 are not in general position"):
             classify(concurrent, real_subspace(form))
+
+    def test_checks_general_position_once(self, monkeypatch):
+        """On the witness path the one general-position pass is `normalize_four`'s."""
+        calls = []
+        counted = projective.dependent_subset
+
+        def counting(*args):
+            calls.append(args)
+            return counted(*args)
+
+        monkeypatch.setattr(projective, "dependent_subset", counting)
+        scene = parse_scene((SCENES / "degenerate.scene").read_text())
+        hyperplanes = [scene.hyperplanes[n] for kind, n in scene.order if kind == "hyperplane"]
+        assert classify(hyperplanes, scene.reals["S"]).tag == WITNESS_EXISTS
+        assert len(calls) == 1
 
 
 PAIRS = list(combinations(range(4), 2))

@@ -294,27 +294,28 @@ class TestWitnessConstantProjection:
 
 
 class TestNormalizeFour:
+    IDENTITY = (
+        (GQ_ONE, GQ_ZERO, GQ_ZERO),
+        (GQ_ZERO, GQ_ONE, GQ_ZERO),
+        (GQ_ZERO, GQ_ZERO, GQ_ONE),
+    )
+
     def test_standard_is_identity(self):
-        matrix, standard = normalize_four(STANDARD)
-        assert matrix == (
-            (GQ_ONE, GQ_ZERO, GQ_ZERO),
-            (GQ_ZERO, GQ_ONE, GQ_ZERO),
-            (GQ_ZERO, GQ_ZERO, GQ_ONE),
-        )
-        assert [h.coefficients for h in standard] == [
-            (GQ_ONE, GQ_ZERO, GQ_ZERO),
-            (GQ_ZERO, GQ_ONE, GQ_ZERO),
-            (GQ_ZERO, GQ_ZERO, GQ_ONE),
-            (GQ_ONE, GQ_ONE, GQ_ONE),
-        ]
+        assert normalize_four(STANDARD) == (self.IDENTITY, self.IDENTITY)
 
     def test_scaled_fourth_hyperplane(self):
+        """With H4: z1 + 2 z2 + 3 z3 the matrix is diag(1, 2, 3), its inverse diag(1, 1/2, 1/3)."""
         hs = STANDARD[:3] + [ComplexHyperplane((1, 2, 3))]
-        matrix, _ = normalize_four(hs)
+        matrix, inverse = normalize_four(hs)
         assert matrix == (
             (GQ_ONE, GQ_ZERO, GQ_ZERO),
             (GQ_ZERO, gq(2), GQ_ZERO),
             (GQ_ZERO, GQ_ZERO, gq(3)),
+        )
+        assert inverse == (
+            (GQ_ONE, GQ_ZERO, GQ_ZERO),
+            (GQ_ZERO, gq(F(1, 2)), GQ_ZERO),
+            (GQ_ZERO, GQ_ZERO, gq(F(1, 3))),
         )
 
     def test_transformed_forms_are_standard(self):
@@ -325,7 +326,7 @@ class TestNormalizeFour:
             ComplexHyperplane((1, 0, 1)),
             ComplexHyperplane((2, 3, 1)),
         ]
-        matrix, standard = normalize_four(hs)
+        matrix, inverse = normalize_four(hs)
         # a_4 = sum of the matrix rows by construction
         total = tuple(
             sum((matrix[i][j] for i in range(3)), GQ_ZERO) for j in range(3)
@@ -333,6 +334,11 @@ class TestNormalizeFour:
         assert ComplexHyperplane(total) == hs[3]
         for i in range(3):
             assert ComplexHyperplane(matrix[i]) == hs[i]
+        for h, expected in zip(hs, self.IDENTITY + ((GQ_ONE, GQ_ONE, GQ_ONE),)):
+            pulled = tuple(
+                sum((h.coefficients[i] * inverse[i][j] for i in range(3)), GQ_ZERO) for j in range(3)
+            )
+            assert ComplexHyperplane(pulled) == ComplexHyperplane(expected)
 
     def test_gp_violation_reported(self):
         bad = STANDARD[:3] + [ComplexHyperplane((1, 1, 0))]
