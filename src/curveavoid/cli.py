@@ -189,7 +189,11 @@ def _cmd_classify(args: argparse.Namespace, scene: Scene) -> int:
     if verdict.witness is None:
         _emit(payload, lines, args.human)
         return 0
-    report = verify(verdict.witness, _witness_scene(hyperplanes, [(real_name, real)]), plan)
+    report = verify(
+        verdict.witness,
+        _witness_scene(hyperplanes, [(real_name, real)]),
+        plan,
+    )
     payload["witness"] = report.curve
     payload["report"] = report.to_dict()
     return _finish_verification(report, payload, args.human, lines)

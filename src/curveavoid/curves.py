@@ -498,13 +498,14 @@ def witness_degenerate_pair(
     -e^h, and the free component u carries e^g.  The form alpha of s
     restricts to T e^h + F e^g with T = alpha_a - alpha_b and F = alpha_u.
     The degenerate triple puts alpha in the span of a_j and a_k, which
-    makes F = 0 (k <= 3) or T = 0 (k = 4).  If the other one is nonzero,
-    it gets a constant exponent with Re(T e^h) or Re(F e^g) nonzero and the
-    zero one the exponent z, so the form's restriction is a constant with
-    nonzero real part, certified exactly.  If both are zero, H~ is this
-    diagonal and the construction raises.  No other diagonal helps then:
-    on each of them T and F are both nonzero, so the real part of the
-    restriction vanishes somewhere unless the curve projects to a point.
+    makes F = 0 (k <= 3) or T = 0 (k = 4).  When exactly one of T and F is
+    nonzero, its term gets a constant exponent c with nonzero real part
+    (see `first_constant_with_nonzero_re`) and the other term the exponent
+    z, so the form restricts to that constant, certified exactly.  When
+    both are zero, H~ is this diagonal and the construction raises.  No
+    other diagonal helps then: on each of them T and F are both nonzero,
+    so the real part of the restriction vanishes somewhere unless the
+    curve projects to a point.
     """
     if s.dimension != 5:
         raise ValueError("a real hyperplane is required")
@@ -534,7 +535,8 @@ def witness_degenerate_pair(
     comps[a - 1] = exp_term(1, tied_exp)
     comps[b - 1] = exp_term(-1, tied_exp)
     comps[u - 1] = exp_term(1, free_exp)
-    curve = ExpAffineCurve(tuple(apply_form(row, ExpAffineCurve(tuple(comps))) for row in inv))
+    tied = ExpAffineCurve(tuple(comps))
+    curve = ExpAffineCurve(tuple(apply_form(row, tied) for row in inv))
     for h in hyperplanes:
         assert is_nowhere_zero(apply_form(h, curve)) == "yes"
     value = constant_value(apply_form(alpha, curve))
