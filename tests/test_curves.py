@@ -471,8 +471,8 @@ class TestWitnessDegeneratePair:
             kind = rng.randrange(3)
             if kind == 0:
                 j, k = rng.sample(range(4), 2)
-                s_, t_ = gaussian(), gaussian()
-                alpha = tuple(s_ * x + t_ * y for x, y in zip(rows[j], rows[k]))
+                c_j, c_k = gaussian(), gaussian()
+                alpha = tuple(c_j * x + c_k * y for x, y in zip(rows[j], rows[k]))
             elif kind == 1:
                 c = nonzero_gaussian()
                 alpha = tuple(c * x for x in rng.choice(diagonals).form.coefficients)
