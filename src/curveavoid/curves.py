@@ -537,8 +537,7 @@ def witness_degenerate_pair(
     comps[u - 1] = exp_term(1, free_exp)
     tied = ExpAffineCurve(tuple(comps))
     curve = ExpAffineCurve(tuple(apply_form(row, tied) for row in inv))
-    for h in hyperplanes:
-        assert is_nowhere_zero(apply_form(h, curve)) == "yes"
+    assert all(is_nowhere_zero(apply_form(h, curve)) == "yes" for h in hyperplanes)
     value = constant_value(apply_form(alpha, curve))
     assert value is not None and value.real_part()
     assert not is_projectively_constant(curve)
