@@ -207,9 +207,14 @@ def classify(hyperplanes: Sequence[ComplexHyperplane], s: RealSubspace) -> Verdi
     With H~ the complex hyperplane inside s: if every triple (H~, H_j, H_k)
     is in general position, every entire curve avoiding the four hyperplanes
     and s projects to a constant in CP^2.  Otherwise a nonconstant witness
-    is constructed and attached to the verdict.  General position is checked
-    once on either path: here before a constant verdict, and by
-    `curves.normalize_four` before a witness.
+    is built on the diagonal through p = H_j cap H_k and q, the meet of the
+    other two hyperplanes, for the first deficient pair.  With alpha the
+    form of H~, three facts free of coordinates decide it: each H_i
+    vanishes at exactly one of p and q; alpha(p) = 0; and alpha(q) = 0
+    exactly when H~ is the line pq, the one case with no witness (see
+    `curves.witness_degenerate_pair`).  General position is checked once
+    on either path: here before a constant verdict, and by the witness
+    constructor before a witness.
     """
     evidence = triple_ranks(hyperplanes, s)
     degenerate = [t.pair for t in evidence if t.rank < 6]

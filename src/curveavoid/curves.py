@@ -19,7 +19,8 @@ from fractions import Fraction
 from itertools import combinations, count, product, zip_longest
 from typing import Iterable, Iterator, Sequence
 
-from .arrangement import RealSubspace, holomorphic_coefficients, re_part_form, triple_rank
+from .arrangement import RealSubspace, holomorphic_coefficients, re_part_form
+from .diagonals import intersection_point
 from .exact_linalg import (
     ComplexVector,
     GaussianRational,
@@ -57,10 +58,6 @@ def poly(coeffs: Sequence[GQLike]) -> Poly:
     while p and not p[-1]:
         p.pop()
     return tuple(p)
-
-
-def poly_constant(c: GQLike) -> Poly:
-    return poly((c,))
 
 
 def poly_eval(p: Poly, z: complex) -> complex:
@@ -492,20 +489,20 @@ def witness_degenerate_pair(
 ) -> ExpAffineCurve:
     """A nonconstant-projection curve avoiding four hyperplanes and a real hyperplane.
 
-    In standardised coordinates the curve lies on the diagonal through
-    H_j and H_k: its tied components a, b are (j, k) when k <= 3 and the
-    two indices of {1, 2, 3} other than j when k = 4; they carry e^h and
-    -e^h, and the free component u carries e^g.  The form alpha of s
-    restricts to T e^h + F e^g with T = alpha_a - alpha_b and F = alpha_u.
-    The degenerate triple puts alpha in the span of a_j and a_k, which
-    makes F = 0 (k <= 3) or T = 0 (k = 4).  When exactly one of T and F is
-    nonzero, its term gets a constant exponent c with nonzero real part
-    (see `first_constant_with_nonzero_re`) and the other term the exponent
-    z, so the form restricts to that constant, certified exactly.  When
-    both are zero, H~ is this diagonal and the construction raises.  No
-    other diagonal helps then: on each of them T and F are both nonzero,
-    so the real part of the restriction vanishes somewhere unless the
-    curve projects to a point.
+    The curve is e^c q + e^z p, on the diagonal through p = H_j cap H_k and
+    q, the meet of the other two hyperplanes.  With alpha the form of s,
+    three facts free of coordinates make it a witness:
+
+    - each H_i vanishes at exactly one of p and q, since no three of the
+      four meet, so it restricts to a single nowhere-zero term;
+    - alpha(p) = 0, since the degenerate triple puts alpha in the span of
+      a_j and a_k; so alpha restricts to the constant e^c alpha(q), and
+      `first_constant_with_nonzero_re` picks c to make its real part nonzero;
+    - alpha(q) = 0 exactly when H~ is the line pq, and then the
+      construction raises.  No other diagonal helps: pq meets each H_i
+      only at p or q, so alpha vanishes at neither point of another
+      diagonal, and the real part of its restriction to a curve there
+      vanishes somewhere unless the curve projects to a point.
     """
     if s.dimension != 5:
         raise ValueError("a real hyperplane is required")
@@ -514,29 +511,19 @@ def witness_degenerate_pair(
         raise ValueError("pair indices must satisfy 1 <= j < k <= 4")
     if len(hyperplanes) != 4:
         raise ValueError("exactly four hyperplanes are required")
+    require_general_position(hyperplanes, 3)
+    p = intersection_point([hyperplanes[j - 1], hyperplanes[k - 1]]).coords
+    q = intersection_point([h for i, h in enumerate(hyperplanes, 1) if i not in pair]).coords
     alpha = holomorphic_coefficients(s.forms[0])
-    if triple_rank(alpha, hyperplanes[j - 1].coefficients, hyperplanes[k - 1].coefficients) == 6:
+    at_p, at_q = (sum((a * x for a, x in zip(alpha, v)), GQ_ZERO) for v in (p, q))
+    if at_p:
         raise ValueError(f"triple for pair {pair} is in general position")
-    _, inv = normalize_four(hyperplanes)
-    alpha_w = _row_times_matrix(alpha, inv)
-    a, b = (j, k) if k <= 3 else [i for i in (1, 2, 3) if i != j]
-    (u,) = {1, 2, 3} - {a, b}
-    tied_coeff = alpha_w[a - 1] - alpha_w[b - 1]
-    free_coeff = alpha_w[u - 1]
-    if tied_coeff:
-        tied_exp, free_exp = poly_constant(first_constant_with_nonzero_re(tied_coeff)), POLY_Z
-    elif free_coeff:
-        tied_exp, free_exp = POLY_Z, poly_constant(first_constant_with_nonzero_re(free_coeff))
-    else:
+    if not at_q:
         raise ConstructionError(
             "construction failed: the form vanishes somewhere on every diagonal"
         )
-    comps: list[ExpSum] = [ExpSum(())] * 3
-    comps[a - 1] = exp_term(1, tied_exp)
-    comps[b - 1] = exp_term(-1, tied_exp)
-    comps[u - 1] = exp_term(1, free_exp)
-    tied = ExpAffineCurve(tuple(comps))
-    curve = ExpAffineCurve(tuple(apply_form(row, tied) for row in inv))
+    c = first_constant_with_nonzero_re(at_q)
+    curve = ExpAffineCurve(tuple(exp_term(x, (c,)) + exp_term(y, POLY_Z) for x, y in zip(q, p)))
     assert all(is_nowhere_zero(apply_form(h, curve)) == "yes" for h in hyperplanes)
     value = constant_value(apply_form(alpha, curve))
     assert value is not None and value.real_part()

@@ -261,7 +261,7 @@ class TestClassifier:
             classify(concurrent, real_subspace(form))
 
     def test_checks_general_position_once(self, monkeypatch):
-        """On the witness path the one general-position pass is `normalize_four`'s."""
+        """On the witness path the one general-position pass is `witness_degenerate_pair`'s."""
         calls = []
         counted = projective.dependent_subset
 

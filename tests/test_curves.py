@@ -448,7 +448,8 @@ class TestWitnessDegeneratePair:
         alpha is s a_j + t a_k, a multiple of a diagonal line's form, or
         random.  For each deficient pair (j, k) the construction fails
         exactly when H~ is the diagonal whose partition has {j, k} as a
-        block; otherwise its curve is verified exactly.
+        block; otherwise its curve lies on that diagonal and is verified
+        exactly.
         """
         rng = random.Random(1975)
 
@@ -496,7 +497,9 @@ class TestWitnessDegeneratePair:
                         witness_degenerate_pair(hyperplanes, s, t.pair)
                     outcomes["raised"] += 1
                     continue
-                report = verify(witness_degenerate_pair(hyperplanes, s, t.pair), scene)
+                curve = witness_degenerate_pair(hyperplanes, s, t.pair)
+                assert is_identically_zero(apply_form(diagonal.form.coefficients, curve))
+                report = verify(curve, scene)
                 assert report.all_avoided()
                 assert all(r.method == "exact" for r in report.results)
                 assert not report.projection_constant
