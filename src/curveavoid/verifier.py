@@ -12,16 +12,17 @@ zero nearest the origin as its sample, from the roots of the sum's unit
 polynomial (see `curves.unit_form`); a sum without a unit form carries a
 null sample.
 
-A real subspace is decided exactly when at most one of its defining forms
-restricts to a nonconstant g.  A constant restriction (linear independence
-of exponentials over the algebraic numbers) with nonzero real part means
-avoidance; one with zero real part holds everywhere and drops out.  A lone
-g takes an imaginary value (little Picard), so Re g vanishes, and the
-sample is a zero of g - it as for a hyperplane.  Any other subspace falls
-back to dense sampling over a disk with targeted refinement near the zero
-set of each individual form.  The `sampling` module is loaded only when a
-subspace needs it, or a unit polynomial of degree 3 or more needs its
-roots.
+A real subspace is decided exactly when the restrictions of its defining
+forms have nonconstant parts of real rank at most one.  A real combination
+of them whose nonconstant parts cancel is a constant (linear independence
+of exponentials over the algebraic numbers); one with nonzero real part
+means avoidance, one with zero real part holds everywhere and drops out.
+At rank one the first nonconstant restriction g takes an imaginary value
+(little Picard), so Re g vanishes, and the sample is a zero of g - it as
+for a hyperplane.  Any other subspace falls back to dense sampling over a
+disk with targeted refinement near the zero set of each individual form.
+The `sampling` module is loaded only when a subspace needs it, or a unit
+polynomial of degree 3 or more needs its roots.
 
 Sampling cannot prove avoidance.  Reports therefore label every verdict
 with the method that produced it, and sampled verdicts carry the minimum
@@ -58,7 +59,7 @@ from .curves import (
     terms_at,
     unit_form,
 )
-from .exact_linalg import GQ_I
+from .exact_linalg import GQ_I, GQ_ZERO, kernel_real
 from .scene import Scene, format_exp_sum
 
 AVOIDED = "avoided"
@@ -199,27 +200,34 @@ def _roots(values: list[complex]) -> list[complex]:
 
 
 def _exact_subspace_result(name: str, subspace: RealSubspace, curve: ExpAffineCurve) -> SetResult | None:
-    """The exact verdict for a real subspace, from the restrictions g of its forms to the curve.
+    """The exact verdict for a real subspace, from the restrictions g_k of its forms to the curve.
 
-    A constant g has Re g = 0 everywhere or nowhere (linear independence of
-    exponentials): one with Re g != 0 means avoidance, one with Re g = 0
-    drops out.  With no nonconstant g left the curve lies in the subspace.
-    With one, Re g vanishes where g = it (little Picard); t = 0 when g has a
-    constant group, else t = 1, and g - it has a zero (`is_nowhere_zero`).
-    With more, None.
+    A real combination of the g_k whose nonconstant terms cancel is a
+    constant c, and Re c = 0 everywhere or nowhere (linear independence of
+    exponentials): a c with Re c != 0 means avoidance, and one with
+    Re c = 0 holds everywhere and drops out.  The real rank of the
+    nonconstant parts then decides.  At rank 0 the curve lies in the
+    subspace.  At rank 1 the subspace is the zero set of Re g for the first
+    nonconstant g, which vanishes where g = it (little Picard); t = 0 when
+    g has a constant group, else t = 1, and g - it has a zero
+    (`is_nowhere_zero`).  Above rank 1, None.
     """
-    nonconstant = []
-    for form in subspace.forms:
-        g = apply_form(holomorphic_coefficients(form), curve)
-        if constant_value(g) is None:
-            nonconstant.append(g)
-        elif g.real_part():
+    restrictions = [apply_form(holomorphic_coefficients(form), curve) for form in subspace.forms]
+    coeffs = [{t.exponent: t.coeff for t in g.terms} for g in restrictions]
+    exponents = {e for terms in coeffs for e in terms if len(e) > 1}
+    entries = [[terms.get(e, GQ_ZERO) for terms in coeffs] for e in exponents]
+    rows = [[getattr(x, part) for x in row] for row in entries for part in ("re", "im")]
+    kernel = kernel_real(rows, len(restrictions))
+    for combination in kernel:
+        c = sum((g.scale(x) for x, g in zip(combination, restrictions)), ExpSum(()))
+        if c.real_part():
             return SetResult(name, "exact", AVOIDED, None, None)
-    if not nonconstant:
+    rank = len(restrictions) - len(kernel)
+    if rank == 0:
         return SetResult(name, "exact", ZERO_SET_HIT, None, (0.0, 0.0))
-    if len(nonconstant) > 1:
+    if rank > 1:
         return None
-    (g,) = nonconstant
+    g = next(g for g in restrictions if constant_value(g) is None)
     if POLY_ZERO not in _direction_groups(g):
         g = g - exp_term(GQ_I)
     return _exact_hyperplane_result(name, g)

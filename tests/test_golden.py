@@ -58,6 +58,8 @@ COMMANDS = (
     ("verify-reduced-hit", ("verify", "--curve", "f", "scenes/reduced_hit.scene"), 1),
     # four hyperplanes not in general position, although every triple rank is 6
     ("classify-concurrent", ("classify", "scenes/concurrent.scene"), 2),
+    # a real subspace whose two restrictions share their nonconstant part, met by little Picard
+    ("verify-proportional-hit", ("verify", "--curve", "f", "scenes/proportional_hit.scene"), 1),
 )
 
 

@@ -73,12 +73,15 @@ def test_verify_loads_numpy_when_a_set_needs_sampling():
 def test_closed_form_hits_never_load_numpy():
     """scenes/far_hit.scene (H1 met, two linear groups; H2 avoided; the real
     hyperplane S met by little Picard), scenes/hyperplane_hits.scene (H4
-    met where w^2 + w - 1 = 0) and scenes/reduced_hit.scene (S met by little
-    Picard once a form that holds everywhere drops out)."""
+    met where w^2 + w - 1 = 0), scenes/reduced_hit.scene (S met by little
+    Picard once a form that holds everywhere drops out) and
+    scenes/proportional_hit.scene (S met by little Picard once a real
+    combination of its forms that holds everywhere drops out)."""
     commands = [
         ("verify", "--curve", "f", "scenes/far_hit.scene"),
         ("verify", "--curve", "g", "scenes/hyperplane_hits.scene"),
         ("verify", "--curve", "f", "scenes/reduced_hit.scene"),
+        ("verify", "--curve", "f", "scenes/proportional_hit.scene"),
     ]
     assert _numpy_after_each(commands) == [["import curveavoid", None, False]] + [
         [" ".join(argv), 1, False] for argv in commands

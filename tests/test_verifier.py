@@ -124,6 +124,15 @@ class TestExactPaths:
             ("H1", VIOLATED), ("H2", AVOIDED),
         ]
 
+    def test_proportional_restrictions_are_decided_exactly(self):
+        """S's forms restrict to e^z + 1 and e^z + 1 + c.  On f, c = i drops out
+        and S is met where e^z = -1; on g, c = 1 + i has real part 1, so g avoids S."""
+        scene = parse_scene((SCENES / "proportional_hit.scene").read_text())
+        (hit,) = verify(scene.curves["f"], scene).results
+        assert (hit.method, hit.verdict, hit.violation_sample) == ("exact", VIOLATED, (0.0, math.pi))
+        (avoided,) = verify(scene.curves["g"], scene).results
+        assert (avoided.method, avoided.verdict, avoided.min_margin) == ("exact", AVOIDED, None)
+
     def test_nonlinear_direction_difference_has_closed_form(self):
         """e^(z^2 + z) - e^(z^2) = e^(z^2) (e^z - 1) vanishes at 0."""
         scene, f = scene_and_curve(
