@@ -47,20 +47,8 @@ def _gq_str_vector(coords) -> list[str]:
     return [str(c) for c in coords]
 
 
-def _ordered_hyperplanes(scene: Scene) -> list[tuple[str, ComplexHyperplane]]:
-    return [
-        (name, scene.hyperplanes[name])
-        for kind, name in scene.order
-        if kind == "hyperplane"
-    ]
-
-
-def _ordered_reals(scene: Scene) -> list[tuple[str, RealSubspace]]:
-    return [(name, scene.reals[name]) for kind, name in scene.order if kind == "real"]
-
-
 def _the_real_hyperplane(scene: Scene) -> tuple[str, RealSubspace]:
-    reals = [(n, s) for n, s in _ordered_reals(scene) if s.dimension == 5]
+    reals = [(n, s) for n, s in scene.reals.items() if s.dimension == 5]
     if len(reals) != 1:
         raise ValueError("the scene must declare exactly one 5-dimensional real subspace")
     return reals[0]
@@ -117,10 +105,8 @@ def _finish_verification(report: VerificationReport, payload: dict, human: bool,
 # subcommands
 
 def _cmd_gp_check(args: argparse.Namespace, scene: Scene) -> int:
-    members: list[tuple[str, RealSubspace]] = [
-        (name, realify(h)) for name, h in _ordered_hyperplanes(scene)
-    ]
-    members += [(n, s) for n, s in _ordered_reals(scene) if s.dimension == 4]
+    members = [(name, realify(h)) for name, h in scene.hyperplanes.items()]
+    members += [(n, s) for n, s in scene.reals.items() if s.dimension == 4]
     subset = dependent_subset([s.forms for _, s in members], 3)
     failing = None if subset is None else [members[i][0] for i in subset]
     ok = failing is None
@@ -141,7 +127,7 @@ def _cmd_gp_check(args: argparse.Namespace, scene: Scene) -> int:
 
 
 def _cmd_diagonals(args: argparse.Namespace, scene: Scene) -> int:
-    hyperplanes = _ordered_hyperplanes(scene)
+    hyperplanes = list(scene.hyperplanes.items())
     diagonals = enumerate_diagonals([h for _, h in hyperplanes])
     entries = []
     lines = [f"{len(diagonals)} diagonals of {len(hyperplanes)} hyperplanes"]
@@ -171,7 +157,7 @@ def _cmd_diagonals(args: argparse.Namespace, scene: Scene) -> int:
 
 def _cmd_classify(args: argparse.Namespace, scene: Scene) -> int:
     plan = _plan_from_args(args)
-    hyperplanes = _ordered_hyperplanes(scene)
+    hyperplanes = list(scene.hyperplanes.items())
     if len(hyperplanes) != 4:
         raise ValueError("classification needs exactly four complex hyperplanes")
     real_name, real = _the_real_hyperplane(scene)
@@ -200,7 +186,7 @@ def _cmd_classify(args: argparse.Namespace, scene: Scene) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace, scene: Scene) -> int:
-    hyperplanes = _ordered_hyperplanes(scene)
+    hyperplanes = list(scene.hyperplanes.items())
     plan = _plan_from_args(args)
     payload: dict = {"construction": args.construction}
     extra: list[str] = []
