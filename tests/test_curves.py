@@ -39,10 +39,12 @@ from curveavoid.curves import (
     witness_three_hyperplanes,
 )
 from curveavoid.diagonals import enumerate_diagonals
-from curveavoid.exact_linalg import GQ_ONE, GQ_ZERO, gq, rank_complex
+from curveavoid.exact_linalg import GQ_ONE, GQ_ZERO, gq, kernel_complex, rank_complex
 from curveavoid.projective import ComplexHyperplane, ProjLine
 from curveavoid.scene import Scene
 from curveavoid.verifier import verify
+
+from test_exact_linalg import reference_inverse
 
 F = Fraction
 
@@ -56,6 +58,28 @@ STANDARD = [
 
 def real_subspace(*forms):
     return RealSubspace(tuple(tuple(F(x) for x in f) for f in forms))
+
+
+def gaussian(rng):
+    return gq(rng.randint(-3, 3), rng.randint(-3, 3))
+
+
+def nonzero_gaussian(rng):
+    return next(c for c in iter(lambda: gaussian(rng), None) if c)
+
+
+def standard_four_image(rng):
+    """A random GL3(Q(i)) image of the standard four, or None for a singular draw.
+
+    Returns the rows a1, a2, a3, a1 + a2 + a3 and the four hyperplanes,
+    each row scaled by its own nonzero Gaussian integer.
+    """
+    rows = [tuple(gaussian(rng) for _ in range(3)) for _ in range(3)]
+    if rank_complex(rows) < 3:
+        return None
+    rows.append(tuple(a + b + c for a, b, c in zip(*rows)))
+    scales = [nonzero_gaussian(rng) for _ in rows]
+    return rows, [ComplexHyperplane(tuple(c * x for x in row)) for c, row in zip(scales, rows)]
 
 
 class TestExpSumCanonicalisation:
@@ -372,6 +396,39 @@ class TestWitnessDim4:
             (1, 0, -2, 0, 0, 0), (1, 0, 0, 0, -3, 0)
         )
 
+    def test_matches_the_pullback_on_random_arrangements(self):
+        """On random images of the standard four, the witness is the standard pair pulled back.
+
+        The reference standardises the lines as w = M z, with a4 = sum of
+        lambda_i a_i and row i of M equal to lambda_i a_i, and pulls back
+        g = (e^z, -e^z, e^(2z)) through M^-1 and the forms w1 - w2, w1 - w3
+        through M.  The curve lies on the diagonal 1,2 | 3,4.
+        """
+        rng = random.Random(2019)
+        checked = 0
+        for _ in range(150):
+            image = standard_four_image(rng)
+            if image is None:
+                continue
+            _, hyperplanes = image
+            a = [h.coefficients for h in hyperplanes]
+            (mu,) = kernel_complex([[row[j] for row in (a[3], *a[:3])] for j in range(3)])
+            matrix = [tuple(-m * x for x in row) for m, row in zip(mu[1:], a[:3])]
+            inverse = reference_inverse(matrix)
+            expected_curve = ExpAffineCurve(
+                tuple(exp_term(r[0] - r[1], POLY_Z) + exp_term(r[2], (0, 2)) for r in inverse)
+            )
+            expected_forms = tuple(
+                re_part_form([x - y for x, y in zip(matrix[0], matrix[k])]) for k in (1, 2)
+            )
+            subspace, curve = witness_dim4_subspace(hyperplanes)
+            assert curve == expected_curve
+            assert subspace == RealSubspace(expected_forms)
+            (diagonal,) = [d for d in enumerate_diagonals(hyperplanes) if d.partition.left == (1, 2)]
+            assert is_identically_zero(apply_form(diagonal.form.coefficients, curve))
+            checked += 1
+        assert checked >= 100
+
     def test_forms_never_vanish_together_on_samples(self):
         """Where Re(e^z) is small, Re(e^2z) is negative and bounded away."""
         subspace, curve = witness_dim4_subspace(STANDARD)
@@ -452,33 +509,24 @@ class TestWitnessDegeneratePair:
         exactly.
         """
         rng = random.Random(1975)
-
-        def gaussian():
-            return gq(rng.randint(-3, 3), rng.randint(-3, 3))
-
-        def nonzero_gaussian():
-            return next(c for c in iter(gaussian, None) if c)
-
         outcomes = {"raised": 0, "witnessed": 0}
         started = time.perf_counter()
         for _ in range(150):
-            rows = [tuple(gaussian() for _ in range(3)) for _ in range(3)]
-            if rank_complex(rows) < 3:
+            image = standard_four_image(rng)
+            if image is None:
                 continue
-            rows.append(tuple(a + b + c for a, b, c in zip(*rows)))
-            scales = [nonzero_gaussian() for _ in rows]
-            hyperplanes = [ComplexHyperplane(tuple(c * x for x in row)) for c, row in zip(scales, rows)]
+            rows, hyperplanes = image
             diagonals = enumerate_diagonals(hyperplanes)
             kind = rng.randrange(3)
             if kind == 0:
                 j, k = rng.sample(range(4), 2)
-                c_j, c_k = gaussian(), gaussian()
+                c_j, c_k = gaussian(rng), gaussian(rng)
                 alpha = tuple(c_j * x + c_k * y for x, y in zip(rows[j], rows[k]))
             elif kind == 1:
-                c = nonzero_gaussian()
+                c = nonzero_gaussian(rng)
                 alpha = tuple(c * x for x in rng.choice(diagonals).form.coefficients)
             else:
-                alpha = tuple(gaussian() for _ in range(3))
+                alpha = tuple(gaussian(rng) for _ in range(3))
             if not any(alpha):
                 continue
             s = RealSubspace((re_part_form(alpha),))
