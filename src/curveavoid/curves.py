@@ -22,14 +22,12 @@ from typing import Iterable, Iterator, Sequence
 from .arrangement import RealSubspace, holomorphic_coefficients, re_part_form
 from .diagonals import intersection_point
 from .exact_linalg import (
-    ComplexVector,
     GaussianRational,
     GQLike,
     GQ_I,
     GQ_ONE,
     GQ_ZERO,
     gq,
-    inverse_complex,
     kernel_complex,
 )
 from .projective import ComplexHyperplane, require_general_position
@@ -428,36 +426,8 @@ def witness_constant_projection(hyperplanes: Sequence[ComplexHyperplane]) -> Exp
     raise AssertionError("unreachable")
 
 
-def normalize_four(
-    hyperplanes: Sequence[ComplexHyperplane],
-) -> tuple[tuple[ComplexVector, ...], tuple[ComplexVector, ...]]:
-    """Exact change of coordinates w = M z standardising four hyperplanes: M and M^-1.
-
-    A form a on z reads a M^-1 on w, and the four forms become w1, w2, w3,
-    w1+w2+w3 (the first three exactly, the last up to the original
-    scaling).  Requires every three of the coefficient vectors to be
-    independent.
-    """
-    if len(hyperplanes) != 4:
-        raise ValueError("exactly four hyperplanes are required")
-    if any(len(h.coefficients) != 3 for h in hyperplanes):
-        raise ValueError("hyperplanes live in C^3")
-    require_general_position(hyperplanes, 3)
-    rows = [h.coefficients for h in hyperplanes]
-    # the relations among the columns (rows[3], rows[0], rows[1], rows[2]) are
-    # spanned by one kernel vector, scaled to (1, -lambda_1, -lambda_2, -lambda_3)
-    (mu,) = kernel_complex([[row[j] for row in (rows[3], *rows[:3])] for j in range(3)])
-    lam = [-x for x in mu[1:]]
-    assert all(lam)
-    matrix = tuple(tuple(l * a for a in rows[i]) for i, l in enumerate(lam))
-    return matrix, tuple(inverse_complex(matrix))
-
-
-def _row_times_matrix(row: ComplexVector, matrix: Sequence[ComplexVector]) -> ComplexVector:
-    return tuple(
-        sum((row[i] * matrix[i][j] for i in range(len(matrix))), GQ_ZERO)
-        for j in range(len(matrix[0]))
-    )
+def _at(form: Sequence[GaussianRational], point: Sequence[GaussianRational]) -> GaussianRational:
+    return sum((a * x for a, x in zip(form, point)), GQ_ZERO)
 
 
 def witness_dim4_subspace(
@@ -465,19 +435,34 @@ def witness_dim4_subspace(
 ) -> tuple[RealSubspace, ExpAffineCurve]:
     """A 4-dimensional real subspace and a curve with nonconstant projection.
 
-    In standardised coordinates the pair is H = {x1 - x2 = 0, x1 - x3 = 0}
-    and g = (e^z, -e^z, e^(2z)); where Re(e^z) vanishes, Re(e^(2z)) equals
-    -Im(e^z)^2 < 0, so the two forms never vanish simultaneously on g.
-    Both are pulled back to the original coordinates.
+    Write a4 = lambda1 a1 + lambda2 a2 + lambda3 a3.  The curve is
+    e^z q + e^(2z) p, on the diagonal 1,2 | 3,4 through p = H1 cap H2,
+    scaled to a4(p) = 1, and q = H3 cap H4, scaled to lambda1 a1(q) = 1.
+    Each H_i vanishes at exactly one of p and q, since no three of the four
+    meet, so it restricts to a single nowhere-zero term.  In the
+    coordinates w_i = lambda_i a_i(z) the points are p = (0, 0, 1) and
+    q = (1, -1, 0), so the curve is (e^z, -e^z, e^(2z)) and the subspace is
+    {Re(w1 - w2) = 0, Re(w1 - w3) = 0}; where Re(e^z) vanishes, Re(e^(2z))
+    equals -Im(e^z)^2 < 0, so the two forms never vanish together on it.
     """
-    matrix, inv = normalize_four(hyperplanes)
-    g = ExpAffineCurve((exp_term(1, POLY_Z), exp_term(-1, POLY_Z), exp_term(1, (0, 2))))
-    curve = ExpAffineCurve(tuple(apply_form(row, g) for row in inv))
-    d1 = _row_times_matrix((GQ_ONE, gq(-1), GQ_ZERO), matrix)
-    d2 = _row_times_matrix((GQ_ONE, GQ_ZERO, gq(-1)), matrix)
-    subspace = RealSubspace((re_part_form(d1), re_part_form(d2)))
-    for h in hyperplanes:
-        assert is_nowhere_zero(apply_form(h, curve)) == "yes"
+    if len(hyperplanes) != 4:
+        raise ValueError("exactly four hyperplanes are required")
+    if any(len(h.coefficients) != 3 for h in hyperplanes):
+        raise ValueError("hyperplanes live in C^3")
+    require_general_position(hyperplanes, 3)
+    a = [h.coefficients for h in hyperplanes]
+    # the relations among the columns (a4, a1, a2, a3) are spanned by one
+    # kernel vector, scaled to (1, -lambda1, -lambda2, -lambda3)
+    (mu,) = kernel_complex([[row[j] for row in (a[3], *a[:3])] for j in range(3)])
+    w = [[-m * x for x in row] for m, row in zip(mu[1:], a[:3])]
+    p = intersection_point(hyperplanes[:2]).coords
+    q = intersection_point(hyperplanes[2:]).coords
+    at_p, at_q = _at(a[3], p), _at(w[0], q)
+    curve = ExpAffineCurve(
+        tuple(exp_term(y / at_q, POLY_Z) + exp_term(x / at_p, (0, 2)) for x, y in zip(p, q))
+    )
+    subspace = RealSubspace(tuple(re_part_form([x - y for x, y in zip(w[0], w[k])]) for k in (1, 2)))
+    assert all(is_nowhere_zero(apply_form(h, curve)) == "yes" for h in hyperplanes)
     assert not is_projectively_constant(curve)
     return subspace, curve
 
@@ -515,7 +500,7 @@ def witness_degenerate_pair(
     p = intersection_point([hyperplanes[j - 1], hyperplanes[k - 1]]).coords
     q = intersection_point([h for i, h in enumerate(hyperplanes, 1) if i not in pair]).coords
     alpha = holomorphic_coefficients(s.forms[0])
-    at_p, at_q = (sum((a * x for a, x in zip(alpha, v)), GQ_ZERO) for v in (p, q))
+    at_p, at_q = _at(alpha, p), _at(alpha, q)
     if at_p:
         raise ValueError(f"triple for pair {pair} is in general position")
     if not at_q:

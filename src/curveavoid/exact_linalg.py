@@ -5,7 +5,7 @@ complement computation on a small matrix.  All of it is exact: entries are
 `fractions.Fraction` or `GaussianRational`, and elimination never rounds,
 so "in general position" is decided by arithmetic, not by tolerances.
 
-Every rank, kernel and inverse comes from one kernel, `_eliminate`:
+Every rank and kernel comes from one kernel, `_eliminate`:
 fraction-free Gauss-Jordan elimination over the Gaussian integers Z[i],
 after Bareiss (1968, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination").  Each row is first multiplied by
@@ -311,15 +311,3 @@ def orthogonal_complement(rows: Sequence[Sequence[RationalLike]]) -> list[Ration
     """
     return kernel_real(rows, 6)
 
-
-def inverse_complex(rows: Sequence[Sequence[GQLike]]) -> list[ComplexVector]:
-    """Exact inverse of a square matrix over Q(i)."""
-    m = _complex_rows(rows)
-    n = len(m)
-    if n == 0 or _check_rect(m) != n:
-        raise ValueError("inverse of a non-square matrix")
-    augmented = [row + [GQ_ONE if i == j else GQ_ZERO for j in range(n)] for i, row in enumerate(m)]
-    reduced, pivots = _rref(augmented)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [tuple(reduced[i][n:]) for i in range(n)]

@@ -31,7 +31,6 @@ from curveavoid.curves import (
     is_identically_zero,
     is_nowhere_zero,
     is_projectively_constant,
-    normalize_four,
     unit_form,
     witness_constant_projection,
     witness_degenerate_pair,
@@ -39,7 +38,7 @@ from curveavoid.curves import (
     witness_three_hyperplanes,
 )
 from curveavoid.diagonals import enumerate_diagonals
-from curveavoid.exact_linalg import GQ_ONE, GQ_ZERO, gq, kernel_complex, rank_complex
+from curveavoid.exact_linalg import GQ_ZERO, gq, kernel_complex, rank_complex
 from curveavoid.projective import ComplexHyperplane, ProjLine
 from curveavoid.scene import Scene
 from curveavoid.verifier import verify
@@ -318,56 +317,12 @@ class TestWitnessConstantProjection:
 
 
 class TestNormalizeFour:
-    IDENTITY = (
-        (GQ_ONE, GQ_ZERO, GQ_ZERO),
-        (GQ_ZERO, GQ_ONE, GQ_ZERO),
-        (GQ_ZERO, GQ_ZERO, GQ_ONE),
-    )
-
-    def test_standard_is_identity(self):
-        assert normalize_four(STANDARD) == (self.IDENTITY, self.IDENTITY)
-
-    def test_scaled_fourth_hyperplane(self):
-        """With H4: z1 + 2 z2 + 3 z3 the matrix is diag(1, 2, 3), its inverse diag(1, 1/2, 1/3)."""
-        hs = STANDARD[:3] + [ComplexHyperplane((1, 2, 3))]
-        matrix, inverse = normalize_four(hs)
-        assert matrix == (
-            (GQ_ONE, GQ_ZERO, GQ_ZERO),
-            (GQ_ZERO, gq(2), GQ_ZERO),
-            (GQ_ZERO, GQ_ZERO, gq(3)),
-        )
-        assert inverse == (
-            (GQ_ONE, GQ_ZERO, GQ_ZERO),
-            (GQ_ZERO, gq(F(1, 2)), GQ_ZERO),
-            (GQ_ZERO, GQ_ZERO, gq(F(1, 3))),
-        )
-
-    def test_transformed_forms_are_standard(self):
-        """Each original form composed with M^-1 lands on a standard form."""
-        hs = [
-            ComplexHyperplane((1, 2, 0)),
-            ComplexHyperplane((0, 1, gq(0, 1))),
-            ComplexHyperplane((1, 0, 1)),
-            ComplexHyperplane((2, 3, 1)),
-        ]
-        matrix, inverse = normalize_four(hs)
-        # a_4 = sum of the matrix rows by construction
-        total = tuple(
-            sum((matrix[i][j] for i in range(3)), GQ_ZERO) for j in range(3)
-        )
-        assert ComplexHyperplane(total) == hs[3]
-        for i in range(3):
-            assert ComplexHyperplane(matrix[i]) == hs[i]
-        for h, expected in zip(hs, self.IDENTITY + ((GQ_ONE, GQ_ONE, GQ_ONE),)):
-            pulled = tuple(
-                sum((h.coefficients[i] * inverse[i][j] for i in range(3)), GQ_ZERO) for j in range(3)
-            )
-            assert ComplexHyperplane(pulled) == ComplexHyperplane(expected)
+    """The four lines standardise only when no three of them meet."""
 
     def test_gp_violation_reported(self):
         bad = STANDARD[:3] + [ComplexHyperplane((1, 1, 0))]
         with pytest.raises(ValueError, match="1, 2, 4"):
-            normalize_four(bad)
+            witness_dim4_subspace(bad)
 
 
 class TestWitnessDim4:

@@ -11,7 +11,6 @@ from curveavoid.exact_linalg import (
     GaussianRational,
     _rref,
     gq,
-    inverse_complex,
     kernel_complex,
     kernel_real,
     orthogonal_complement,
@@ -133,21 +132,6 @@ class TestRankAndKernel:
             assert sum(vec, GQ_ZERO) == GQ_ZERO
 
 
-class TestSolveAndInverse:
-    def test_inverse(self):
-        m = [(gq(1), gq(2), gq(0)), (gq(0), gq(1), gq(0)), (gq(0, 1), gq(0), gq(1))]
-        inv = inverse_complex(m)
-        for i in range(3):
-            for j in range(3):
-                entry = sum((m[i][k] * inv[k][j] for k in range(3)), GQ_ZERO)
-                assert entry == (GQ_ONE if i == j else GQ_ZERO)
-
-    def test_inverse_singular(self):
-        m = [(gq(1), gq(1), gq(0)), (gq(2), gq(2), gq(0)), (gq(0), gq(0), gq(1))]
-        with pytest.raises(ValueError):
-            inverse_complex(m)
-
-
 @st.composite
 def rational_matrices(draw, width=6):
     depth = draw(st.integers(min_value=0, max_value=width))
@@ -233,6 +217,7 @@ def reference_kernel(rows, width, one):
 
 
 def reference_inverse(rows):
+    """The inverse read off `reference_rref` of [rows | I], or None for a singular matrix."""
     n = len(rows)
     eye = [[GQ_ONE if i == j else GQ_ZERO for j in range(n)] for i in range(n)]
     reduced, pivots = reference_rref([list(r) + e for r, e in zip(rows, eye)])
@@ -290,13 +275,3 @@ def test_complex_kernel_matches_reference(rows, data):
     assert _rref(rows) == (reduced, pivots)
     assert rank_complex(rows) == len(pivots)
     assert kernel_complex(rows, width) == reference_kernel(rows, width, GQ_ONE)
-    if not rows:
-        return
-    k = min(len(rows), width)
-    square = [r[:k] for r in rows[:k]]
-    expected = reference_inverse(square)
-    if expected is None:
-        with pytest.raises(ValueError):
-            inverse_complex(square)
-    else:
-        assert inverse_complex(square) == expected
