@@ -25,6 +25,7 @@ from curveavoid.arrangement import (
     realify,
     triple_ranks,
 )
+from curveavoid.cli import _witness_scene
 from curveavoid.curves import (
     POLY_Z,
     POLY_ZERO,
@@ -174,18 +175,9 @@ def _random_gp_hyperplane_pairs(rng):
             return pairs
 
 
-def _witness_scene(hyperplanes, subspace):
-    names = tuple(f"H{i + 1}" for i in range(len(hyperplanes)))
-    return Scene(
-        hyperplanes=dict(zip(names, hyperplanes)),
-        reals={"S": subspace},
-        curves={},
-        order=tuple(("hyperplane", n) for n in names) + (("real", "S"),),
-    )
-
-
 def _assert_witness_verifies(hyperplanes, subspace, witness):
-    report = verify(witness, _witness_scene(hyperplanes, subspace))
+    named = [(f"H{i + 1}", h) for i, h in enumerate(hyperplanes)]
+    report = verify(witness, _witness_scene(named, [("S", subspace)]))
     assert report.all_avoided()
     assert all(r.method == "exact" for r in report.results)
     assert not report.projection_constant
