@@ -27,7 +27,6 @@ from .curves import (
     ExpSum,
     apply_form,
     constant_value,
-    enumerate_gaussian_rationals,
     exp_sum,
     exp_term,
     is_identically_zero,
@@ -92,7 +91,6 @@ __all__ = [
     "collapse_real_form",
     "constant_value",
     "enumerate_diagonals",
-    "enumerate_gaussian_rationals",
     "enumerate_partitions",
     "exp_sum",
     "exp_term",

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, product, zip_longest
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .arrangement import RealSubspace, holomorphic_coefficients, re_part_form
 from .diagonals import intersection_point
@@ -344,86 +344,38 @@ def is_projectively_constant(f: ExpAffineCurve) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# deterministic coefficient search
-
-def enumerate_gaussian_rationals() -> Iterator[GaussianRational]:
-    """All Gaussian rationals, by height then a fixed tie-break.
-
-    The sequence starts 0, 1, -1, i, -i, 1+i, ...; its order is part of the
-    contract of the witness constructors, which take the first admissible
-    value.
-    """
-
-    def order_key(q: GaussianRational) -> tuple:
-        nonzero = int(bool(q.re)) + int(bool(q.im))
-        imag_only = 1 if (nonzero == 1 and q.im) else 0
-        return (nonzero, imag_only, abs(q.re), q.re < 0, abs(q.im), q.im < 0)
-
-    for h in count(1):
-        parts = {
-            Fraction(a, b)
-            for b in range(1, h + 1)
-            for a in range(-h, h + 1)
-        }
-        ring = [
-            GaussianRational(re, im)
-            for re in parts
-            for im in parts
-            if max(
-                abs(re.numerator), re.denominator, abs(im.numerator), im.denominator
-            ) == h
-        ]
-        ring.sort(key=order_key)
-        yield from ring
-
-
-def enumerate_coefficient_pairs() -> Iterator[tuple[GaussianRational, GaussianRational]]:
-    """Pairs of Gaussian rationals, diagonal by diagonal, deterministically."""
-    cache: list[GaussianRational] = []
-    gen = enumerate_gaussian_rationals()
-    for n in count(0):
-        cache.append(next(gen))
-        for i in range(n):
-            yield cache[i], cache[n]
-        for j in range(n):
-            yield cache[n], cache[j]
-        yield cache[n], cache[n]
-
+# witness constructions
 
 def first_constant_with_nonzero_re(b: GaussianRational) -> GaussianRational:
-    """The first c of `enumerate_gaussian_rationals` with Re(b e^c) != 0: 0 if Re b != 0, else i.
+    """A constant c with Re(b e^c) != 0: 0 if Re b != 0, else i.
 
-    The enumeration starts 0, 1, -1, i.  Write c = u + vi.  For v = 0 the
-    value is e^u Re(b), so a real c works exactly when Re b != 0.  For
-    rational v != 0, Re(b e^c) = 0 would force e^(2iv) to equal the
-    algebraic number -conj(b)/b, which Lindemann rules out; so c = i works
-    for every b != 0.  b = 0 has no such c and is a ValueError.
+    Write c = u + vi.  For v = 0 the value is e^u Re(b), so a real c works
+    exactly when Re b != 0.  For rational v != 0, Re(b e^c) = 0 would force
+    e^(2iv) to equal the algebraic number -conj(b)/b, which Lindemann rules
+    out; so c = i works for every b != 0.  b = 0 has none: a ValueError.
     """
     if not b:
         raise ValueError("Re(0 * e^c) is 0 for every c")
     return GQ_ZERO if b.re else GQ_I
 
 
-# ---------------------------------------------------------------------------
-# witness constructions
-
 def witness_constant_projection(hyperplanes: Sequence[ComplexHyperplane]) -> ExpAffineCurve:
-    """A curve (e^z, c2 e^z, c3 e^z) avoiding every listed hyperplane.
+    """A curve (e^z, t e^z, t^2 e^z) avoiding every listed hyperplane.
 
-    Takes the first pair (c2, c3) in the fixed enumeration with
-    a1 + a2 c2 + a3 c3 != 0 for every listed coefficient vector; each such
-    condition removes one line from the search plane, so the scan ends.
-    The projective image is the single point [1 : c2 : c3].
+    Its projective image is the single point [1 : t : t^2] of the conic,
+    for the first integer t = 0, 1, 2, ... with a1 + a2 t + a3 t^2 != 0 for
+    every distinct listed form a; each form then restricts to a nonzero
+    multiple of e^z.  That polynomial in t is nonzero because a is, so it
+    has at most two roots: m distinct forms rule out at most 2m of the
+    2m + 1 integers 0..2m, and t <= 2m.
     """
     if len(hyperplanes) < 5:
         raise ValueError("this construction is for five or more hyperplanes")
     if any(len(h.coefficients) != 3 for h in hyperplanes):
         raise ValueError("hyperplanes live in C^3")
-    conditions = {h.canonical() for h in hyperplanes}
-    for c2, c3 in enumerate_coefficient_pairs():
-        if all(a[0] + a[1] * c2 + a[2] * c3 for a in conditions):
-            return ExpAffineCurve.from_terms((1, POLY_Z), (c2, POLY_Z), (c3, POLY_Z))
-    raise AssertionError("unreachable")
+    forms = {h.canonical() for h in hyperplanes}
+    t = next(t for t in count() if all(a[0] + a[1] * t + a[2] * t * t for a in forms))
+    return ExpAffineCurve.from_terms((1, POLY_Z), (t, POLY_Z), (t * t, POLY_Z))
 
 
 def _at(form: Sequence[GaussianRational], point: Sequence[GaussianRational]) -> GaussianRational:

@@ -4,7 +4,6 @@ import cmath
 import random
 import time
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,14 +14,13 @@ from curveavoid.arrangement import (
     re_part_form,
     triple_ranks,
 )
+from curveavoid.cli import _witness_scene
 from curveavoid.curves import (
     POLY_Z,
     ConstructionError,
     ExpAffineCurve,
     apply_form,
     constant_value,
-    enumerate_coefficient_pairs,
-    enumerate_gaussian_rationals,
     evaluate_sum,
     exp_constant,
     exp_sum,
@@ -255,30 +253,7 @@ class TestProjectiveConstancy:
 
 
 class TestEnumeration:
-    def test_prefix_is_frozen(self):
-        got = list(islice(enumerate_gaussian_rationals(), 9))
-        assert got == [
-            gq(0),
-            gq(1), gq(-1), gq(0, 1), gq(0, -1),
-            gq(1, 1), gq(1, -1), gq(-1, 1), gq(-1, -1),
-        ]
-
-    def test_enumeration_has_no_repeats(self):
-        seen = list(islice(enumerate_gaussian_rationals(), 200))
-        assert len(set(seen)) == 200
-
-    def test_halves_appear(self):
-        values = set(islice(enumerate_gaussian_rationals(), 200))
-        assert gq(F(1, 2)) in values
-
-    def test_pair_enumeration_starts_on_the_diagonal(self):
-        pairs = list(islice(enumerate_coefficient_pairs(), 4))
-        assert pairs == [
-            (gq(0), gq(0)),
-            (gq(0), gq(1)),
-            (gq(1), gq(0)),
-            (gq(1), gq(1)),
-        ]
+    """The closed form that replaced a search over Gaussian rationals."""
 
     def test_first_constant_with_nonzero_re(self):
         assert first_constant_with_nonzero_re(gq(2)) == gq(0)
@@ -314,6 +289,66 @@ class TestWitnessConstantProjection:
     def test_needs_five(self):
         with pytest.raises(ValueError):
             witness_constant_projection(STANDARD)
+
+    def test_two_roots_per_form_push_t_to_two_m(self):
+        # (t - 2k)(t - 2k - 1) rules out t = 2k and t = 2k + 1
+        rows = [(2 * k * (2 * k + 1), -(4 * k + 1), 1) for k in range(5)]
+        f = witness_constant_projection([gaussian_hyperplane(row) for row in rows])
+        assert f == ExpAffineCurve.from_terms((1, POLY_Z), (10, POLY_Z), (100, POLY_Z))
+        assert conic_parameter(f) == 10 == 2 * len(rows)
+        assert_avoided_with_constant_projection(rows, f)
+
+    def test_first_admissible_t_on_seeded_arrangements(self):
+        rng = random.Random(14)
+        largest = 0
+        for _ in range(120):
+            m = rng.randint(5, 8)
+            rows = [random_conic_row(rng, 2 * m) for _ in range(m)]
+            f = witness_constant_projection([gaussian_hyperplane(row) for row in rows])
+            t = conic_parameter(f)
+            assert f == ExpAffineCurve.from_terms((1, POLY_Z), (t, POLY_Z), (t * t, POLY_Z))
+            assert all(conic_value(row, t) for row in rows)
+            assert all(any(not conic_value(row, s) for row in rows) for s in range(t))
+            assert t <= 2 * m
+            largest = max(largest, t)
+            assert_avoided_with_constant_projection(rows, f)
+        assert largest >= 4
+
+
+def gaussian_hyperplane(row):
+    return ComplexHyperplane(tuple(gq(int(a.real), int(a.imag)) for a in map(complex, row)))
+
+
+def conic_value(row, t):
+    """a1 + a2 t + a3 t^2 in complex arithmetic, exact for these small Gaussian integers."""
+    a1, a2, a3 = map(complex, row)
+    return a1 + a2 * t + a3 * t * t
+
+
+def conic_parameter(f):
+    """t for a curve (e^z, t e^z, t^2 e^z), read from its second component."""
+    terms = f.components[1].terms
+    return int(terms[0].coeff.re) if terms else 0
+
+
+def random_conic_row(rng, top):
+    """A nonzero form: random Gaussian integers, or c (t - r)(t - s) or c (t - r) with small roots."""
+    c = complex(rng.choice([1, -1, 2]), rng.choice([0, 0, 1]))
+    r, s = rng.randint(0, top), rng.randint(0, top)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return (c * r * s, -c * (r + s), c)
+    if kind == 1:
+        return (-c * r, c, 0)
+    row = [complex(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)]
+    return tuple(row) if any(row) else (1, 0, 0)
+
+
+def assert_avoided_with_constant_projection(rows, f):
+    named = [(f"H{n}", gaussian_hyperplane(row)) for n, row in enumerate(rows, 1)]
+    report = verify(f, _witness_scene(named, []))
+    assert {(r.method, r.verdict) for r in report.results} == {("exact", "avoided")}
+    assert report.projection_constant
 
 
 class TestNormalizeFour:
