@@ -258,11 +258,12 @@ def _add_output_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_plan_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--radius", type=float, default=10.0, help="sampling disk radius")
-    sp.add_argument("--grid", type=int, default=101, help="grid points per axis")
-    sp.add_argument("--random", type=int, default=10_000, help="random sample count")
+    default = SamplingPlan()
+    sp.add_argument("--radius", type=float, default=default.disk_radius, help="sampling disk radius")
+    sp.add_argument("--grid", type=int, default=default.grid_points, help="grid points per axis")
+    sp.add_argument("--random", type=int, default=default.random_points, help="random sample count")
     sp.add_argument("--seed", type=int, default=None, help="random seed")
-    sp.add_argument("--tolerance", type=float, default=1e-9, help="hit tolerance")
+    sp.add_argument("--tolerance", type=float, default=default.tolerance, help="hit tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:

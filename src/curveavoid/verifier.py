@@ -66,6 +66,10 @@ AVOIDED = "avoided"
 VIOLATED = "violated"
 ZERO_SET_HIT = "exact-zero-set-hit"
 
+# the sampler builds MAX_GRID_POINTS^2 grid nodes and draws random points one at a time
+MAX_GRID_POINTS = 1001
+MAX_RANDOM_POINTS = 1_000_000
+
 
 @dataclass(frozen=True, slots=True)
 class SamplingPlan:
@@ -80,6 +84,10 @@ class SamplingPlan:
             raise ValueError("disk radius and tolerance must be positive and finite")
         if self.grid_points <= 0 or self.random_points < 0:
             raise ValueError("sample counts must be positive")
+        if self.grid_points > MAX_GRID_POINTS or self.random_points > MAX_RANDOM_POINTS:
+            raise ValueError(
+                f"at most {MAX_GRID_POINTS} grid points per axis and {MAX_RANDOM_POINTS} random points"
+            )
         if self.grid_points < 3 and not self.random_points:
             # a grid of 1 or 2 points per axis has every node outside the disk
             raise ValueError(

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from curveavoid.cli import main
+from curveavoid.verifier import SamplingPlan
 
 STANDARD4 = """
 hyperplane H1: z1 = 0
@@ -289,6 +290,14 @@ class TestVerify:
             " random points are needed\n"
         )
 
+    @pytest.mark.parametrize("flag, value", [("--grid", "1002"), ("--random", "1000001")])
+    def test_oversized_plan_is_two(self, capsys, flag, value):
+        code, out, err = run(
+            capsys, "verify", "--curve", "f", flag, value, str(SCENES / "verify_demo.scene")
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: at most 1001 grid points per axis and 1000000 random points\n"
+
     def test_three_point_grid_alone_samples_the_disk(self, capsys):
         code, data = run_json(
             capsys, "verify", "--curve", "f", "--grid", "3", "--random", "0",
@@ -341,6 +350,11 @@ class TestVerify:
 
 class TestSeedPrecedence:
     SCENE = DIM4_SUBSPACE + "curve f: (exp(z), -exp(z), exp(2*z))\n"
+
+    def test_default_flags_are_the_default_plan(self, scene, capsys, monkeypatch):
+        monkeypatch.delenv("AVOIDANCE_SEED", raising=False)
+        _, data = run_json(capsys, "verify", "--curve", "f", scene(self.SCENE))
+        assert data["plan"] == SamplingPlan().to_dict()
 
     def test_default_seed_is_zero(self, scene, capsys, monkeypatch):
         monkeypatch.delenv("AVOIDANCE_SEED", raising=False)

@@ -22,6 +22,8 @@ from curveavoid.projective import ComplexHyperplane
 from curveavoid.scene import Scene, parse_scene
 from curveavoid.verifier import (
     AVOIDED,
+    MAX_GRID_POINTS,
+    MAX_RANDOM_POINTS,
     VIOLATED,
     ZERO_SET_HIT,
     SamplingPlan,
@@ -544,6 +546,17 @@ def test_scaled_margins_match_the_plain_sums(case, forms, seed, count, shift):
     shifted = _margins_for_subspace(subspace, linear_curve(components, shift), t)
     assert np.isfinite(shifted).all()
     assert np.allclose(plain, shifted, rtol=0, atol=1e-9)
+
+
+class TestPlanLimits:
+    def test_the_largest_plan_is_accepted(self):
+        plan = SamplingPlan(grid_points=MAX_GRID_POINTS, random_points=MAX_RANDOM_POINTS)
+        assert (plan.grid_points, plan.random_points) == (1001, 1_000_000)
+
+    @pytest.mark.parametrize("counts", [{"grid_points": 1002}, {"random_points": 1_000_001}])
+    def test_a_larger_plan_is_a_value_error(self, counts):
+        with pytest.raises(ValueError, match="at most 1001 grid points per axis and 1000000 random"):
+            SamplingPlan(**counts)
 
 
 class TestDeterminism:
