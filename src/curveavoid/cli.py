@@ -25,6 +25,7 @@ from .curves import (
 from .diagonals import enumerate_diagonals
 from .projective import ComplexHyperplane, dependent_subset
 from .scene import (
+    COMPLEX_VARS,
     ParseError,
     Scene,
     format_complex_form,
@@ -127,19 +128,16 @@ def _cmd_gp_check(args: argparse.Namespace, scene: Scene) -> int:
 
 
 def _cmd_diagonals(args: argparse.Namespace, scene: Scene) -> int:
-    hyperplanes = list(scene.hyperplanes.items())
-    diagonals = enumerate_diagonals([h for _, h in hyperplanes])
+    hyperplanes = list(scene.hyperplanes.values())
+    diagonals = enumerate_diagonals(hyperplanes)
     entries = []
     lines = [f"{len(diagonals)} diagonals of {len(hyperplanes)} hyperplanes"]
-    variables = [f"z{j + 1}" for j in range(len(hyperplanes[0][1].coefficients))]
     for d in diagonals:
         entry = {
             "partition": [list(d.partition.left), list(d.partition.right)],
             "p": _gq_str_vector(d.p.coords),
             "q": _gq_str_vector(d.q.coords),
-            "line": None
-            if d.form is None
-            else format_complex_form(d.form.coefficients, variables),
+            "line": format_complex_form(d.form.coefficients, COMPLEX_VARS),
         }
         entries.append(entry)
         blocks = (
@@ -147,10 +145,10 @@ def _cmd_diagonals(args: argparse.Namespace, scene: Scene) -> int:
             + " | "
             + ",".join(map(str, d.partition.right))
         )
-        described = f"  {blocks}: through [{' : '.join(entry['p'])}] and [{' : '.join(entry['q'])}]"
-        if entry["line"] is not None:
-            described += f"; line {entry['line']} = 0"
-        lines.append(described)
+        lines.append(
+            f"  {blocks}: through [{' : '.join(entry['p'])}] and [{' : '.join(entry['q'])}]"
+            f"; line {entry['line']} = 0"
+        )
     _emit({"count": len(diagonals), "diagonals": entries}, lines, args.human)
     return 0
 
@@ -158,8 +156,6 @@ def _cmd_diagonals(args: argparse.Namespace, scene: Scene) -> int:
 def _cmd_classify(args: argparse.Namespace, scene: Scene) -> int:
     plan = _plan_from_args(args)
     hyperplanes = list(scene.hyperplanes.items())
-    if len(hyperplanes) != 4:
-        raise ValueError("classification needs exactly four complex hyperplanes")
     real_name, real = _the_real_hyperplane(scene)
     verdict = classify([h for _, h in hyperplanes], real)
     payload = {

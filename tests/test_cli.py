@@ -158,6 +158,11 @@ class TestDiagonals:
 
 
 class TestClassify:
+    def test_three_hyperplanes_are_two(self, scene, capsys):
+        code, out, err = run(capsys, "classify", scene(OPTIMALITY))
+        assert (code, out) == (2, "")
+        assert err == "error: classification takes exactly 4 complex hyperplanes\n"
+
     def test_witness_exists_payload(self, scene, capsys):
         code, data = run_json(capsys, "classify", scene(DEGENERATE))
         assert code == 0
