@@ -1,4 +1,4 @@
-"""The package's public surface: `curveavoid.__all__`, and no unused imports."""
+"""The package's public surface: `curveavoid.__all__`, no unused imports and no dead private names."""
 
 import ast
 from pathlib import Path
@@ -22,6 +22,15 @@ def _annotations(tree):
             yield node.returns
 
 
+def _quoted_names(tree):
+    """The names inside the string annotations of a module, with the annotation's line."""
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                yield from ((n.id, annotation.lineno) for n in ast.walk(quoted) if isinstance(n, ast.Name))
+
+
 def unused_imports(source):
     """The names a module imports and never mentions; a string annotation counts as a mention."""
     tree = ast.parse(source)
@@ -32,12 +41,53 @@ def unused_imports(source):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {a.asname or a.name for a in node.names}
     mentioned = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for annotation in _annotations(tree):
-        for node in ast.walk(annotation):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                quoted = ast.parse(node.value, mode="eval")
-                mentioned |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    mentioned |= {name for name, _ in _quoted_names(tree)}
     return sorted(imported - mentioned)
+
+
+def _mentions(tree):
+    """(name, line) for each name a module reads, imports, takes as an attribute or quotes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((a.name, node.lineno) for a in node.names)
+    yield from _quoted_names(tree)
+
+
+def _private_definitions(tree):
+    """(name, first line, last line) for each private function, class or constant at top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno, node.end_lineno
+
+
+def unused_private_names(sources):
+    """'module:name' for each private top-level name no code mentions outside its own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    mentions = {module: list(_mentions(tree)) for module, tree in trees.items()}
+    unused = []
+    for module, tree in trees.items():
+        for name, first, last in _private_definitions(tree):
+            used = any(
+                n == name and (other != module or not first <= line <= last)
+                for other, found in mentions.items()
+                for n, line in found
+            )
+            if not used:
+                unused.append(f"{module}:{name}")
+    return sorted(unused)
 
 
 def test_unused_imports_are_found():
@@ -58,3 +108,27 @@ def test_no_module_imports_a_name_it_never_mentions():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_unused_private_names_are_found():
+    sources = {
+        "a.py": (
+            "_USED = 1\n"
+            "_DEAD = 2\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) if n else 0\n"
+            "def _helper() -> '_Shape':\n"
+            "    return _USED\n"
+            "class _Shape:\n"
+            "    pass\n"
+            "class _Orphan:\n"
+            "    pass\n"
+        ),
+        "b.py": "from .a import _helper\nvalue = _helper()\n",
+    }
+    assert unused_private_names(sources) == ["a.py:_DEAD", "a.py:_Orphan", "a.py:_recursive"]
+
+
+def test_every_private_name_is_used():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_names(sources) == []
