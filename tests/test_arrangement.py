@@ -1,5 +1,6 @@
 """Tests for realification, general position, and the rank classifier."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -127,6 +128,81 @@ class TestGeneralPosition:
             assert not triple_in_general_position(s, realify(a), realify(b))
 
 
+def random_rational_form(rng, width=6):
+    return tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(width))
+
+
+def random_codim2(rng, earlier):
+    """A codimension-2 subspace: a realified hyperplane, two random forms, or dependent on `earlier`.
+
+    A dependent draw combines the forms of the earlier members, so it is
+    never in general position with them; a realified one combines their
+    complex forms when they are realified hyperplanes too.
+    """
+    while True:
+        kind = rng.choice(["realified", "two-form", "dependent"][: 3 if earlier else 2])
+        if kind == "realified":
+            rows = [h.coefficients for h in earlier if isinstance(h, ComplexHyperplane)]
+            if rows and rng.random() < 0.3:
+                coeffs = [gq(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in rows]
+                v = tuple(sum((c * r[j] for c, r in zip(coeffs, rows)), GQ_ZERO) for j in range(3))
+            else:
+                v = tuple(gq(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3))
+            if any(v):
+                return ComplexHyperplane(v)
+            continue
+        if kind == "two-form":
+            forms = [random_rational_form(rng) for _ in range(2)]
+        else:
+            rows = [f for s in earlier for f in as_subspace(s).forms]
+            forms = [
+                tuple(sum(rng.randint(-2, 2) * r[j] for r in rows) for j in range(6))
+                for _ in range(2)
+            ]
+        if rank_real(forms) == 2:
+            return RealSubspace(tuple(forms))
+
+
+def as_subspace(member):
+    return realify(member) if isinstance(member, ComplexHyperplane) else member
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_triple_in_general_position_matches_the_stacked_real_rank(seed):
+    """Seeded codimension-2 triples against the oracle rank_real(six stacked forms) == 6."""
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(60):
+        members = []
+        for _ in range(3):
+            members.append(random_codim2(rng, members))
+        triple = [as_subspace(m) for m in members]
+        expected = rank_real([f for s in triple for f in s.forms]) == 6
+        assert triple_in_general_position(*triple) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_contains_matches_the_stacked_real_rank(seed):
+    """Seeded subspaces, some built inside another, against rank_real of the stacked forms."""
+    rng = random.Random(100 + seed)
+    outcomes = set()
+    for _ in range(60):
+        big_forms = [random_rational_form(rng) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            small_forms = big_forms + [random_rational_form(rng) for _ in range(rng.randint(0, 2))]
+        else:
+            small_forms = [random_rational_form(rng) for _ in range(rng.randint(1, 4))]
+        if not rank_real(big_forms) or not rank_real(small_forms):
+            continue
+        big, small = RealSubspace(tuple(big_forms)), RealSubspace(tuple(small_forms))
+        expected = rank_real(list(big.forms) + list(small.forms)) == len(small.forms)
+        assert big.contains(small) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 class TestExtraction:
     def test_sum_form(self):
         s = real_subspace((1, 0, 1, 0, 1, 0))
@@ -148,7 +224,6 @@ class TestExtraction:
         The subspaces are built to contain a known hyperplane; the grid sweep
         is a falsification attempt against uniqueness.
         """
-        import random
         from itertools import product
 
         grid_values = (gq(0), gq(1), gq(-1), gq(0, 1), gq(0, -1))
