@@ -4,7 +4,7 @@ A complex hyperplane realifies to a codimension-2 real subspace.  A triple
 of codimension-2 subspaces is "in general position" when the orthogonal
 complements together span R^6; since each subspace is the kernel of its
 defining forms, the complement is the row span of those forms and the
-predicate is a single exact rank computation.
+predicate is `projective.dependent_subset` on the three stacks of forms.
 
 The classifier only ever stacks the realified forms of complex hyperplanes
 (H~, H_j, H_k).  The real span of Re(c.z) and Im(c.z) is the realification
@@ -31,9 +31,8 @@ from .exact_linalg import (
     GQ_I,
     gq,
     rank_complex,
-    rank_real,
 )
-from .projective import ComplexHyperplane, require_general_position
+from .projective import ComplexHyperplane, dependent_subset, require_general_position
 
 if TYPE_CHECKING:
     from .curves import ExpAffineCurve
@@ -69,9 +68,8 @@ class RealSubspace:
         return 6 - len(self.forms)
 
     def contains(self, other: "RealSubspace") -> bool:
-        """Exact containment other <= self, by a rank test on the forms."""
-        stacked = list(self.forms) + list(other.forms)
-        return rank_real(stacked) == len(other.forms)
+        """Exact containment other <= self: a rank test, the same over Q(i) as over Q."""
+        return rank_complex(list(self.forms) + list(other.forms)) == len(other.forms)
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,8 +126,7 @@ def triple_in_general_position(a: RealSubspace, b: RealSubspace, c: RealSubspace
     for s in (a, b, c):
         if s.dimension != 4:
             raise ValueError("general position is defined for codimension-2 subspaces")
-    stacked = list(a.forms) + list(b.forms) + list(c.forms)
-    return rank_real(stacked) == 6
+    return dependent_subset([s.forms for s in (a, b, c)], 3) is None
 
 
 def extract_complex_hyperplane(s: RealSubspace) -> ComplexHyperplane:
@@ -159,20 +156,15 @@ class CollapsedRealForm:
 def collapse_real_form(s: RealSubspace, c2: GQLike, c3: GQLike) -> CollapsedRealForm:
     """Collapse the defining form of a real hyperplane along (w, c2 w, c3 w).
 
-    Expanding Re(c w) = Re(c)Re(w) - Im(c)Im(w) and
-    Im(c w) = Re(c)Im(w) + Im(c)Re(w) termwise gives
-
-        a = a1 + a2 Re(c2) + a3 Re(c3) + b2 Im(c2) + b3 Im(c3)
-        b = b1 + b2 Re(c2) + b3 Re(c3) - a2 Im(c2) - a3 Im(c3)
+    The form is Re(alpha . z) with alpha = `holomorphic_coefficients`, so
+    along the plane it is Re(g w) = Re(g) Re(w) - Im(g) Im(w) with
+    g = alpha1 + alpha2 c2 + alpha3 c3.
     """
     if s.dimension != 5:
         raise ValueError("collapse is defined for real hyperplanes")
-    g = s.forms[0]
-    a1, b1, a2, b2, a3, b3 = g
-    u2, u3 = gq(c2), gq(c3)
-    a = a1 + a2 * u2.re + a3 * u3.re + b2 * u2.im + b3 * u3.im
-    b = b1 + b2 * u2.re + b3 * u3.re - a2 * u2.im - a3 * u3.im
-    return CollapsedRealForm(a, b)
+    alpha = holomorphic_coefficients(s.forms[0])
+    g = alpha[0] + alpha[1] * gq(c2) + alpha[2] * gq(c3)
+    return CollapsedRealForm(g.re, -g.im)
 
 
 def _validate_four(hyperplanes: Sequence[ComplexHyperplane]) -> None:
@@ -180,9 +172,6 @@ def _validate_four(hyperplanes: Sequence[ComplexHyperplane]) -> None:
         raise ValueError("classification takes exactly 4 complex hyperplanes")
     if any(len(h.coefficients) != 3 for h in hyperplanes):
         raise ValueError("hyperplanes live in C^3")
-    for a, b in combinations(hyperplanes, 2):
-        if a == b:
-            raise ValueError("hyperplanes must be pairwise distinct")
 
 
 def triple_ranks(
@@ -215,6 +204,17 @@ def classify(hyperplanes: Sequence[ComplexHyperplane], s: RealSubspace) -> Verdi
     `curves.witness_degenerate_pair`).  General position is checked once
     on either path: here before a constant verdict, and by the witness
     constructor before a witness.
+
+    Why the constant verdict holds: an entire curve that avoids four lines
+    of CP^2 in general position and does not project to a point lies on
+    one of their three diagonals (Borel's lemma; Green 1975).  On the
+    diagonal through p' and q' it is e^h q' + e^g p' with e^(g - h)
+    nonconstant, and alpha restricts to alpha(q') e^h + alpha(p') e^g.
+    A triple of rank 6 puts alpha(H_j cap H_k) != 0, so with every triple
+    at rank 6 both coefficients are nonzero.  If the real part of the
+    restriction never vanishes, it omits a line and is a constant c != 0
+    (little Picard); then e^h omits 0 and c / alpha(q'), so it is constant,
+    and so are e^g and the projection.
     """
     evidence = triple_ranks(hyperplanes, s)
     degenerate = [t.pair for t in evidence if t.rank < 6]

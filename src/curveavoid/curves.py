@@ -211,8 +211,6 @@ def is_nowhere_zero(s: ExpSum) -> str:
     (Hadamard), and Borel's theorem on sums of exponentials whose exponents
     differ by nonconstant polynomials then leaves a single group.
     """
-    if len(s.terms) == 1:
-        return "yes"
     return "yes" if len(_direction_groups(s)) == 1 else "no"
 
 

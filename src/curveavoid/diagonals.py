@@ -16,7 +16,6 @@ from typing import Sequence
 from .exact_linalg import kernel_complex
 from .projective import (
     ComplexHyperplane,
-    ProjLine,
     ProjPoint,
     line_through,
     require_general_position,
@@ -59,7 +58,7 @@ class DiagonalLine:
     partition: Partition
     p: ProjPoint
     q: ProjPoint
-    form: ProjLine | None
+    form: ComplexHyperplane | None
 
     def __post_init__(self) -> None:
         if self.p == self.q:

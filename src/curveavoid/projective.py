@@ -1,7 +1,9 @@
 """Points, lines, and hyperplanes in small complex projective spaces.
 
-Homogeneous data is stored in a canonical scaling (first nonzero
-coordinate equal to 1), so structural equality is projective equality.
+A point is stored in a canonical scaling (first nonzero coordinate equal
+to 1), so structural equality is projective equality.  A line of CP^2 is
+a `ComplexHyperplane`, which keeps its coefficients as given and compares
+projective classes.
 """
 
 from __future__ import annotations
@@ -20,15 +22,6 @@ from .exact_linalg import (
 )
 
 
-def _canonical(coords: Sequence[GQLike], what: str) -> ComplexVector:
-    v = tuple(gq(x) for x in coords)
-    if len(v) < 2:
-        raise ValueError(f"{what} needs at least 2 homogeneous coordinates")
-    if not any(v):
-        raise ValueError(f"zero vector does not determine a {what}")
-    return _scale_first_nonzero(v)
-
-
 @dataclass(frozen=True, slots=True)
 class ProjPoint:
     """A point of CP^n, canonically scaled."""
@@ -36,17 +29,12 @@ class ProjPoint:
     coords: ComplexVector
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _canonical(self.coords, "point"))
-
-
-@dataclass(frozen=True, slots=True)
-class ProjLine:
-    """A line in CP^2 (or a hyperplane of CP^n), by its coefficient vector."""
-
-    coefficients: ComplexVector
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", _canonical(self.coefficients, "line"))
+        v = tuple(gq(x) for x in self.coords)
+        if len(v) < 2:
+            raise ValueError("point needs at least 2 homogeneous coordinates")
+        if not any(v):
+            raise ValueError("zero vector does not determine a point")
+        object.__setattr__(self, "coords", _scale_first_nonzero(v))
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,21 +66,25 @@ class ComplexHyperplane:
         return hash(self.canonical())
 
 
-def incident(p: ProjPoint, line: ProjLine) -> bool:
+# a line of CP^2 is a hyperplane
+ProjLine = ComplexHyperplane
+
+
+def incident(p: ProjPoint, line: ComplexHyperplane) -> bool:
     if len(p.coords) != len(line.coefficients):
         raise ValueError("dimension mismatch")
     return not sum((c * x for c, x in zip(line.coefficients, p.coords)), gq(0))
 
 
-def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
-    """The unique line of CP^2 through two distinct points."""
+def line_through(p: ProjPoint, q: ProjPoint) -> ComplexHyperplane:
+    """The unique line of CP^2 through two distinct points, canonically scaled."""
     if len(p.coords) != 3 or len(q.coords) != 3:
         raise ValueError("line_through works in CP^2")
     if p == q:
         raise ValueError("two distinct points are needed to span a line")
     basis = kernel_complex([p.coords, q.coords])
     assert len(basis) == 1
-    return ProjLine(basis[0])
+    return ComplexHyperplane(basis[0])
 
 
 def dependent_subset(

@@ -47,13 +47,12 @@ from dataclasses import asdict, dataclass
 
 from .arrangement import RealSubspace, holomorphic_coefficients
 from .curves import (
-    POLY_ZERO,
     ExpAffineCurve,
     ExpSum,
-    _direction_groups,
     apply_form,
     constant_value,
     exp_term,
+    is_nowhere_zero,
     is_projectively_constant,
     scaled_values,
     terms_at,
@@ -144,16 +143,13 @@ class VerificationReport:
 def _exact_hyperplane_result(name: str, s: ExpSum) -> SetResult:
     """The verdict for a hyperplane whose form composed with the curve is s.
 
-    It follows from the direction groups of s (see `is_nowhere_zero`): none
-    is a zero-set hit, one is avoidance, and two or more are a violation,
-    whose sample is the zero nearest the origin when `_nearest_zero` finds it.
+    The zero sum is a zero-set hit.  Otherwise `is_nowhere_zero` decides:
+    avoidance, or a violation whose sample is the zero nearest the origin
+    when `_nearest_zero` finds it.
     """
-    if len(s.terms) == 1:
-        return SetResult(name, "exact", AVOIDED, None, None)
-    groups = _direction_groups(s)
-    if not groups:
+    if not s:
         return SetResult(name, "exact", ZERO_SET_HIT, None, (0.0, 0.0))
-    if len(groups) == 1:
+    if is_nowhere_zero(s) == "yes":
         return SetResult(name, "exact", AVOIDED, None, None)
     zero = _nearest_zero(s)
     sample = None if zero is None else (zero.real + 0.0, zero.imag + 0.0)
@@ -236,7 +232,7 @@ def _exact_subspace_result(name: str, subspace: RealSubspace, curve: ExpAffineCu
     if rank > 1:
         return None
     g = next(g for g in restrictions if constant_value(g) is None)
-    if POLY_ZERO not in _direction_groups(g):
+    if all(len(t.exponent) > 1 for t in g.terms):
         g = g - exp_term(GQ_I)
     return _exact_hyperplane_result(name, g)
 

@@ -33,6 +33,14 @@ hyperplane H2: z2 = 0
 hyperplane H3: z1 + z2 = 0
 hyperplane H4: z3 = 0
 """
+# H2 is H1 scaled by 2
+DUPLICATE = """
+hyperplane H1: z1 = 0
+hyperplane H2: 2*z1 = 0
+hyperplane H3: z3 = 0
+hyperplane H4: z1 + z2 + z3 = 0
+real S: x1 + 2*x2 + 3*x3 = 0
+"""
 VIOLATING = "hyperplane D: z1 + z2 = 0\ncurve f: (exp(z), 1, 1)\n"
 SEVENTEEN_TERMS = " + ".join(f"exp({k}*z)" for k in range(17))
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -185,6 +193,11 @@ class TestClassify:
     @pytest.mark.parametrize("form", ["x1 + 2*x2 + 3*x3", "x1 + x2"])
     def test_hyperplanes_not_in_general_position_is_two(self, scene, capsys, form):
         code, out, err = run(capsys, "classify", scene(CONCURRENT + f"real S: {form} = 0\n"))
+        assert (code, out) == (2, "")
+        assert err == "error: hyperplanes 1, 2, 3 are not in general position\n"
+
+    def test_repeated_hyperplane_is_not_in_general_position(self, scene, capsys):
+        code, out, err = run(capsys, "classify", scene(DUPLICATE))
         assert (code, out) == (2, "")
         assert err == "error: hyperplanes 1, 2, 3 are not in general position\n"
 

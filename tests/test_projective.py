@@ -42,6 +42,14 @@ class TestCanonicalisation:
     def test_hyperplane_inequality(self):
         assert ComplexHyperplane((1, 2, 3)) != ComplexHyperplane((1, 2, 4))
 
+    def test_a_line_is_a_complex_hyperplane(self):
+        assert ProjLine is ComplexHyperplane
+        line = line_through(ProjPoint((gq(1, 2), 3, gq(0, -1))), ProjPoint((5, gq(2, 2), 7)))
+        scaled = ProjLine(tuple(gq(2, -3) * c for c in line.coefficients))
+        assert line == scaled
+        assert hash(line) == hash(scaled)
+        assert line.coefficients == line.canonical()
+
 
 class TestIncidence:
     def test_line_through_standard_points(self):
