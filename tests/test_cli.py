@@ -89,6 +89,13 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_scene_that_is_not_utf8_is_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.scene"
+        path.write_bytes(b"hyperplane H1: z1 = 0\n\xff\n")
+        code, out, err = run(capsys, "gp-check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_parse_error_is_two(self, scene, capsys):
         code, out, err = run(capsys, "gp-check", scene("hyperplane H z1 = 0\n"))
         assert code == 2

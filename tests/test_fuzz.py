@@ -2,7 +2,9 @@
 
 Scenes come from a generator that follows the scene grammar (hyperplanes,
 real subspaces of one to three forms, curves built from sums, products,
-exp() of polynomials and '^') and from raw printable text.  Every
+exp() of polynomials and '^') and from raw printable text.  A second test
+writes grammar scenes as bytes with bytes that are not UTF-8 spliced in;
+a file that does not decode must exit 2.  Every
 subcommand is run in process through `cli.main`, with plan flags that
 include 0, negative values, nan and inf.  For each example the exit code
 must be one of 0-3, no exception may escape `main` (a numpy warning is an
@@ -118,6 +120,20 @@ raw_scenes = st.text(
 )
 scenes = mostly(grammar_scenes(), st.one_of(token_scenes, raw_scenes))
 
+# a lone continuation byte, an overlong '/', a surrogate, a truncated sequence, bytes never used
+NOT_UTF8 = [b"\x80", b"\xc0\xaf", b"\xed\xa0\x80", b"\xe2\x82", b"\xfe", b"\xff"]
+
+
+@st.composite
+def byte_scenes(draw):
+    """A grammar scene in UTF-8 with one to three byte strings spliced in, mostly not UTF-8."""
+    data = draw(grammar_scenes()).encode()
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        splice = draw(mostly(st.sampled_from(NOT_UTF8), st.binary(min_size=1, max_size=3)))
+        data = data[:at] + splice + data[at:]
+    return data
+
 # valid and invalid values of each plan flag
 PLAN_VALUES = {
     "--radius": (["1e-3", "1", "10", "1e5"], ["nan", "inf", "-inf", "-1", "0"]),
@@ -164,18 +180,37 @@ def run_main(argv):
             return exc.code
 
 
-@settings(
+def run_scene(argv, data: bytes):
+    """The exit code of `main` on a scene file holding `data`, checked against the bounds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.scene"
+        path.write_bytes(data)
+        start = time.perf_counter()
+        code = run_main(argv + [str(path)])
+        elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2, 3), (code, argv, data)
+    assert elapsed < TIME_BOUND_S, (elapsed, argv, data)
+    return code
+
+
+FUZZ_SETTINGS = settings(
     max_examples=150,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
+
+
+@FUZZ_SETTINGS
 @given(text=scenes, argv=argvs())
 def test_cli_ends_in_an_exit_code(text, argv):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "fuzz.scene"
-        path.write_text(text, encoding="utf-8")
-        start = time.perf_counter()
-        code = run_main(argv + [str(path)])
-        elapsed = time.perf_counter() - start
-    assert code in (0, 1, 2, 3), (code, argv, text)
-    assert elapsed < TIME_BOUND_S, (elapsed, argv, text)
+    run_scene(argv, text.encode("utf-8"))
+
+
+@FUZZ_SETTINGS
+@given(data=byte_scenes(), argv=argvs())
+def test_scene_bytes_end_in_an_exit_code(data, argv):
+    code = run_scene(argv, data)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        assert code == 2, (argv, data)
