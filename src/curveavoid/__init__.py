@@ -29,7 +29,6 @@ from .curves import (
     constant_value,
     exp_sum,
     exp_term,
-    is_identically_zero,
     is_nowhere_zero,
     is_projectively_constant,
     witness_constant_projection,
@@ -99,7 +98,6 @@ __all__ = [
     "gq",
     "holomorphic_coefficients",
     "incident",
-    "is_identically_zero",
     "is_nowhere_zero",
     "is_projectively_constant",
     "kernel_complex",

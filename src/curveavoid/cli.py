@@ -2,15 +2,14 @@
 
 Subcommands read a scene file and emit JSON (default) or prose (--human).
 Exit codes: 0 success, 1 verification failure, 2 input or parse error,
-3 construction failure.  The environment variable AVOIDANCE_SEED overrides
-the default sampling seed; an explicit --seed wins over both.
+3 construction failure.  The sampling seed is --seed, by default that of
+`SamplingPlan()`; no environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -25,7 +24,6 @@ from .curves import (
 from .diagonals import enumerate_diagonals
 from .projective import ComplexHyperplane, dependent_subset
 from .scene import (
-    COMPLEX_VARS,
     ParseError,
     Scene,
     format_complex_form,
@@ -64,15 +62,11 @@ def _witness_scene(
 
 
 def _plan_from_args(args: argparse.Namespace) -> SamplingPlan:
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("AVOIDANCE_SEED")
-        seed = int(env) if env else 0
     return SamplingPlan(
         disk_radius=args.radius,
         grid_points=args.grid,
         random_points=args.random,
-        seed=seed,
+        seed=args.seed,
         tolerance=args.tolerance,
     )
 
@@ -137,7 +131,7 @@ def _cmd_diagonals(args: argparse.Namespace, scene: Scene) -> int:
             "partition": [list(d.partition.left), list(d.partition.right)],
             "p": _gq_str_vector(d.p.coords),
             "q": _gq_str_vector(d.q.coords),
-            "line": format_complex_form(d.form.coefficients, COMPLEX_VARS),
+            "line": format_complex_form(d.form.coefficients),
         }
         entries.append(entry)
         blocks = (
@@ -258,7 +252,7 @@ def _add_plan_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--radius", type=float, default=default.disk_radius, help="sampling disk radius")
     sp.add_argument("--grid", type=int, default=default.grid_points, help="grid points per axis")
     sp.add_argument("--random", type=int, default=default.random_points, help="random sample count")
-    sp.add_argument("--seed", type=int, default=None, help="random seed")
+    sp.add_argument("--seed", type=int, default=default.seed, help="random seed")
     sp.add_argument("--tolerance", type=float, default=default.tolerance, help="hit tolerance")
 
 
@@ -334,9 +328,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

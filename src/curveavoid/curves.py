@@ -4,10 +4,11 @@ A term is c * e^(p(z)) with a Gaussian-rational coefficient and a
 polynomial exponent.  Sums of such terms admit exact identity tests:
 exponentials of distinct polynomials are linearly independent, and for
 constant exponents independence over the algebraic numbers is the
-Lindemann-Weierstrass theorem.  Everything symbolic here is exact;
-floating point enters only through `terms_at` and the scale rule of
-`scaled_values`, which the verifier uses for its projection values and
-the sampler applies to arrays of sample points.
+Lindemann-Weierstrass theorem.  So a sum is zero exactly when it has no
+terms: `ExpSum` truthiness is the exact zero test.  Everything symbolic
+here is exact; floating point enters only through `terms_at` and the
+scale rule of `scaled_values`, which the verifier uses for its
+projection values and the sampler applies to arrays of sample points.
 """
 
 from __future__ import annotations
@@ -82,17 +83,28 @@ def scaled_values(sums: Sequence[Sequence[tuple[complex, complex]]]) -> tuple[in
     top is the largest Re x rounded to a multiple of 512.  It is 0 while
     every e^x is of moderate size, so the values are then the plain sums;
     otherwise the largest term lies between e^-256 and e^256, and neither
-    overflows nor underflows a float.  An infinite exponent is a ValueError.
+    overflows nor underflows a float.  An exponent that is not finite, NaN
+    included, is a ValueError.
     """
-    largest = max((x.real for terms in sums for _, x in terms), default=0.0)
-    if not math.isfinite(largest):
+    if not all(cmath.isfinite(x) for terms in sums for _, x in terms):
         raise ValueError("an exponent is beyond the float range at this point")
+    largest = max((x.real for terms in sums for _, x in terms), default=0.0)
     top = _SCALE_STEP * round(largest / _SCALE_STEP)
     return top, [sum((c * cmath.exp(x - top) for c, x in terms), 0j) for terms in sums]
 
 
 # ---------------------------------------------------------------------------
 # exponential sums
+
+def _merge(acc: dict, m, c: GaussianRational) -> GaussianRational:
+    """Add c to the coefficient of m in acc, dropping it if it cancels; the new coefficient."""
+    total = acc.get(m, GQ_ZERO) + c
+    if total:
+        acc[m] = total
+    else:
+        acc.pop(m, None)
+    return total
+
 
 @dataclass(frozen=True, slots=True)
 class ExpPoly:
@@ -125,11 +137,7 @@ class ExpSum:
     def __post_init__(self) -> None:
         grouped: dict[Poly, GaussianRational] = {}
         for t in self.terms:
-            acc = grouped.get(t.exponent, GQ_ZERO) + t.coeff
-            if acc:
-                grouped[t.exponent] = acc
-            elif t.exponent in grouped:
-                del grouped[t.exponent]
+            _merge(grouped, t.exponent, t.coeff)
         ordered = tuple(
             ExpPoly(c, p) for p, c in sorted(grouped.items(), key=lambda pc: _poly_key(pc[0]))
         )
@@ -193,15 +201,6 @@ def exp_sum(terms: Iterable[tuple[GQLike, Sequence[GQLike]]]) -> ExpSum:
     return ExpSum(tuple(ExpPoly(gq(c), poly(p)) for c, p in terms))
 
 
-def exp_constant(c: GQLike, r: GQLike = 0) -> ExpSum:
-    return exp_term(c, (r,))
-
-
-def is_identically_zero(s: ExpSum) -> bool:
-    """Exact: distinct exponent polynomials are linearly independent."""
-    return not s.terms
-
-
 def is_nowhere_zero(s: ExpSum) -> str:
     """'yes' when s has no zero, else 'no'; decided by the direction groups of s.
 
@@ -245,7 +244,7 @@ class ExpAffineCurve:
     def __post_init__(self) -> None:
         if len(self.components) != 3:
             raise ValueError("curves here have exactly 3 components")
-        if all(is_identically_zero(c) for c in self.components):
+        if not any(self.components):
             raise ValueError("the zero curve has no projective image")
 
     @classmethod
@@ -337,7 +336,7 @@ def is_projectively_constant(f: ExpAffineCurve) -> bool:
     For single-term components this is the classical criterion that the
     exponent differences are constant polynomials.
     """
-    nonzero = [c for c in f.components if not is_identically_zero(c)]
+    nonzero = [c for c in f.components if c]
     return all(_constant_ratio(a, b) for a, b in combinations(nonzero, 2))
 
 

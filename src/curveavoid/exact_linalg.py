@@ -256,9 +256,7 @@ def _kernel(
 
 
 def _scale_first_nonzero(v: tuple[T, ...]) -> tuple[T, ...]:
-    lead = next((x for x in v if x), None)
-    if lead is None:
-        return v
+    lead = next(x for x in v if x)
     return tuple(x / lead for x in v)
 
 

@@ -36,6 +36,7 @@ from .curves import (
     ExpSum,
     GaussianRational,
     Poly,
+    _merge,
     poly,
 )
 from .exact_linalg import GQ_ONE, GQ_ZERO, gq
@@ -163,17 +164,7 @@ def _literal(tok: Token) -> GaussianRational:
 # exponent for '^'), where any error they raise is reported, and pass each
 # coefficient they build through `_bounded`.  A value belongs to the one
 # expression being parsed, so a sum merges its right operand into its left
-# in place: n terms cost n dict updates.
-
-def _merge(acc: dict, m, c: GaussianRational) -> GaussianRational:
-    """Add c to the coefficient of m in acc, dropping it if it cancels; the new coefficient."""
-    total = acc.get(m, GQ_ZERO) + c
-    if total:
-        acc[m] = total
-    else:
-        acc.pop(m, None)
-    return total
-
+# in place (`curves._merge`): n terms cost n dict updates.
 
 class _Domain:
     """Arithmetic on sparse sums, the same in every domain.
@@ -462,12 +453,12 @@ def _format_sum(terms: Iterable[tuple[GaussianRational, str]]) -> str:
     return out or "0"
 
 
-def format_complex_form(coeffs: Sequence[GaussianRational], variables: Sequence[str]) -> str:
-    return _format_sum(zip(coeffs, variables))
+def format_complex_form(coeffs: Sequence[GaussianRational]) -> str:
+    return _format_sum(zip(coeffs, COMPLEX_VARS))
 
 
-def format_real_form(coeffs: Sequence[Fraction], variables: Sequence[str] = REAL_VARS) -> str:
-    return _format_sum((gq(c), v) for c, v in zip(coeffs, variables))
+def format_real_form(coeffs: Sequence[Fraction]) -> str:
+    return _format_sum((gq(c), v) for c, v in zip(coeffs, REAL_VARS))
 
 
 def format_poly(p: Poly) -> str:
@@ -486,7 +477,7 @@ def format_scene(scene: Scene) -> str:
     lines = []
     for kind, name in scene.order:
         if kind == "hyperplane":
-            form = format_complex_form(scene.hyperplanes[name].coefficients, COMPLEX_VARS)
+            form = format_complex_form(scene.hyperplanes[name].coefficients)
             lines.append(f"hyperplane {name}: {form} = 0")
         elif kind == "real":
             forms = "; ".join(

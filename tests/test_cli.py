@@ -376,20 +376,18 @@ class TestVerify:
 class TestSeedPrecedence:
     SCENE = DIM4_SUBSPACE + "curve f: (exp(z), -exp(z), exp(2*z))\n"
 
-    def test_default_flags_are_the_default_plan(self, scene, capsys, monkeypatch):
-        monkeypatch.delenv("AVOIDANCE_SEED", raising=False)
+    def test_default_flags_are_the_default_plan(self, scene, capsys):
         _, data = run_json(capsys, "verify", "--curve", "f", scene(self.SCENE))
         assert data["plan"] == SamplingPlan().to_dict()
 
-    def test_default_seed_is_zero(self, scene, capsys, monkeypatch):
-        monkeypatch.delenv("AVOIDANCE_SEED", raising=False)
+    def test_default_seed_is_zero(self, scene, capsys):
         _, data = run_json(capsys, "verify", "--curve", "f", scene(self.SCENE))
         assert data["plan"]["seed"] == 0
 
-    def test_environment_overrides_default(self, scene, capsys, monkeypatch):
+    def test_environment_is_not_read(self, scene, capsys, monkeypatch):
         monkeypatch.setenv("AVOIDANCE_SEED", "7")
         _, data = run_json(capsys, "verify", "--curve", "f", scene(self.SCENE))
-        assert data["plan"]["seed"] == 7
+        assert data["plan"]["seed"] == 0
 
     def test_flag_overrides_environment(self, scene, capsys, monkeypatch):
         monkeypatch.setenv("AVOIDANCE_SEED", "7")
@@ -436,6 +434,18 @@ class TestProject:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: an exponent is beyond the float range")
+
+    # 10^63 written out: z^6 overflows to a NaN exponent that max() would skip
+    TEN_63 = "1" + "0" * 63
+    NAN_SCENE = "curve f: (exp(z) + exp(z^6), 1, 1)\ncurve h: (exp(z^6) + exp(z), exp(z^5), 1)\n"
+
+    @pytest.mark.parametrize(
+        "curve, at", [("f", f"{TEN_63}+{TEN_63}i"), ("h", f"{TEN_63}i")], ids=["f", "h"]
+    )
+    def test_nan_exponent_is_two(self, scene, capsys, curve, at):
+        code, out, err = run(capsys, "project", "--curve", curve, "--at", at, scene(self.NAN_SCENE))
+        assert (code, out) == (2, "")
+        assert err == "error: an exponent is beyond the float range at this point\n"
 
     def test_bad_point_is_two(self, scene, capsys):
         code, out, err = run(

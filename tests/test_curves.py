@@ -22,13 +22,12 @@ from curveavoid.curves import (
     apply_form,
     constant_value,
     evaluate_sum,
-    exp_constant,
     exp_sum,
     exp_term,
     first_constant_with_nonzero_re,
-    is_identically_zero,
     is_nowhere_zero,
     is_projectively_constant,
+    scaled_values,
     unit_form,
     witness_constant_projection,
     witness_degenerate_pair,
@@ -86,7 +85,7 @@ class TestExpSumCanonicalisation:
 
     def test_cancellation(self):
         s = exp_sum([(1, (0, 1)), (-1, (0, 1))])
-        assert is_identically_zero(s)
+        assert not s
 
     def test_constant_exponents_are_distinct_terms(self):
         s = exp_sum([(1, (1,)), (1, (2,))])
@@ -101,10 +100,10 @@ class TestExpSumCanonicalisation:
         zero = exp_sum([(1, (0, 1)), (2, (0, 0, 3)), (-1, (0, 1)), (-2, (0, 0, 3))])
         live = exp_sum([(1, (0, 1)), (-1, (0, 1, 1))])
         points = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)]
-        assert is_identically_zero(zero)
+        assert not zero
         for z in points:
             assert abs(evaluate_sum(zero, z)) <= 1e-9
-        assert not is_identically_zero(live)
+        assert live
         assert any(abs(evaluate_sum(live, z)) > 1e-9 for z in points)
 
 
@@ -132,7 +131,7 @@ class TestUnitForm:
         # (e^z - 2) + e^(2z) + 1 = e^(2z) (-w^2 + w + 1) with w = e^(-z)
         mu, coeffs = unit_form(exp_sum([(-1, ()), (1, (0, 1)), (1, (0, 2))]))
         assert mu == gq(-1)
-        assert coeffs == {0: exp_constant(1), 1: exp_constant(1), 2: exp_constant(-1)}
+        assert coeffs == {0: exp_term(1), 1: exp_term(1), 2: exp_term(-1)}
 
     def test_rational_slopes_share_one_unit(self):
         # e^(z/50) + e^(z/100) - 1, with w = e^(-z/100)
@@ -144,7 +143,7 @@ class TestUnitForm:
     def test_common_nonlinear_direction_is_factored_out(self):
         # e^(z^2 + z + 3) - e^(z^2) = e^(z^2 + z) (e^3 - w) with w = e^(-z)
         mu, coeffs = unit_form(exp_sum([(1, (3, 1, 1)), (-1, (0, 0, 1))]))
-        assert (mu, coeffs) == (gq(-1), {0: exp_constant(1, 3), 1: exp_constant(-1)})
+        assert (mu, coeffs) == (gq(-1), {0: exp_term(1, (3,)), 1: exp_term(-1)})
 
     @pytest.mark.parametrize(
         "terms",
@@ -162,7 +161,7 @@ class TestConstantValue:
     def test_constant_exponents(self):
         v = constant_value(exp_sum([(1, (1,)), (-1, (gq(0, 1),))]))
         assert v is not None
-        expected = exp_constant(1, 1) + exp_constant(-1, gq(0, 1))
+        expected = exp_term(1, (1,)) + exp_term(-1, (gq(0, 1),))
         assert v == expected
 
     def test_nonconstant_gives_none(self):
@@ -170,12 +169,12 @@ class TestConstantValue:
 
     def test_real_part_certificates(self):
         # Re(i) = 0 formally; Re(i e^i) != 0 because i and -i stay distinct
-        assert not exp_constant(gq(0, 1)).real_part()
-        assert exp_constant(gq(0, 1), gq(0, 1)).real_part()
+        assert not exp_term(gq(0, 1)).real_part()
+        assert exp_term(gq(0, 1), (gq(0, 1),)).real_part()
 
     def test_log_sums_terms_in_increasing_exponent(self):
         """The float sum runs over r = -3, -2, 0; the order fixes the last digits."""
-        s = exp_constant(1) + exp_constant(1, -2) + exp_constant(1, -3)
+        s = exp_term(1) + exp_term(1, (-2,)) + exp_term(1, (-3,))
         assert s.log() == 0.1698460195562857 + 0j
 
 
@@ -199,9 +198,9 @@ def model_constant(terms):
 
 
 def package_constant(terms):
-    acc = exp_constant(0)
+    acc = exp_term(0)
     for c, r in terms:
-        acc = acc + exp_constant(c, r)
+        acc = acc + exp_term(c, (r,))
     return acc
 
 
@@ -415,7 +414,7 @@ class TestWitnessDim4:
             assert curve == expected_curve
             assert subspace == RealSubspace(expected_forms)
             (diagonal,) = [d for d in enumerate_diagonals(hyperplanes) if d.partition.left == (1, 2)]
-            assert is_identically_zero(apply_form(diagonal.form.coefficients, curve))
+            assert not apply_form(diagonal.form.coefficients, curve)
             checked += 1
         assert checked >= 100
 
@@ -445,7 +444,7 @@ class TestWitnessDegeneratePair:
         assert curve.components[1] == exp_term(-1, ())
         assert curve.components[2] == exp_term(1, POLY_Z)
         value = constant_value(apply_form(holomorphic_coefficients(s.forms[0]), curve))
-        assert value == exp_constant(2)
+        assert value == exp_term(2)
 
     def test_free_component_variant(self):
         """H: x3 = 0 pairs with (3, 4); the tied pair is (1, 2), free z3 constant."""
@@ -536,7 +535,7 @@ class TestWitnessDegeneratePair:
                     outcomes["raised"] += 1
                     continue
                 curve = witness_degenerate_pair(hyperplanes, s, t.pair)
-                assert is_identically_zero(apply_form(diagonal.form.coefficients, curve))
+                assert not apply_form(diagonal.form.coefficients, curve)
                 report = verify(curve, scene)
                 assert report.all_avoided()
                 assert all(r.method == "exact" for r in report.results)
@@ -588,3 +587,9 @@ class TestEvaluation:
             for c, comp in zip(h.coefficients, curve.components)
         )
         assert abs(evaluate_sum(s, z) - direct) < 1e-12
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex(0, float("nan"))])
+    def test_scaled_values_rejects_a_nonfinite_exponent_after_a_finite_one(self, bad):
+        """max() skips a NaN that is not first, so every exponent is checked itself."""
+        with pytest.raises(ValueError, match="beyond the float range"):
+            scaled_values([[(1, 0j)], [(1, 2 + 0j), (1, bad)]])

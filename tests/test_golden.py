@@ -73,7 +73,6 @@ def _run(argv) -> tuple[int, bytes]:
 @pytest.mark.parametrize("name, argv, expected_code", COMMANDS, ids=[c[0] for c in COMMANDS])
 def test_report_bytes_unchanged(name, argv, expected_code, monkeypatch):
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("AVOIDANCE_SEED", raising=False)
     code, stdout = _run(argv)
     assert code == expected_code
     assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
@@ -82,7 +81,7 @@ def test_report_bytes_unchanged(name, argv, expected_code, monkeypatch):
 def test_newton_overflow_leaves_stderr_empty():
     """Verifying hyperplane hits prints nothing to stderr: no numpy warnings, no traceback."""
     argv = ("verify", "--curve", "g", "scenes/hyperplane_hits.scene")
-    env = {k: v for k, v in os.environ.items() if k not in ("AVOIDANCE_SEED", "PYTHONWARNINGS")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     done = subprocess.run(
         [sys.executable, "-m", "curveavoid.cli", *argv],
         cwd=ROOT,
@@ -96,7 +95,6 @@ def test_newton_overflow_leaves_stderr_empty():
 
 if __name__ == "__main__":
     os.chdir(ROOT)
-    os.environ.pop("AVOIDANCE_SEED", None)
     GOLDEN.mkdir(exist_ok=True)
     for name, argv, expected_code in COMMANDS:
         code, stdout = _run(argv)

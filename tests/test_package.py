@@ -1,4 +1,4 @@
-"""The package's public surface: `curveavoid.__all__`, no unused imports and no dead private names."""
+"""The package's public surface: `curveavoid.__all__`, no unused imports, no dead private names, no environment reads."""
 
 import ast
 from pathlib import Path
@@ -132,3 +132,34 @@ def test_unused_private_names_are_found():
 def test_every_private_name_is_used():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unused_private_names(sources) == []
+
+
+_ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source):
+    """The lines on which a module reads the process environment through `os`."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT_READERS:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            lines |= {node.lineno for a in node.names if a.name in _ENVIRONMENT_READERS}
+    return sorted(lines)
+
+
+def test_environment_reads_are_found():
+    source = (
+        "import os\n"
+        "from os import getenv\n"
+        "seed = os.environ.get('SEED')\n"
+        "path = os.path.join('a', 'b')\n"
+        "debug = os.getenv('DEBUG')\n"
+    )
+    assert environment_reads(source) == [2, 3, 5]
+
+
+def test_no_module_reads_the_environment():
+    """A report is a function of its scene, curve and plan alone."""
+    reads = {path.name: environment_reads(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in reads.items() if lines} == {}

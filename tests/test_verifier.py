@@ -399,7 +399,7 @@ def far_dim4_scene(slope):
 
 
 def verify_in_fresh_process(path, *flags):
-    env = {k: v for k, v in os.environ.items() if k not in ("AVOIDANCE_SEED", "PYTHONWARNINGS")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     return subprocess.run(
         [sys.executable, "-m", "curveavoid.cli", "verify", "--curve", "f", *flags, str(path)],
         env=dict(env, PYTHONPATH=str(SCENES.parent / "src")),
