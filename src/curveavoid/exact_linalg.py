@@ -5,7 +5,7 @@ complement computation on a small matrix.  All of it is exact: entries are
 `fractions.Fraction` or `GaussianRational`, and elimination never rounds,
 so "in general position" is decided by arithmetic, not by tolerances.
 
-Every rank and kernel comes from one kernel, `_eliminate`:
+Every rank, kernel and determinant comes from one kernel, `_eliminate`:
 fraction-free Gauss-Jordan elimination over the Gaussian integers Z[i],
 after Bareiss (1968, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination").  Each row is first multiplied by
@@ -24,7 +24,11 @@ kernel serves Q and Q(i): a real row enters with imaginary parts 0 and
 keeps them.  At the end every pivot entry equals the last pivot.  Ranks
 read the pivot count and convert nothing; `_rref` divides each row by its
 pivot once, in the input's field, which gives the unique reduced row
-echelon form with unit pivots, the one rational elimination gives.
+echelon form with unit pivots, the one rational elimination gives.  A
+square matrix of full rank ends with its last pivot equal to the
+determinant of the scaled matrix with its rows permuted, by Sylvester's
+identity again, so `determinant` divides out the row scales and the sign
+of the permutation.
 """
 
 from __future__ import annotations
@@ -155,12 +159,12 @@ def _check_rect(rows: Sequence[Sequence[T]]) -> int:
 
 def _eliminate(
     rows: Sequence[Sequence[T]], complex_field: bool
-) -> tuple[list[list[int]], list[list[int]], list[int]]:
+) -> tuple[list[list[int]], list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination over Z[i].
 
     Returns the real and imaginary parts of the reduced integer rows, zero
-    rows dropped, and the pivot columns.  Every pivot entry of the result
-    equals the last pivot.
+    rows dropped, the pivot columns, and the sign of the row permutation.
+    Every pivot entry of the result equals the last pivot.
     """
     m_re: list[list[int]] = []
     m_im: list[list[int]] = []
@@ -173,11 +177,13 @@ def _eliminate(
     n = len(m_re)
     prev_re, prev_im = 1, 0
     pivots: list[int] = []
-    row = 0
+    row, sign = 0, 1
     for col in range(len(m_re[0]) if m_re else 0):
         pivot = next((i for i in range(row, n) if m_re[i][col] or m_im[i][col]), None)
         if pivot is None:
             continue
+        if pivot != row:
+            sign = -sign
         m_re[row], m_re[pivot] = m_re[pivot], m_re[row]
         m_im[row], m_im[pivot] = m_im[pivot], m_im[row]
         y_re, y_im = m_re[row], m_im[row]
@@ -202,7 +208,7 @@ def _eliminate(
         row += 1
         if row == n:
             break
-    return m_re[:row], m_im[:row], pivots
+    return m_re[:row], m_im[:row], pivots, sign
 
 
 def _quotient(x_re: int, x_im: int, d_re: int, d_im: int, complex_field: bool):
@@ -220,7 +226,7 @@ def _rref(rows: Sequence[Sequence[T]]) -> tuple[list[list[T]], list[int]]:
     if not rows or not rows[0]:
         return [], []
     complex_field = isinstance(rows[0][0], GaussianRational)
-    m_re, m_im, pivots = _eliminate(rows, complex_field)
+    m_re, m_im, pivots, _ = _eliminate(rows, complex_field)
     reduced = []
     for x_re, x_im, pc in zip(m_re, m_im, pivots):
         d_re, d_im = x_re[pc], x_im[pc]
@@ -238,7 +244,7 @@ def _kernel(
     With d the common pivot, d*e_fc - sum_r m[r][fc]*e_pc(r) is d times the
     vector the unit-pivot RREF gives for free column fc.
     """
-    m_re, m_im, pivots = _eliminate(rows, complex_field)
+    m_re, m_im, pivots, _ = _eliminate(rows, complex_field)
     d_re, d_im = (m_re[0][pivots[0]], m_im[0][pivots[0]]) if pivots else (1, 0)
     basis: list[tuple[T, ...]] = []
     for fc in range(width):
@@ -280,6 +286,22 @@ def rank_complex(rows: Sequence[Sequence[GQLike]]) -> int:
     m = _complex_rows(rows)
     _check_rect(m)
     return len(_eliminate(m, True)[2])
+
+
+def determinant(rows: Sequence[Sequence[RationalLike]]) -> Fraction:
+    """Determinant of a square rational matrix.
+
+    After elimination the last pivot is the determinant of the matrix with
+    its rows permuted and each multiplied by its denominators' lcm.
+    """
+    m = _real_rows(rows)
+    if m and _check_rect(m) != len(m):
+        raise ValueError("a determinant needs a square matrix")
+    m_re, _, pivots, sign = _eliminate(m, False)
+    if len(pivots) < len(m):
+        return Fraction(0)
+    scales = math.prod(math.lcm(*(x.denominator for x in r)) for r in m)
+    return Fraction(sign * m_re[-1][-1] if m else 1, scales)
 
 
 def kernel_real(rows: Sequence[Sequence[RationalLike]], width: int) -> list[RationalVector]:

@@ -1,0 +1,297 @@
+"""Exact common real zeros of two real parts on a one-unit curve.
+
+`verifier` calls this for a real subspace whose two restrictions g_1, g_2
+have nonconstant parts of real rank 2.  In scope, every exponent of g_1
+and g_2 is n mu z for one mu and integers n, with no constant offset, so
+g_k = sum b_(k,n) w^n is a Laurent polynomial over Q(i) in the unit
+w = e^(mu z), which takes every value in C* (see `curves.unit_form`).  The
+curve meets the subspace exactly when Re g_1 = Re g_2 = 0 at some w != 0.
+
+With w = u + iv, R_k = Re(|w|^(2 N_k) g_k) lies in Q[u, v] and has the
+zeros of Re g_k off w = 0.  N_k is the least power that clears the
+negative n of g_k: one more would give both R_k the factor u^2 + v^2,
+whose only real zero is w = 0, and their resultant would vanish.
+
+The elimination follows Basu, Pollack and Roy, *Algorithms in Real
+Algebraic Geometry*.  The shear u -> u + lam v, lam = 0, 1, 2, ..., makes
+both leading coefficients in v constants, so no common zero escapes to
+v = infinity and the Sylvester matrix keeps its shape at every u.  Then
+r(u) = Res_v(R_1, R_2) vanishes exactly at the u of the common complex
+zeros; r = 0 means a common factor, which stays undecided.  It has degree
+at most deg R_1 deg R_2, so it is interpolated from Sylvester
+determinants at that many integer points plus one
+(`exact_linalg.determinant`).  At a root u0 of r where the first
+subresultant s11 v + s10 has s11(u0) != 0, it is the gcd of R_1(u0, v)
+and R_2(u0, v), so u0 carries exactly one common zero, v0 =
+-s10(u0)/s11(u0), real when u0 is.  Once gcd(sqfree(r), s11) = 1, the
+real roots of sqfree(r) and the real common zeros correspond one to one.
+The origin is a common zero when both R_k vanish there; its root u = 0
+is divided out after checking that the line u = 0 carries no other common
+zero.  A Sturm sequence over Q counts the real roots left (Sturm's
+theorem): none means avoidance.  Each one is isolated by bisection on
+Sturm counts and refined by rational bisection on the sign of r.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import zip_longest
+
+from .curves import POLY_ZERO, ExpPoly, ExpSum, unit_form
+from .exact_linalg import GQ_ONE, GaussianRational, determinant
+
+# deg r <= deg R_1 * deg R_2.  One subspace takes 30-40 ms at 16, about 0.25 s at 36 and
+# 1-3 s at 64 (CPython 3.11, one x86 core), so larger ones stay sampled.
+MAX_DEGREE = 36
+_SHEARS = 16  # shears tried before the pair stays sampled
+_BITS = 64  # relative width of a refined root
+
+# univariate polynomials over Q: coefficient lists, lowest degree first, no trailing zeros
+
+
+def _trim(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _primitive(p: list) -> list[int]:
+    """The positive multiple of p != 0 with coprime integer coefficients."""
+    scale = math.lcm(*(Fraction(c).denominator for c in p))
+    ints = [int(c * scale) for c in p]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _eval(p: list, x):
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _sign_at(p: list[int], x: Fraction) -> int:
+    """The sign of p(a/b), from b^deg p(a/b) in integers."""
+    acc, power = 0, 1
+    for c in reversed(p):
+        acc = acc * x.numerator + c * power
+        power *= x.denominator
+    return (acc > 0) - (acc < 0)
+
+
+def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with c a = q b + r for some integer c > 0 and deg r < deg b, in integers."""
+    lead, sign = abs(b[-1]), 1 if b[-1] > 0 else -1
+    q, r = [0] * max(len(a) - len(b) + 1, 0), list(a)
+    while len(r) >= len(b):
+        shift, c = len(r) - len(b), r[-1] * sign
+        q = [x * lead for x in q]
+        q[shift] += c
+        r = [x * lead for x in r]
+        for i, y in enumerate(b):
+            r[shift + i] -= c * y
+        _trim(r)
+    return q, r
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """A greatest common divisor of a and b, not both 0, primitive."""
+    while b:
+        r = _pdivmod(a, b)[1]
+        a, b = b, _primitive(r) if r else r
+    return _primitive(a)
+
+
+def _derivative(p: list) -> list:
+    return [n * c for n, c in enumerate(p)][1:]
+
+
+def _interpolate(values: list) -> list:
+    """The polynomial of degree below len(values) taking them at 0, 1, 2, ...
+
+    Newton's forward differences: p(x) = sum_k (Delta^k values)[0] x(x-1)...(x-k+1) / k!.
+    """
+    p, basis, diffs = [], [1], list(values)
+    for k in range(len(values)):
+        term = [Fraction(diffs[0], math.factorial(k)) * c for c in basis]
+        p = [x + y for x, y in zip_longest(p, term, fillvalue=0)]
+        basis = [x - k * y for x, y in zip([0] + basis, basis + [0])]  # times (x - k)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return _trim(p)
+
+
+# ---------------------------------------------------------------------------
+# real roots
+
+
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _refine(p: list[int], lo: Fraction, hi: Fraction) -> Fraction:
+    """The one root of p in (lo, hi], to a relative 2^-_BITS, by bisection on the sign of p."""
+    side = _sign_at(p, hi)
+    while side and hi - lo > max(-lo, hi) / 2**_BITS:
+        mid = (lo + hi) / 2
+        s = _sign_at(p, mid)
+        if not s:
+            return mid
+        lo, hi = (lo, mid) if s == side else (mid, hi)
+    return hi
+
+
+def _real_roots(p: list[int]) -> list[Fraction]:
+    """The real roots of the squarefree p of degree 1 or more.
+
+    Sturm's theorem: the sign variations of the sequence p, p', -rem, ...
+    drop by the number of distinct roots in (a, b] from a to b.  Bisection
+    from (-2^k, 2^k], past Cauchy's bound, isolates each root; 0 is the
+    first midpoint, so a root at 0 is found exactly.
+    """
+    chain = [p, _primitive(_derivative(p))]
+    while len(chain[-1]) > 1:
+        chain.append(_primitive([-c for c in _pdivmod(chain[-2], chain[-1])[1]]))
+    bound = 2 ** (2 + max(map(abs, p[:-1])) // abs(p[-1])).bit_length()
+    roots, stack = [], [(Fraction(-bound), Fraction(bound))]
+    while stack:
+        lo, hi = stack.pop()
+        count = _variations(chain, lo) - _variations(chain, hi)
+        if count == 1:
+            roots.append(_refine(p, lo, hi))
+        elif count > 1:
+            mid = (lo + hi) / 2
+            stack += [(lo, mid), (mid, hi)]
+    return roots
+
+
+# ---------------------------------------------------------------------------
+# the plane curves R_k = 0
+
+
+def _degree(powers: list[int]) -> int:
+    """The degree of R for a g with these powers n of w: max n + 2N."""
+    return max(powers) + 2 * max(0, -min(powers))
+
+
+def _laurent(restrictions) -> tuple[GaussianRational, list[dict[int, GaussianRational]]] | None:
+    """mu and each g as {n: b_n} with g = sum b_n e^(n mu z); None out of scope.
+
+    Of mu and -mu, the one that gives the smaller product of degrees of R.
+    """
+    exponents = {t.exponent for g in restrictions for t in g.terms} | {POLY_ZERO}
+    if any(len(e) > 2 or (e and e[0]) for e in exponents):
+        return None
+    form = unit_form(ExpSum(tuple(ExpPoly(GQ_ONE, e) for e in exponents)))
+    if form is None:
+        return None
+    mu = form[0]
+    power = {e: int((e[1] / mu).re) if e else 0 for e in exponents}
+    used = [[power[t.exponent] for t in g.terms] for g in restrictions]
+    if math.prod(_degree([-n for n in p]) for p in used) < math.prod(map(_degree, used)):
+        mu, power = -mu, {e: -n for e, n in power.items()}
+    return mu, [{power[t.exponent]: t.coeff for t in g.terms} for g in restrictions]
+
+
+def _real_part(laurent: dict[int, GaussianRational]) -> dict[tuple[int, int], int]:
+    """R = Re(|w|^(2N) g) as {(i, j): coefficient of u^i v^j}, primitive.
+
+    A term b w^n gives (u^2 + v^2)^N Re(b w^n) for n >= 0 and
+    (u^2 + v^2)^(N + n) Re(b conj(w)^(-n)) for n < 0; the coefficient of
+    u^(m-k) v^k in Re(b (u +- iv)^m) is C(m, k) Re(b (+-i)^k).
+    """
+    top = max(0, -min(laurent))
+    out: dict[tuple[int, int], Fraction] = {}
+    for n, b in laurent.items():
+        m, e, im = abs(n), top + min(n, 0), b.im if n >= 0 else -b.im
+        for k in range(m + 1):
+            c = math.comb(m, k) * (b.re, -im, -b.re, im)[k % 4]
+            for j in range(e + 1):
+                key = (m - k + 2 * (e - j), k + 2 * j)
+                out[key] = out.get(key, 0) + math.comb(e, j) * c
+    out = {key: c for key, c in out.items() if c}
+    return dict(zip(out, _primitive(list(out.values()))))
+
+
+def _shear(r: dict[tuple[int, int], int], lam: int) -> list[list[int]]:
+    """R(u + lam v, v) as its coefficients in v, lowest first, each a polynomial in u."""
+    d = max(i + j for i, j in r)
+    out = [[0] * (d + 1) for _ in range(d + 1)]
+    for (i, j), c in r.items():
+        for t in range(i + 1):
+            out[t + j][i - t] += math.comb(i, t) * lam**t * c
+    return _trim([_trim(p) for p in out])
+
+
+def _sylvester(a: list, b: list, j: int) -> list[list]:
+    """Rows v^(q-j-1) a, ..., a, v^(p-j-1) b, ..., b of the j-th subresultant, highest power first."""
+    p, q = len(a) - 1, len(b) - 1
+    width = p + q - j
+    return [
+        [0] * s + f[::-1] + [0] * (width - s - len(f))
+        for f, copies in ((a, q - j), (b, p - j))
+        for s in range(copies)
+    ]
+
+
+def _at(s: list[list[int]], x: int) -> list[int]:
+    return [_eval(c, x) for c in s]
+
+
+def _first_subresultant(s1, s2, points) -> tuple[list, list]:
+    """(s11, s10), the coefficients in v of the first subresultant, as polynomials in u.
+
+    A factor of degree 1 in v is its own first subresultant, up to a
+    constant.  Otherwise their degrees, like that of r, are at most
+    deg R_1 deg R_2, so the points that give r give them too.
+    """
+    if min(len(s1), len(s2)) == 2:
+        s11, s10 = (s1 if len(s1) == 2 else s2)[::-1]
+        return s11, s10
+    rows = [_sylvester(_at(s1, x), _at(s2, x), 1) for x in points]
+    s11 = _interpolate([determinant([r[:-1] for r in m]) for m in rows])
+    s10 = _interpolate([determinant([r[:-2] + r[-1:] for r in m]) for m in rows])
+    return s11, s10
+
+
+def unit_plane_zeros(g1: ExpSum, g2: ExpSum) -> tuple[GaussianRational, list[complex]] | None:
+    """mu and the unit w = e^(mu z) at each common zero of Re g1 and Re g2 (w != 0).
+
+    The list is empty when the real parts never vanish together.  None
+    when the pair is out of scope, r = 0, or no shear up to _SHEARS
+    passes the checks.
+    """
+    found = _laurent((g1, g2))
+    if found is None:
+        return None
+    mu, laurents = found
+    r1, r2 = (_real_part(g) for g in laurents)
+    d1, d2 = (max(i + j for i, j in r) for r in (r1, r2))
+    if d1 * d2 > MAX_DEGREE:
+        return None
+    points = range(d1 * d2 + 1)
+    origin = (0, 0) not in r1 and (0, 0) not in r2
+    for lam in range(_SHEARS):
+        s1, s2 = _shear(r1, lam), _shear(r2, lam)
+        if len(s1[-1]) > 1 or len(s2[-1]) > 1:
+            continue
+        r = _interpolate([determinant(_sylvester(_at(s1, x), _at(s2, x), 0)) for x in points])
+        if not r:
+            return None
+        r = _primitive(r)
+        q = _primitive(_pdivmod(r, _gcd(r, _derivative(r)))[0]) if len(r) > 1 else r
+        if origin:
+            on_line = _gcd([c[0] if c else 0 for c in s1], [c[0] if c else 0 for c in s2])
+            if any(on_line[:-1]):
+                continue
+            q = q[1:]
+        roots = _real_roots(q) if len(q) > 1 else []
+        if not roots:
+            return mu, []
+        s11, s10 = _first_subresultant(s1, s2, points)
+        if not s11 or len(_gcd(q, _primitive(s11))) > 1:
+            continue
+        vs = [-_eval(s10, u) / _eval(s11, u) for u in roots]
+        return mu, [complex(float(u + lam * v), float(v)) for u, v in zip(roots, vs)]
+    return None

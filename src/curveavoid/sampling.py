@@ -4,7 +4,14 @@ This is the only module of the package that imports numpy.  `verify`
 loads it when a real subspace needs sampling, because no exact
 certificate settles it, or when a hyperplane's zero comes from a unit
 polynomial of degree 3 or more (`polynomial_roots`).  The commands that
-need neither never pay for the import.
+need neither never pay for the import.  Since every subspace whose
+restrictions have nonconstant parts of real rank at most one, and every
+one of rank two on a curve whose exponents are integer multiples of one
+mu z, is decided exactly (see `verifier` and `resultant`), the sampler
+serves rank two on other curves, such as those mixing e^z and e^(iz),
+rank three and more, and the rank-two pairs the elimination leaves
+undecided: a common factor of the two real parts, or a resultant of
+degree above `resultant.MAX_DEGREE`.
 
 A subspace is sampled over a deterministic grid on the disk, seeded
 random points in it, and targeted points: bisection onto the zero set of

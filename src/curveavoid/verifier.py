@@ -12,17 +12,32 @@ zero nearest the origin as its sample, from the roots of the sum's unit
 polynomial (see `curves.unit_form`); a sum without a unit form carries a
 null sample.
 
-A real subspace is decided exactly when the restrictions of its defining
-forms have nonconstant parts of real rank at most one.  A real combination
-of them whose nonconstant parts cancel is a constant (linear independence
-of exponentials over the algebraic numbers); one with nonzero real part
+A real subspace is decided exactly from the real rank of the nonconstant
+parts of its forms' restrictions to the curve.  A real combination of
+them whose nonconstant parts cancel is a constant (linear independence of
+exponentials over the algebraic numbers); one with nonzero real part
 means avoidance, one with zero real part holds everywhere and drops out.
 At rank one the first nonconstant restriction g takes an imaginary value
 (little Picard), so Re g vanishes, and the sample is a zero of g - it as
-for a hyperplane.  Any other subspace falls back to dense sampling over a
-disk with targeted refinement near the zero set of each individual form.
-The `sampling` module is loaded only when a subspace needs it, or a unit
-polynomial of degree 3 or more needs its roots.
+for a hyperplane.  At rank two, two restrictions g1, g2 carry the zero
+set.  When every exponent of both is an integer multiple of one mu z,
+they are Laurent polynomials in the unit w = e^(mu z), and
+`resultant.unit_plane_zeros` decides exactly whether Re g1 and Re g2
+vanish together at some w != 0.  It writes Re(|w|^(2N) g) as a
+polynomial in u, v with w = u + iv, N the least power that clears the
+negative powers of g (one more would give both polynomials the factor
+u^2 + v^2 and a resultant that vanishes identically), eliminates v (a
+resultant in u), checks against the first subresultant that each real
+root u carries exactly one common zero, and counts those roots, leaving
+out w = 0, with a Sturm sequence.  The sample is the z nearest the origin
+over the common zeros found.  Any other subspace (rank three or more,
+exponents in two directions such as e^z and e^(iz), a resultant that
+vanishes identically, or one of degree above `resultant.MAX_DEGREE`)
+falls back to dense sampling over a disk with targeted refinement near
+the zero set of each individual form.  The `resultant` module is loaded
+only when a subspace reaches rank two, and `sampling` only when a
+subspace needs it or a unit polynomial of degree 3 or more needs its
+roots.
 
 Sampling cannot prove avoidance.  Reports therefore label every verdict
 with the method that produced it, and sampled verdicts carry the minimum
@@ -44,6 +59,7 @@ import cmath
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import combinations
 
 from .arrangement import RealSubspace, holomorphic_coefficients
 from .curves import (
@@ -58,7 +74,7 @@ from .curves import (
     terms_at,
     unit_form,
 )
-from .exact_linalg import GQ_I, GQ_ZERO, kernel_real
+from .exact_linalg import GQ_I, GQ_ZERO, GaussianRational, kernel_real
 from .scene import Scene, format_exp_sum
 
 AVOIDED = "avoided"
@@ -151,7 +167,10 @@ def _exact_hyperplane_result(name: str, s: ExpSum) -> SetResult:
         return SetResult(name, "exact", ZERO_SET_HIT, None, (0.0, 0.0))
     if is_nowhere_zero(s) == "yes":
         return SetResult(name, "exact", AVOIDED, None, None)
-    zero = _nearest_zero(s)
+    return _exact_violation(name, _nearest_zero(s))
+
+
+def _exact_violation(name: str, zero: complex | None) -> SetResult:
     sample = None if zero is None else (zero.real + 0.0, zero.imag + 0.0)
     return SetResult(name, "exact", VIOLATED, None, sample)
 
@@ -160,10 +179,10 @@ def _nearest_zero(s: ExpSum) -> complex | None:
     """The zero nearest the origin of s = e^(d0) P(w), w = e^(mu z) (see `unit_form`).
 
     The zeros are z = (Log w + 2 pi i k) / mu over the nonzero roots w of P
-    and the integers k; a tie in modulus goes to the smaller Im(mu z).  For
-    degree 1, Log w = log C0 - log C1 + i pi in the log domain, so constants
-    beyond the float range keep their zero.  None when s has no unit form
-    or floating point loses every root.
+    and the integers k (`_nearest`).  For degree 1, Log w = log C0 - log C1
+    + i pi in the log domain, so constants beyond the float range keep
+    their zero.  None when s has no unit form or floating point loses every
+    root.
     """
     form = unit_form(s)
     if form is None:
@@ -176,6 +195,14 @@ def _nearest_zero(s: ExpSum) -> complex | None:
         top = max(t.offset.re for c in coeffs.values() for t in c.terms)
         terms = [coeffs[n].float_terms(top) if n in coeffs else [] for n in range(max(coeffs) + 1)]
         logs = [cmath.log(w) for w in _roots(scaled_values(terms)[1]) if w]
+    return _nearest(logs, mu)
+
+
+def _nearest(logs: list[complex], mu: GaussianRational) -> complex | None:
+    """The point (log + 2 pi i k) / mu nearest the origin over the logs and the integers k.
+
+    A tie in modulus goes to the smaller Im(mu z); None without logs.
+    """
     candidates = []
     for log in logs:
         k = round(-log.imag / (2 * math.pi))
@@ -214,7 +241,9 @@ def _exact_subspace_result(name: str, subspace: RealSubspace, curve: ExpAffineCu
     subspace.  At rank 1 the subspace is the zero set of Re g for the first
     nonconstant g, which vanishes where g = it (little Picard); t = 0 when
     g has a constant group, else t = 1, and g - it has a zero
-    (`is_nowhere_zero`).  Above rank 1, None.
+    (`is_nowhere_zero`).  At rank 2 two restrictions with independent
+    nonconstant parts carry the zero set, and `resultant.unit_plane_zeros`
+    decides it on a one-unit curve.  Otherwise None.
     """
     restrictions = [apply_form(holomorphic_coefficients(form), curve) for form in subspace.forms]
     coeffs = [{t.exponent: t.coeff for t in g.terms} for g in restrictions]
@@ -229,12 +258,32 @@ def _exact_subspace_result(name: str, subspace: RealSubspace, curve: ExpAffineCu
     rank = len(restrictions) - len(kernel)
     if rank == 0:
         return SetResult(name, "exact", ZERO_SET_HIT, None, (0.0, 0.0))
-    if rank > 1:
+    if rank == 2:
+        a, b = next(
+            pair
+            for pair in combinations(range(len(restrictions)), 2)
+            if not kernel_real([[row[k] for k in pair] for row in rows], 2)
+        )
+        return _unit_plane_result(name, restrictions[a], restrictions[b])
+    if rank > 2:
         return None
     g = next(g for g in restrictions if constant_value(g) is None)
     if all(len(t.exponent) > 1 for t in g.terms):
         g = g - exp_term(GQ_I)
     return _exact_hyperplane_result(name, g)
+
+
+def _unit_plane_result(name: str, g1: ExpSum, g2: ExpSum) -> SetResult | None:
+    """The exact verdict for {Re g1 = 0, Re g2 = 0} from `resultant.unit_plane_zeros`, or None."""
+    from .resultant import unit_plane_zeros  # loaded the first time a subspace reaches rank 2
+
+    found = unit_plane_zeros(g1, g2)
+    if found is None:
+        return None
+    mu, units = found
+    if not units:
+        return SetResult(name, "exact", AVOIDED, None, None)
+    return _exact_violation(name, _nearest([cmath.log(w) for w in units if w], mu))
 
 
 def _sampled_result(

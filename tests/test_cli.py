@@ -244,8 +244,8 @@ class TestWitness:
         assert data["subspace"] == ["x1 - x3", "x2 - x3"]
         subspace_result = data["report"]["results"][-1]
         assert subspace_result["set"] == "H"
-        assert subspace_result["verdict"] == "avoided"
-        assert subspace_result["min_margin"] > 1e-6
+        assert (subspace_result["method"], subspace_result["verdict"]) == ("exact", "avoided")
+        assert subspace_result["min_margin"] is None
 
     def test_degenerate_pair(self, scene, capsys):
         code, data = run_json(capsys, "witness", "--construction", "degenerate-pair", scene(DEGENERATE))
@@ -324,12 +324,15 @@ class TestVerify:
         assert err == "error: at most 1001 grid points per axis and 1000000 random points\n"
 
     def test_three_point_grid_alone_samples_the_disk(self, capsys):
+        """The grid's centre node z = 0 is where both forms of H vanish."""
         code, data = run_json(
             capsys, "verify", "--curve", "f", "--grid", "3", "--random", "0",
-            str(SCENES / "verify_demo.scene"),
+            str(SCENES / "sampled_dim4.scene"),
         )
-        assert code == 0
-        assert data["results"][-1]["method"] == "sampled"
+        assert code == 1
+        result = data["results"][-1]
+        assert (result["method"], result["verdict"]) == ("sampled", "violated")
+        assert result["violation_sample"] == [0.0, 0.0]
 
     @pytest.mark.parametrize(
         "line",

@@ -10,6 +10,7 @@ from curveavoid.exact_linalg import (
     GQ_ZERO,
     GaussianRational,
     _rref,
+    determinant,
     gq,
     kernel_complex,
     kernel_real,
@@ -275,3 +276,30 @@ def test_complex_kernel_matches_reference(rows, data):
     assert _rref(rows) == (reduced, pivots)
     assert rank_complex(rows) == len(pivots)
     assert kernel_complex(rows, width) == reference_kernel(rows, width, GQ_ONE)
+
+
+def leibniz_determinant(rows):
+    """The determinant as the signed sum over permutations, by expansion along the first row."""
+    if not rows:
+        return F(1)
+    return sum(
+        (-1) ** j * a * leibniz_determinant([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+    )
+
+
+def square_matrices(n):
+    row = st.lists(st.one_of(st.just(F(0)), rationals), min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(square_matrices))
+def test_determinant_matches_expansion(rows):
+    """Zero entries force row swaps and singular matrices, which flip or zero the sign."""
+    assert determinant(rows) == leibniz_determinant(rows)
+
+
+def test_determinant_needs_a_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        determinant([[1, 2]])

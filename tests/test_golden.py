@@ -60,6 +60,8 @@ COMMANDS = (
     ("classify-concurrent", ("classify", "scenes/concurrent.scene"), 2),
     # a real subspace whose two restrictions share their nonconstant part, met by little Picard
     ("verify-proportional-hit", ("verify", "--curve", "f", "scenes/proportional_hit.scene"), 1),
+    # a dim-4 real subspace on a one-unit curve, met inside the disk (real elimination)
+    ("verify-dim4-hit", ("verify", "--curve", "f", "scenes/dim4_hit.scene"), 1),
 )
 
 

@@ -1,11 +1,13 @@
-"""Start-up cost: numpy is loaded only when a set needs sampling.
+"""Start-up cost: numpy is loaded only when a set needs sampling, `resultant` only at rank 2.
 
-A hyperplane met by a curve needs none when its zero is a root of a unit
-polynomial of degree 1 or 2.
+A hyperplane met by a curve needs no numpy when its zero is a root of a
+unit polynomial of degree 1 or 2.  A real subspace whose restrictions
+have nonconstant parts of real rank 2 loads `curveavoid.resultant`, and
+on a one-unit curve it decides the subspace without numpy.
 
 Each test runs the package in a fresh interpreter with PYTHONPATH=src and
 reports, after `import curveavoid` and after each command, whether numpy
-is in `sys.modules`.
+and `curveavoid.resultant` are in `sys.modules`.
 """
 
 import json
@@ -16,8 +18,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The README's commands that every exact certificate settles.
-EXACT_ONLY = (
+# The README's commands with no real subspace of rank 2.
+NO_RANK_TWO = (
     ("gp-check", "scenes/standard4.scene"),
     ("diagonals", "scenes/standard4.scene"),
     ("classify", "scenes/degenerate.scene"),
@@ -26,21 +28,27 @@ EXACT_ONLY = (
     ("witness", "--construction", "three-hyperplanes", "scenes/optimality.scene"),
     ("project", "--curve", "f", "--at", "1+i", "scenes/verify_demo.scene"),
 )
+# The README's commands that every exact certificate settles: all of them.
+EXACT_ONLY = NO_RANK_TWO + (
+    ("witness", "--construction", "dim4-subspace", "scenes/standard4.scene"),
+    ("verify", "--curve", "f", "scenes/verify_demo.scene"),
+)
 
 PROBE = """
 import contextlib, io, json, sys
 import curveavoid
 from curveavoid.cli import main
-steps = [["import curveavoid", None, "numpy" in sys.modules]]
+loaded = lambda: ["numpy" in sys.modules, "curveavoid.resultant" in sys.modules]
+steps = [["import curveavoid", None, *loaded()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    steps.append([" ".join(argv), code, "numpy" in sys.modules])
+    steps.append([" ".join(argv), code, *loaded()])
 print(json.dumps({"package": curveavoid.__file__, "steps": steps}))
 """
 
 
-def _numpy_after_each(commands) -> list[list]:
+def _loaded_after_each(commands) -> list[list]:
     done = subprocess.run(
         [sys.executable, "-c", PROBE, json.dumps(commands)],
         cwd=ROOT,
@@ -56,17 +64,18 @@ def _numpy_after_each(commands) -> list[list]:
 
 
 def test_exact_only_commands_never_load_numpy():
-    steps = _numpy_after_each(EXACT_ONLY)
-    assert steps == [["import curveavoid", None, False]] + [
-        [" ".join(argv), 0, False] for argv in EXACT_ONLY
+    steps = _loaded_after_each(EXACT_ONLY)
+    assert steps == [["import curveavoid", None, False, False]] + [
+        [" ".join(argv), 0, False, argv not in NO_RANK_TWO] for argv in EXACT_ONLY
     ]
 
 
 def test_verify_loads_numpy_when_a_set_needs_sampling():
-    argv = ("verify", "--curve", "f", "scenes/verify_demo.scene")
-    assert _numpy_after_each([argv]) == [
-        ["import curveavoid", None, False],
-        [" ".join(argv), 0, True],
+    """scenes/sampled_dim4.scene mixes exp(z) and exp(i*z), so no unit carries H."""
+    argv = ("verify", "--curve", "f", "scenes/sampled_dim4.scene")
+    assert _loaded_after_each([argv]) == [
+        ["import curveavoid", None, False, False],
+        [" ".join(argv), 1, True, True],
     ]
 
 
@@ -83,6 +92,6 @@ def test_closed_form_hits_never_load_numpy():
         ("verify", "--curve", "f", "scenes/reduced_hit.scene"),
         ("verify", "--curve", "f", "scenes/proportional_hit.scene"),
     ]
-    assert _numpy_after_each(commands) == [["import curveavoid", None, False]] + [
-        [" ".join(argv), 1, False] for argv in commands
+    assert _loaded_after_each(commands) == [["import curveavoid", None, False, False]] + [
+        [" ".join(argv), 1, False, False] for argv in commands
     ]

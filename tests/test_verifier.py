@@ -27,6 +27,7 @@ from curveavoid.verifier import (
     VIOLATED,
     ZERO_SET_HIT,
     SamplingPlan,
+    _sampled_result,
     projective_value,
     verify,
 )
@@ -43,6 +44,8 @@ curve f: (exp(z), -exp(z), exp(2*z))
 
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
+# exp(z) and exp(i*z) share no unit, so its dim-4 subspace is sampled
+SAMPLED_DIM4_SCENE = (SCENES / "sampled_dim4.scene").read_text()
 
 
 def scene_and_curve(text, name="f"):
@@ -347,20 +350,22 @@ def test_real_hyperplane_is_met_exactly_when_its_form_is_nonconstant(case):
 
 
 class TestSampledPaths:
+    """The sampler on its own.  `verify` decides the dim-4 witness exactly now (see
+    test_resultant.py), so these call `Sampler(plan).subspace` on the same curve."""
+
     def test_dim4_subspace_margin(self):
         scene, f = scene_and_curve(DIM4_SUBSPACE_SCENE)
-        report = verify(f, scene)
-        subspace_result = report.results[4]
-        assert subspace_result.set == "H"
+        plan = SamplingPlan()
+        subspace_result = _sampled_result("H", plan, *Sampler(plan).subspace(scene.reals["H"], f))
         assert (subspace_result.method, subspace_result.verdict) == ("sampled", AVOIDED)
         assert subspace_result.min_margin > 1e-6
 
     def test_margin_shrinks_with_radius(self):
         """The observed margin scale follows e^x on the disk boundary."""
         scene, f = scene_and_curve(DIM4_SUBSPACE_SCENE)
-        small = verify(f, scene, SamplingPlan(disk_radius=3.0)).results[4]
-        large = verify(f, scene, SamplingPlan(disk_radius=10.0)).results[4]
-        assert small.min_margin > large.min_margin > 0
+        small, _ = Sampler(SamplingPlan(disk_radius=3.0)).subspace(scene.reals["H"], f)
+        large, _ = Sampler(SamplingPlan(disk_radius=10.0)).subspace(scene.reals["H"], f)
+        assert small > large > 0
 
     def test_real_violation_found_by_bisection(self):
         """A curve that crosses x1 = 0 transversally is caught."""
@@ -411,8 +416,9 @@ def verify_in_fresh_process(path, *flags):
 class TestFarExponents:
     """The components share one factor e^top per sample point, so margins stay finite.
 
-    The curve avoids H, but along Re e^w = 0 its relative margin is about
-    e^(-960), below the tolerance, so the verdict stays violated (sampled).
+    The curve avoids H, and `verify` decides it exactly: avoided, exit 0.
+    The sampler alone, along Re e^w = 0, sees a relative margin of about
+    e^(-960), below the tolerance, so its own verdict would be violated.
     """
 
     @pytest.mark.parametrize("slope", [100, -100])
@@ -420,10 +426,19 @@ class TestFarExponents:
         path = tmp_path / "far.scene"
         path.write_text(far_dim4_scene(slope))
         done = verify_in_fresh_process(path)
-        assert (done.returncode, done.stderr) == (1, b"")
+        assert (done.returncode, done.stderr) == (0, b"")
         (r,) = json.loads(done.stdout)["results"]
-        assert (r["method"], r["verdict"]) == ("sampled", VIOLATED)
-        assert math.isfinite(r["min_margin"])
+        assert (r["method"], r["verdict"], r["min_margin"]) == ("exact", AVOIDED, None)
+
+    @pytest.mark.parametrize("slope", [100, -100])
+    def test_sampler_margin_stays_finite(self, slope):
+        scene, f = scene_and_curve(far_dim4_scene(slope))
+        plan = SamplingPlan()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = _sampled_result("H", plan, *Sampler(plan).subspace(scene.reals["H"], f))
+        assert (r.method, r.verdict) == ("sampled", VIOLATED)
+        assert math.isfinite(r.min_margin)
 
     def test_infinite_exponent_is_an_input_error(self, tmp_path):
         """exp(z^64) is infinite on much of a disk of radius 10^5: exit 2, no warning."""
@@ -448,8 +463,8 @@ class TestFarExponents:
             )
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                (r,) = verify(f, scene, plan).results
-            margins.append(r.min_margin)
+                margin, _ = Sampler(plan).subspace(scene.reals["H"], f)
+            margins.append(margin)
         assert 0 < margins[0] == pytest.approx(margins[1], rel=1e-9)
 
     def test_margin_where_every_component_underflows(self):
@@ -460,7 +475,8 @@ class TestFarExponents:
     def test_violation_sample_reproduces_the_hit(self):
         """At the sample, the relative margin from cmath lies below the tolerance."""
         scene, f = scene_and_curve(far_dim4_scene(-100))
-        (r,) = verify(f, scene).results
+        plan = SamplingPlan()
+        r = _sampled_result("H", plan, *Sampler(plan).subspace(scene.reals["H"], f))
         assert (r.method, r.verdict) == ("sampled", VIOLATED)
         w = -100 * complex(*r.violation_sample)
         # f / e^(Re w): (e^(i Im w), -e^(i Im w), e^(w + i Im w))
@@ -561,17 +577,18 @@ class TestPlanLimits:
 
 class TestDeterminism:
     def test_reports_are_byte_identical(self):
-        scene, f = scene_and_curve(DIM4_SUBSPACE_SCENE)
+        scene, f = scene_and_curve(SAMPLED_DIM4_SCENE)
         a = verify(f, scene, SamplingPlan()).to_json()
         b = verify(f, scene, SamplingPlan()).to_json()
         assert a == b
 
     def test_seed_changes_random_stream_not_verdict(self):
-        scene, f = scene_and_curve(DIM4_SUBSPACE_SCENE)
+        scene, f = scene_and_curve(SAMPLED_DIM4_SCENE)
         a = verify(f, scene, SamplingPlan(seed=0))
         b = verify(f, scene, SamplingPlan(seed=1))
-        assert a.results[4].verdict == b.results[4].verdict == AVOIDED
-        # the worst margin sits at a targeted (seed-free) point, but the
+        assert a.results[-1].method == b.results[-1].method == "sampled"
+        assert a.results[-1].verdict == b.results[-1].verdict == VIOLATED
+        # the worst margin sits at the grid node z = 0 (seed-free), but the
         # random portion of the stream really does move
         pts_a = Sampler(SamplingPlan(seed=0, grid_points=2)).base
         pts_b = Sampler(SamplingPlan(seed=1, grid_points=2)).base
