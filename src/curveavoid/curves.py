@@ -255,14 +255,12 @@ class ExpAffineCurve:
 
 
 def apply_form(h: ComplexHyperplane | Sequence[GQLike], f: ExpAffineCurve) -> ExpSum:
-    """The exponential sum a1 f1 + a2 f2 + a3 f3."""
+    """The exponential sum a1 f1 + a2 f2 + a3 f3, its terms grouped in one pass."""
     coeffs = h.coefficients if isinstance(h, ComplexHyperplane) else tuple(gq(x) for x in h)
     if len(coeffs) != 3:
         raise ValueError("forms on C^3 have 3 coefficients")
-    acc = ExpSum(())
-    for a, comp in zip(coeffs, f.components):
-        acc = acc + comp.scale(a)
-    return acc
+    terms = (ExpPoly(a * t.coeff, t.exponent) for a, comp in zip(coeffs, f.components) for t in comp.terms)
+    return ExpSum(tuple(terms))
 
 
 def _dropped_constant(p: Poly) -> Poly:

@@ -3,16 +3,21 @@
 Every geometric predicate in this package reduces to a rank, kernel, or
 complement computation on a small matrix.  All of it is exact: entries are
 `fractions.Fraction` or `GaussianRational`, and elimination never rounds,
-so "in general position" is decided by arithmetic, not by tolerances.
+so "in general position" is decided by arithmetic, not by tolerances.  A
+`GaussianRational` is one reduced integer triple, (a + bi)/d with d > 0
+and gcd(a, b, d) = 1: each of its operations works on ints and ends in a
+single gcd, and its real and imaginary parts become `Fraction`s only when
+asked for.
 
 Every rank, kernel and determinant comes from one kernel, `_eliminate`:
 fraction-free Gauss-Jordan elimination over the Gaussian integers Z[i],
 after Bareiss (1968, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination").  Each row is first multiplied by
-the lcm of the denominators of its entries' real and imaginary parts, which
-keeps its row space, so the entries become pairs of Python ints.  With p
-the new pivot, in row r and column c, and prev the pivot before it (1 at
-the start), every other row i becomes
+the lcm of the denominators of its entries, which keeps its row space, so
+the entries become pairs of Python ints; a complex row reads them straight
+from its triples, with the lcm of their d as its scale.  With p the new
+pivot, in row r and column c, and prev the pivot before it (1 at the
+start), every other row i becomes
 
     m[i][j] = (p * m[i][j] - m[i][c] * m[r][j]) / prev.
 
@@ -34,7 +39,6 @@ of the permutation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, TypeVar, Union
 
@@ -49,83 +53,115 @@ def _frac(x: RationalLike) -> Fraction:
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True, slots=True)
 class GaussianRational:
-    """A complex number with rational real and imaginary parts."""
+    """A complex number with rational real and imaginary parts.
 
-    re: Fraction
-    im: Fraction
+    It is stored as (a + bi)/d with Python ints a, b, d, d > 0 and
+    gcd(a, b, d) = 1, so each value has one triple, which equality and
+    hashing use.  Like `Fraction`, it is immutable: `re` and `im` are
+    read-only, and nothing outside this module writes the triple.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re: RationalLike, im: RationalLike) -> None:
+        re, im = _frac(re), _frac(im)
+        # with both parts in lowest terms, (a + bi)/d over the lcm d is too
+        d = math.lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def height(self) -> int:
+        """max(|a|, |b|, d), which bounds the numerators and denominators of both parts."""
+        return max(abs(self._a), abs(self._b), self._d)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __add__(self, other: GQLike) -> "GaussianRational":
-        o = gq(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        o = other if other.__class__ is GaussianRational else gq(other)
+        d, e = self._d, o._d
+        return _reduced(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other: GQLike) -> "GaussianRational":
-        o = gq(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        o = other if other.__class__ is GaussianRational else gq(other)
+        d, e = self._d, o._d
+        return _reduced(self._a * e - o._a * d, self._b * e - o._b * d, d * e)
 
     def __rsub__(self, other: GQLike) -> "GaussianRational":
         return gq(other) - self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __mul__(self, other: GQLike) -> "GaussianRational":
-        o = gq(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        o = other if other.__class__ is GaussianRational else gq(other)
+        a, b, c, e = self._a, self._b, o._a, o._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: GQLike) -> "GaussianRational":
-        o = gq(other)
-        n = o.norm2()
+        o = other if other.__class__ is GaussianRational else gq(other)
+        a, b, c, e = self._a, self._b, o._a, o._b
+        n = c * c + e * e
         if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        # (a + bi)/d divided by (c + ei)/f is (a + bi)(c - ei) f / (d (c^2 + e^2))
+        f = o._d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __rtruediv__(self, other: GQLike) -> "GaussianRational":
         return gq(other) / self
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _reduced(self._a, -self._b, self._d)
 
     def norm2(self) -> Fraction:
         """Squared modulus, exact."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int true division rounds correctly, as Fraction.__float__ does
+        return complex(self._a / self._d, self._b / self._d)
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if self.im == 1:
-            istr = "i"
-        elif self.im == -1:
-            istr = "-i"
-        else:
-            istr = f"{self.im}i"
-        if not self.re:
-            return istr
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        tail = "i" if mag == 1 else f"{mag}i"
-        return f"{self.re}{sign}{tail}"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        sign = "-" if im < 0 else "+" if re else ""
+        mag = "" if abs(im) == 1 else abs(im)
+        return f"{re or ''}{sign}{mag}i"
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + bi)/d for ints with d > 0, brought to lowest terms by one gcd."""
+    g = math.gcd(a, b, d)
+    x = object.__new__(GaussianRational)
+    x._a, x._b, x._d = (a, b, d) if g == 1 else (a // g, b // g, d // g)
+    return x
 
 
 GQLike = Union[int, Fraction, GaussianRational]
@@ -137,7 +173,7 @@ def gq(x: GQLike, im: RationalLike = 0) -> GaussianRational:
         if im:
             raise ValueError("imaginary part given twice")
         return x
-    return GaussianRational(_frac(x), _frac(im))
+    return GaussianRational(x, im)
 
 
 GQ_ZERO = GaussianRational(Fraction(0), Fraction(0))
@@ -169,11 +205,14 @@ def _eliminate(
     m_re: list[list[int]] = []
     m_im: list[list[int]] = []
     for r in rows:
-        parts = [p for x in r for p in (x.re, x.im)] if complex_field else r
-        scale = math.lcm(*(p.denominator for p in parts))
-        ints = [p.numerator * (scale // p.denominator) for p in parts]
-        m_re.append(ints[0::2] if complex_field else ints)
-        m_im.append(ints[1::2] if complex_field else [0] * len(ints))
+        if complex_field:
+            scale = math.lcm(*(x._d for x in r))
+            m_re.append([x._a * (scale // x._d) for x in r])
+            m_im.append([x._b * (scale // x._d) for x in r])
+        else:
+            scale = math.lcm(*(x.denominator for x in r))
+            m_re.append([x.numerator * (scale // x.denominator) for x in r])
+            m_im.append([0] * len(r))
     n = len(m_re)
     prev_re, prev_im = 1, 0
     pivots: list[int] = []
@@ -216,9 +255,7 @@ def _quotient(x_re: int, x_im: int, d_re: int, d_im: int, complex_field: bool):
     if not complex_field:
         return Fraction(x_re, d_re)
     n = d_re * d_re + d_im * d_im
-    return GaussianRational(
-        Fraction(x_re * d_re + x_im * d_im, n), Fraction(x_im * d_re - x_re * d_im, n)
-    )
+    return _reduced(x_re * d_re + x_im * d_im, x_im * d_re - x_re * d_im, n)
 
 
 def _rref(rows: Sequence[Sequence[T]]) -> tuple[list[list[T]], list[int]]:

@@ -135,7 +135,9 @@ def _height_error(tok: Token) -> ParseError:
 
 
 def _bounded(c: GaussianRational, tok: Token) -> GaussianRational:
-    """c, unless one of its four integers has more than MAX_DIGITS digits."""
+    """c, unless one of its four integers has more than MAX_DIGITS digits; its height bounds all four."""
+    if c.height() < _HEIGHT_LIMIT:
+        return c
     re, im = c.re, c.im
     if max(abs(re.numerator), re.denominator, abs(im.numerator), im.denominator) >= _HEIGHT_LIMIT:
         raise _height_error(tok)
@@ -495,6 +497,8 @@ def parse_constant(text: str) -> GaussianRational:
     tokens = _tokenize_line(text, 1)
     cur = _Cursor(tokens, 1, len(text))
     value = _parse_expression(cur, _CurveDomain())
-    if cur.peek() is not None or value.keys() - {POLY_ZERO}:
+    if cur.peek() is not None:
+        raise cur.fail("expected a constant")
+    if value.keys() - {POLY_ZERO}:
         raise ParseError("expected a constant", 1, 1)
     return value.get(POLY_ZERO, GQ_ZERO)

@@ -456,3 +456,11 @@ class TestProject:
             scene("curve f: (exp(z), 1, 1)\n"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("at, column", [("1+i)", 4), ("1 2", 3)])
+    def test_bad_point_error_names_its_column(self, scene, capsys, at, column):
+        code, out, err = run(
+            capsys, "project", "--curve", "f", "--at", at, scene("curve f: (exp(z), 1, 1)\n")
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: line 1, column {column}: expected a constant\n"

@@ -1,5 +1,6 @@
 """Tests for exact linear algebra over Q and Q(i)."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -303,3 +304,129 @@ def test_determinant_matches_expansion(rows):
 def test_determinant_needs_a_square_matrix():
     with pytest.raises(ValueError, match="square"):
         determinant([[1, 2]])
+
+
+# ---------------------------------------------------------------------------
+# the reduced integer triple against pairs of Fractions
+
+
+def reference_str(re, im):
+    """The canonical text of re + im*i, written out case by case."""
+    if not im:
+        return str(re)
+    if im == 1:
+        istr = "i"
+    elif im == -1:
+        istr = "-i"
+    else:
+        istr = f"{im}i"
+    if not re:
+        return istr
+    sign = "+" if im > 0 else "-"
+    tail = "i" if abs(im) == 1 else f"{abs(im)}i"
+    return f"{re}{sign}{tail}"
+
+
+REFERENCE_OPS = {
+    "add": lambda a, b, c, d: (a + c, b + d),
+    "sub": lambda a, b, c, d: (a - c, b - d),
+    "mul": lambda a, b, c, d: (a * c - b * d, a * d + b * c),
+    "div": lambda a, b, c, d: ((a * c + b * d) / (c * c + d * d), (b * c - a * d) / (c * c + d * d)),
+}
+OPS = {
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "mul": lambda x, y: x * y,
+    "div": lambda x, y: x / y,
+}
+
+pairs = st.tuples(scalars, scalars)
+
+
+def parts(x):
+    return (x.re, x.im)
+
+
+def assert_reduced(x):
+    """The stored triple (a + bi)/d is in lowest terms with d > 0."""
+    a, b, d = x._a, x._b, x._d
+    assert all(type(n) is int for n in (a, b, d))
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert parts(x) == (F(a, d), F(b, d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs, pairs, st.sampled_from(sorted(OPS)))
+def test_binary_ops_match_fraction_pairs(p, q, name):
+    x, y = gq(*p), gq(*q)
+    if name == "div" and not any(q):
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        return
+    z = OPS[name](x, y)
+    assert parts(z) == REFERENCE_OPS[name](*p, *q)
+    assert_reduced(z)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs, scalars, st.sampled_from(sorted(OPS)))
+def test_rational_operands_on_either_side(p, r, name):
+    """An int or Fraction operand acts as r + 0i, on the left as on the right."""
+    x = gq(*p)
+    for operand in (r, int(r)):
+        if name != "div" or operand:
+            assert OPS[name](x, operand) == OPS[name](x, gq(operand))
+        if name != "div" or x:
+            assert OPS[name](operand, x) == OPS[name](gq(operand), x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs)
+def test_unary_ops_and_conversions_match_fraction_pairs(p):
+    re, im = p
+    x = gq(re, im)
+    assert_reduced(x)
+    for z, expected in ((-x, (-re, -im)), (x.conjugate(), (re, -im))):
+        assert parts(z) == expected
+        assert_reduced(z)
+    assert x.norm2() == re * re + im * im
+    assert type(x.norm2()) is Fraction
+    assert x.to_complex() == complex(re) + 1j * complex(im)
+    assert str(x) == reference_str(re, im)
+    assert repr(x) == f"GaussianRational(re={re!r}, im={im!r})"
+    assert bool(x) == bool(re or im)
+    assert gq(x.re, x.im) == x
+    assert x.height() == max(abs(x._a), abs(x._b), x._d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs, pairs)
+def test_equal_values_have_equal_hashes(p, q):
+    x, y = gq(*p), gq(*q)
+    if y:
+        same = (x * y) / y
+        assert same == x and hash(same) == hash(x)
+    summed = gq(p[0]) + gq(0, p[1])
+    assert summed == x and hash(summed) == hash(x)
+    assert (x == y) == (p == q)
+
+
+def test_to_complex_overflows_like_fraction():
+    with pytest.raises(OverflowError):
+        float(F(10**400))
+    with pytest.raises(OverflowError):
+        gq(10**400).to_complex()
+
+
+def test_equality_with_other_types_is_false():
+    assert gq(1) != 1
+    assert gq(F(1, 2)) != F(1, 2)
+
+
+@pytest.mark.parametrize("name", ["re", "im", "extra"])
+def test_assignment_raises(name):
+    """The parts are read-only and there is no room for another attribute."""
+    x = gq(1, 2)
+    with pytest.raises(AttributeError):
+        setattr(x, name, F(3))
+    assert x == gq(1, 2)

@@ -95,6 +95,25 @@ def test_newton_overflow_leaves_stderr_empty():
     assert done.stdout == (GOLDEN / "verify-hyperplane-hits.stdout").read_bytes()
 
 
+@pytest.mark.parametrize("scene", ["sampled_dim4", "dim4_hit"])
+def test_report_bytes_do_not_depend_on_the_hash_seed(scene):
+    """No hash or set order reaches a report: two hash seeds print the same bytes."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "curveavoid.cli", "verify", "--curve", "f", f"scenes/{scene}.scene"],
+            cwd=ROOT,
+            env=dict(env, PYTHONPATH="src", PYTHONHASHSEED=seed),
+            capture_output=True,
+            timeout=120,
+        )
+        for seed in ("0", "12345")
+    ]
+    assert [done.stderr for done in runs] == [b"", b""]
+    assert runs[0].stdout and runs[0].stdout == runs[1].stdout
+    assert runs[0].returncode == runs[1].returncode
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)

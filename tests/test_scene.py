@@ -317,6 +317,19 @@ class TestInputBounds:
         assert (err.line, err.column) == (1, text.index(marker) + 1)
         assert f"at most {MAX_DIGITS} digits" in str(err)
 
+    # 10^33 + 1 and 10^33 + 3 are odd and differ by 2, so coprime: each part
+    # fits the bound, but their common denominator has 67 digits
+    SPLIT = f"1/1{'0' * 32}1 + 1/1{'0' * 32}3i"
+
+    def test_digit_bound_is_per_part(self):
+        value = gq(F(1, 10**33 + 1), F(1, 10**33 + 3))
+        assert parse_constant(self.SPLIT) == value
+        scene = parse_scene(
+            f"hyperplane H: ({self.SPLIT})*z1 + z2 = 0\ncurve f: (({self.SPLIT})*exp(z), 1, 1)\n"
+        )
+        assert scene.hyperplanes["H"].coefficients[0] == value
+        assert scene.curves["f"].components[0].terms[0].coeff == value
+
     def test_constant_above_digit_bound(self):
         with pytest.raises(ParseError, match=f"at most {MAX_DIGITS} digits"):
             parse_constant(f"{self.LONG}*{self.LONG}")
@@ -347,3 +360,12 @@ class TestParseConstant:
             parse_constant("exp(z)")
         with pytest.raises(ParseError):
             parse_constant("1 +")
+
+    @pytest.mark.parametrize(
+        "text, column", [("1+i)", 4), ("1 2", 3), ("(1/2 - 3i) z", 12), ("exp(z)", 1)]
+    )
+    def test_error_column(self, text, column):
+        """The first token after a complete constant, or column 1 for a nonconstant."""
+        with pytest.raises(ParseError, match="expected a constant") as info:
+            parse_constant(text)
+        assert (info.value.line, info.value.column) == (1, column)
