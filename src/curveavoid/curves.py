@@ -9,6 +9,10 @@ terms: `ExpSum` truthiness is the exact zero test.  Everything symbolic
 here is exact; floating point enters only through `terms_at` and the
 scale rule of `scaled_values`, which the verifier uses for its
 projection values and the sampler applies to arrays of sample points.
+
+Each value is canonicalised once, where it enters (`poly`, `exp_term`,
+`exp_sum`); `ExpSum` merges and orders the canonical terms it is given,
+and an operation whose exponents can end in a zero calls `poly` itself.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, product, zip_longest
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arrangement import RealSubspace, holomorphic_coefficients, re_part_form
 from .diagonals import intersection_point
@@ -106,16 +110,11 @@ def _merge(acc: dict, m, c: GaussianRational) -> GaussianRational:
     return total
 
 
-@dataclass(frozen=True, slots=True)
-class ExpPoly:
-    """One term c * e^(p(z))."""
+class ExpPoly(NamedTuple):
+    """One term c * e^(p(z)): a `GaussianRational` c and a canonical `poly` p, taken as given."""
 
     coeff: GaussianRational
     exponent: Poly
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", gq(self.coeff))
-        object.__setattr__(self, "exponent", poly(self.exponent))
 
     @property
     def offset(self) -> GaussianRational:
@@ -126,6 +125,10 @@ class ExpPoly:
 @dataclass(frozen=True, slots=True)
 class ExpSum:
     """A finite sum of exponential terms in canonical grouped form.
+
+    `ExpSum(terms)` takes canonical terms: Gaussian-rational coefficients
+    and exponents built by `poly`.  It merges like exponents, drops zero
+    coefficients and orders the terms.
 
     With constant exponents it is a formal constant, a sum of c e^r over
     distinct r; by Lindemann-Weierstrass it is zero exactly when it has no
@@ -159,7 +162,7 @@ class ExpSum:
         """The product: c e^p times d e^q is cd e^(p + q)."""
         products = []
         for a, b in product(self.terms, other.terms):
-            exponent = [x + y for x, y in zip_longest(a.exponent, b.exponent, fillvalue=GQ_ZERO)]
+            exponent = poly([x + y for x, y in zip_longest(a.exponent, b.exponent, fillvalue=GQ_ZERO)])
             products.append(ExpPoly(a.coeff * b.coeff, exponent))
         return ExpSum(tuple(products))
 
@@ -169,9 +172,8 @@ class ExpSum:
 
     def real_part(self) -> "ExpSum":
         """The real part of a formal constant, as half of c e^r plus conj(c) e^(conj r) per term."""
-        half = gq(Fraction(1, 2))
-        conjugates = tuple(ExpPoly(t.coeff.conjugate(), [t.offset.conjugate()]) for t in self.terms)
-        return (self + ExpSum(conjugates)).scale(half)
+        conjugates = tuple(ExpPoly(t.coeff.conjugate(), poly([t.offset.conjugate()])) for t in self.terms)
+        return (self + ExpSum(conjugates)).scale(Fraction(1, 2))
 
     def float_terms(self, top: Fraction) -> list[tuple[complex, complex]]:
         """The terms c e^r of a formal constant as (c, r - top) pairs in floating point.
@@ -263,12 +265,6 @@ def apply_form(h: ComplexHyperplane | Sequence[GQLike], f: ExpAffineCurve) -> Ex
     return ExpSum(tuple(terms))
 
 
-def _dropped_constant(p: Poly) -> Poly:
-    if not p:
-        return POLY_ZERO
-    return poly((GQ_ZERO,) + p[1:])
-
-
 def _direction_groups(s: ExpSum) -> dict[Poly, ExpSum]:
     """Group terms by exponent modulo constants, each group as the formal constant of its c e^r.
 
@@ -276,7 +272,9 @@ def _direction_groups(s: ExpSum) -> dict[Poly, ExpSum]:
     """
     groups: dict[Poly, list[ExpPoly]] = {}
     for t in s.terms:
-        groups.setdefault(_dropped_constant(t.exponent), []).append(ExpPoly(t.coeff, t.exponent[:1]))
+        p = t.exponent
+        direction = (GQ_ZERO,) + p[1:] if len(p) > 1 else POLY_ZERO
+        groups.setdefault(direction, []).append(ExpPoly(t.coeff, poly(p[:1])))
     return {d: ExpSum(tuple(terms)) for d, terms in groups.items()}
 
 

@@ -12,12 +12,12 @@ asked for.
 Every rank, kernel and determinant comes from one kernel, `_eliminate`:
 fraction-free Gauss-Jordan elimination over the Gaussian integers Z[i],
 after Bareiss (1968, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination").  Each row is first multiplied by
-the lcm of the denominators of its entries, which keeps its row space, so
-the entries become pairs of Python ints; a complex row reads them straight
-from its triples, with the lcm of their d as its scale.  With p the new
-pivot, in row r and column c, and prev the pivot before it (1 at the
-start), every other row i becomes
+integer-preserving Gaussian elimination").  Every entry is read straight
+from its integers as a triple (a, b, d) for (a + bi)/d, an int or a
+`Fraction` as (n, 0, d), and each row is multiplied by the lcm of its d,
+which keeps its row space, so the entries become pairs of Python ints.
+With p the new pivot, in row r and column c, and prev the pivot before it
+(1 at the start), every other row i becomes
 
     m[i][j] = (p * m[i][j] - m[i][c] * m[r][j]) / prev.
 
@@ -193,9 +193,22 @@ def _check_rect(rows: Sequence[Sequence[T]]) -> int:
     return widths.pop() if widths else 0
 
 
-def _eliminate(
-    rows: Sequence[Sequence[T]], complex_field: bool
-) -> tuple[list[list[int]], list[list[int]], list[int], int]:
+def _parts(x: GQLike) -> tuple[int, int, int]:
+    """The ints (a, b, d) of an entry (a + bi)/d; a float or any other type is a TypeError."""
+    if x.__class__ is GaussianRational:
+        return x._a, x._b, x._d
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
+    raise TypeError(f"expected a rational, got {type(x).__name__}")
+
+
+def _check_rational(rows: Sequence[Sequence[RationalLike]]) -> None:
+    """The real-only entry points' TypeError for a Gaussian rational; `_parts` rejects the rest."""
+    if any(x.__class__ is GaussianRational for r in rows for x in r):
+        raise TypeError("expected a rational, got GaussianRational")
+
+
+def _eliminate(rows: Sequence[Sequence[GQLike]]) -> tuple[list[list[int]], list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination over Z[i].
 
     Returns the real and imaginary parts of the reduced integer rows, zero
@@ -205,14 +218,10 @@ def _eliminate(
     m_re: list[list[int]] = []
     m_im: list[list[int]] = []
     for r in rows:
-        if complex_field:
-            scale = math.lcm(*(x._d for x in r))
-            m_re.append([x._a * (scale // x._d) for x in r])
-            m_im.append([x._b * (scale // x._d) for x in r])
-        else:
-            scale = math.lcm(*(x.denominator for x in r))
-            m_re.append([x.numerator * (scale // x.denominator) for x in r])
-            m_im.append([0] * len(r))
+        entries = [_parts(x) for x in r]
+        scale = math.lcm(*(d for _, _, d in entries))
+        m_re.append([a * (scale // d) for a, _, d in entries])
+        m_im.append([b * (scale // d) for _, b, d in entries])
     n = len(m_re)
     prev_re, prev_im = 1, 0
     pivots: list[int] = []
@@ -263,7 +272,7 @@ def _rref(rows: Sequence[Sequence[T]]) -> tuple[list[list[T]], list[int]]:
     if not rows or not rows[0]:
         return [], []
     complex_field = isinstance(rows[0][0], GaussianRational)
-    m_re, m_im, pivots, _ = _eliminate(rows, complex_field)
+    m_re, m_im, pivots, _ = _eliminate(rows)
     reduced = []
     for x_re, x_im, pc in zip(m_re, m_im, pivots):
         d_re, d_im = x_re[pc], x_im[pc]
@@ -281,7 +290,7 @@ def _kernel(
     With d the common pivot, d*e_fc - sum_r m[r][fc]*e_pc(r) is d times the
     vector the unit-pivot RREF gives for free column fc.
     """
-    m_re, m_im, pivots, _ = _eliminate(rows, complex_field)
+    m_re, m_im, pivots, _ = _eliminate(rows)
     d_re, d_im = (m_re[0][pivots[0]], m_im[0][pivots[0]]) if pivots else (1, 0)
     basis: list[tuple[T, ...]] = []
     for fc in range(width):
@@ -303,26 +312,17 @@ def _scale_first_nonzero(v: tuple[T, ...]) -> tuple[T, ...]:
     return tuple(x / lead for x in v)
 
 
-def _real_rows(rows: Sequence[Sequence[RationalLike]]) -> list[list[Fraction]]:
-    return [[_frac(x) for x in r] for r in rows]
-
-
-def _complex_rows(rows: Sequence[Sequence[GQLike]]) -> list[list[GaussianRational]]:
-    return [[gq(x) for x in r] for r in rows]
-
-
 def rank_real(rows: Sequence[Sequence[RationalLike]]) -> int:
     """Rank of a matrix with 6 rational columns."""
-    m = _real_rows(rows)
-    if m and _check_rect(m) != 6:
+    _check_rational(rows)
+    if rows and _check_rect(rows) != 6:
         raise ValueError("real matrices here have exactly 6 columns")
-    return len(_eliminate(m, False)[2])
+    return len(_eliminate(rows)[2])
 
 
 def rank_complex(rows: Sequence[Sequence[GQLike]]) -> int:
-    m = _complex_rows(rows)
-    _check_rect(m)
-    return len(_eliminate(m, True)[2])
+    _check_rect(rows)
+    return len(_eliminate(rows)[2])
 
 
 def determinant(rows: Sequence[Sequence[RationalLike]]) -> Fraction:
@@ -331,33 +331,32 @@ def determinant(rows: Sequence[Sequence[RationalLike]]) -> Fraction:
     After elimination the last pivot is the determinant of the matrix with
     its rows permuted and each multiplied by its denominators' lcm.
     """
-    m = _real_rows(rows)
-    if m and _check_rect(m) != len(m):
+    _check_rational(rows)
+    if rows and _check_rect(rows) != len(rows):
         raise ValueError("a determinant needs a square matrix")
-    m_re, _, pivots, sign = _eliminate(m, False)
-    if len(pivots) < len(m):
+    m_re, _, pivots, sign = _eliminate(rows)
+    if len(pivots) < len(rows):
         return Fraction(0)
-    scales = math.prod(math.lcm(*(x.denominator for x in r)) for r in m)
-    return Fraction(sign * m_re[-1][-1] if m else 1, scales)
+    scales = math.prod(math.lcm(*(x.denominator for x in r)) for r in rows)
+    return Fraction(sign * m_re[-1][-1] if rows else 1, scales)
 
 
 def kernel_real(rows: Sequence[Sequence[RationalLike]], width: int) -> list[RationalVector]:
     """Basis of the right kernel, each vector scaled so its first nonzero entry is 1."""
-    m = _real_rows(rows)
-    if m and _check_rect(m) != width:
+    _check_rational(rows)
+    if rows and _check_rect(rows) != width:
         raise ValueError(f"expected {width} columns")
-    return _kernel(m, width, False)
+    return _kernel(rows, width, False)
 
 
 def kernel_complex(rows: Sequence[Sequence[GQLike]], width: int | None = None) -> list[ComplexVector]:
     """Basis of the right kernel over Q(i), canonically scaled."""
-    m = _complex_rows(rows)
-    w = _check_rect(m) if m else width
+    w = _check_rect(rows) if rows else width
     if w is None:
         raise ValueError("width required for an empty matrix")
-    if m and width is not None and w != width:
+    if rows and width is not None and w != width:
         raise ValueError(f"expected {width} columns")
-    return _kernel(m, w, True)
+    return _kernel(rows, w, True)
 
 
 def orthogonal_complement(rows: Sequence[Sequence[RationalLike]]) -> list[RationalVector]:
@@ -367,4 +366,3 @@ def orthogonal_complement(rows: Sequence[Sequence[RationalLike]]) -> list[Ration
     original span, and the two dimensions always add up to 6.
     """
     return kernel_real(rows, 6)
-

@@ -38,8 +38,8 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 
-from .curves import POLY_ZERO, ExpPoly, ExpSum, unit_form
-from .exact_linalg import GQ_ONE, GaussianRational, determinant
+from .curves import POLY_ZERO, ExpSum, exp_sum, unit_form
+from .exact_linalg import GaussianRational, determinant
 
 # deg r <= deg R_1 * deg R_2.  One subspace takes 30-40 ms at 16, about 0.25 s at 36 and
 # 1-3 s at 64 (CPython 3.11, one x86 core), so larger ones stay sampled.
@@ -183,7 +183,7 @@ def _laurent(restrictions) -> tuple[GaussianRational, list[dict[int, GaussianRat
     exponents = {t.exponent for g in restrictions for t in g.terms} | {POLY_ZERO}
     if any(len(e) > 2 or (e and e[0]) for e in exponents):
         return None
-    form = unit_form(ExpSum(tuple(ExpPoly(GQ_ONE, e) for e in exponents)))
+    form = unit_form(exp_sum((1, e) for e in exponents))
     if form is None:
         return None
     mu = form[0]

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arrangement import RealSubspace
 from .curves import (
@@ -39,7 +39,7 @@ from .curves import (
     _merge,
     poly,
 )
-from .exact_linalg import GQ_ONE, GQ_ZERO, gq
+from .exact_linalg import GQ_I, GQ_ONE, GQ_ZERO, gq
 from .projective import ComplexHyperplane
 
 
@@ -50,8 +50,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -61,6 +60,9 @@ class Token:
         return ParseError(message, self.line, self.column)
 
 
+# lines end at \n, \r\n and \r, as in a file read with universal newlines;
+# the other breaks of `str.splitlines` (form feed, U+2028, ...) match \s
+_LINE_END = re.compile(r"\r\n|\r|\n")
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<number>\d+(?:/\d+)?)"
@@ -264,10 +266,10 @@ def _parse_atom(cur: _Cursor, domain: _Domain):
         nxt = cur.peek()
         if nxt is not None and nxt.text == "i":
             cur.next()
-            c = c * gq(0, 1)
+            c = c * GQ_I
         return domain.number(c)
     if tok.text == "i":
-        return domain.number(gq(0, 1))
+        return domain.number(GQ_I)
     if tok.kind == "name":
         return domain.variable(cur, tok)
     raise tok.error(f"unexpected token {tok.text!r}")
@@ -380,7 +382,7 @@ def parse_scene(text: str) -> Scene:
     curves: dict[str, ExpAffineCurve] = {}
     order: list[tuple[str, str]] = []
     seen: set[str] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_LINE_END.split(text), start=1):
         tokens = _tokenize_line(raw, line_no)
         if not tokens:
             continue

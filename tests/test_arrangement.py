@@ -21,11 +21,15 @@ from curveavoid.arrangement import (
     triple_in_general_position,
     triple_ranks,
 )
-from curveavoid.curves import ConstructionError
+from curveavoid.curves import ConstructionError, ExpAffineCurve, exp_sum
 from curveavoid.exact_linalg import GQ_ZERO, gq, rank_complex, rank_real
 from curveavoid import projective
 from curveavoid.projective import ComplexHyperplane
-from curveavoid.scene import parse_scene
+from curveavoid.scene import Scene, parse_scene
+from curveavoid.verifier import verify
+
+from test_acceptance import budget
+from test_curves import gaussian, nonzero_gaussian
 
 F = Fraction
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -415,3 +419,99 @@ def test_realify_stacks_two_real_part_forms():
         (re_part_form(h.coefficients), re_part_form([gq(0, -1) * c for c in h.coefficients]))
     )
     assert re_part_form(h.coefficients) == (1, -2, -3, 0, 0, F(-1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the refutation search: try to break every constant verdict
+#
+# Points and lines of CP^2 here come from cross products, not from the
+# package's elimination: u x v is the meet of the lines u and v, and the
+# line through the points u and v.
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), GQ_ZERO)
+
+
+# the diagonal {j, k} | {l, m} passes through p = H_j cap H_k and q = H_l cap H_m
+DIAGONAL_PARTITIONS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+REFUTATION_EXPONENTS = ((), (0, 1), (0, 2), (0, -1), (0, gq(0, 1)), (0, 0, 1), (0, 1, 1))
+
+
+def _standard_four_image(rng):
+    """Rows a1, a2, a3, a1 + a2 + a3 of a random GL3(Q(i)) image of the standard four, each scaled."""
+    rows = [tuple(gaussian(rng) for _ in range(3)) for _ in range(3)]
+    if not _dot(rows[0], _cross(rows[1], rows[2])):
+        return None
+    rows.append(tuple(a + b + c for a, b, c in zip(*rows)))
+    return [tuple(c * x for x in row) for c, row in zip([nonzero_gaussian(rng) for _ in rows], rows)]
+
+
+def test_no_curve_refutes_a_constant_verdict():
+    """No curve on a diagonal avoids every set where classify finds all curves constant.
+
+    Each arrangement is a random GL3(Q(i)) image of the standard four,
+    with alpha random or a scaled diagonal form; the second is the
+    obstructed case, in which classify raises `ConstructionError` or, once
+    it decides that case, finds every curve constant.  On each diagonal,
+    through p = H_j cap H_k and q = H_l cap H_m, every curve
+    c1 e^h q + c2 e^g p avoids the four hyperplanes, since each H_i
+    vanishes at exactly one of p and q, and has nonconstant projection
+    when h != g.  So verify must decide every set exactly and find the
+    curve meeting S.
+    """
+    rng = random.Random(9)
+    outcomes = {"random": 0, "diagonal": 0, "curves": 0}
+    with budget(10.0):
+        while outcomes["random"] + outcomes["diagonal"] < 30:
+            rows = _standard_four_image(rng)
+            if rows is None:
+                continue
+            hyperplanes = [ComplexHyperplane(row) for row in rows]
+            points = [
+                (_cross(rows[j], rows[k]), _cross(rows[l], rows[m]))
+                for (j, k), (l, m) in DIAGONAL_PARTITIONS
+            ]
+            diagonal = rng.random() < 0.5
+            if diagonal:
+                p, q = rng.choice(points)
+                c = nonzero_gaussian(rng)
+                alpha = tuple(c * x for x in _cross(p, q))
+            else:
+                alpha = tuple(gaussian(rng) for _ in range(3))
+            if not any(alpha):
+                continue
+            s = RealSubspace((re_part_form(alpha),))
+            try:
+                tag = classify(hyperplanes, s).tag
+            except ConstructionError:
+                tag = None  # obstructed: H~ is a diagonal
+            if diagonal:
+                assert tag in (None, ALL_CURVES_CONSTANT)
+            elif tag == WITNESS_EXISTS:
+                continue
+            outcomes["diagonal" if diagonal else "random"] += 1
+            scene = Scene(
+                hyperplanes={f"H{i + 1}": h for i, h in enumerate(hyperplanes)},
+                reals={"S": s},
+                curves={},
+                order=tuple(("hyperplane", f"H{i + 1}") for i in range(4)) + (("real", "S"),),
+            )
+            for p, q in points:
+                for _ in range(6):
+                    h, g = rng.sample(REFUTATION_EXPONENTS, 2)
+                    c1, c2 = nonzero_gaussian(rng), nonzero_gaussian(rng)
+                    curve = ExpAffineCurve(
+                        tuple(exp_sum([(c1 * y, h), (c2 * x, g)]) for x, y in zip(p, q))
+                    )
+                    report = verify(curve, scene)
+                    assert all(r.method == "exact" for r in report.results)
+                    assert not report.projection_constant
+                    *met_hyperplanes, met_s = [r.verdict != "avoided" for r in report.results]
+                    assert met_s and not any(met_hyperplanes)
+                    outcomes["curves"] += 1
+    assert min(outcomes.values()) >= 10, outcomes

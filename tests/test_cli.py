@@ -112,6 +112,23 @@ class TestExitCodes:
         assert "construction failed" in err
 
 
+class TestSceneLines:
+    """Lines are counted as an editor and `wc -l` count them."""
+
+    def test_form_feed_leaves_the_error_line_alone(self, tmp_path, capsys):
+        path = tmp_path / "form_feed.scene"
+        path.write_bytes(b"hyperplane H1: z1 = 0\nhyperplane H2: z2 = 0\x0c\nhyperplane H3: z3 = 0 = 1\n")
+        code, out, err = run(capsys, "gp-check", str(path))
+        assert (code, out) == (2, "")
+        assert "line 3, column 23" in err
+
+    def test_line_separator_stays_in_its_comment(self, tmp_path, capsys):
+        path = tmp_path / "separator.scene"
+        path.write_bytes(("# the standard four\u2028 in general position" + STANDARD4).encode())
+        code, data = run_json(capsys, "gp-check", str(path))
+        assert (code, data["general_position"]) == (0, True)
+
+
 class TestGpCheck:
     def test_transverse_family(self, scene, capsys):
         code, data = run_json(capsys, "gp-check", scene(STANDARD4))

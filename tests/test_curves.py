@@ -4,9 +4,10 @@ import cmath
 import random
 import time
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from curveavoid.arrangement import (
     RealSubspace,
@@ -19,6 +20,7 @@ from curveavoid.curves import (
     POLY_Z,
     ConstructionError,
     ExpAffineCurve,
+    _poly_key,
     apply_form,
     constant_value,
     evaluate_sum,
@@ -35,7 +37,7 @@ from curveavoid.curves import (
     witness_three_hyperplanes,
 )
 from curveavoid.diagonals import enumerate_diagonals
-from curveavoid.exact_linalg import GQ_ZERO, gq, kernel_complex, rank_complex
+from curveavoid.exact_linalg import GQ_ZERO, GaussianRational, gq, kernel_complex, rank_complex
 from curveavoid.projective import ComplexHyperplane, ProjLine
 from curveavoid.scene import Scene
 from curveavoid.verifier import verify
@@ -178,46 +180,90 @@ class TestConstantValue:
         assert s.log() == 0.1698460195562857 + 0j
 
 
-# few exponents and small coefficients, so that sums merge and cancel
-model_exponents = st.sampled_from([gq(0), gq(1), gq(-2), gq(0, 1), gq(0, -1), gq(F(1, 2), 1)])
+# few exponents and small coefficients, so that sums merge and cancel; the
+# exponents have degree at most 2, and a top coefficient of 1 or -1 cancels
+# in a product, as in e^(z + z^2) e^(-z^2)
+model_offsets = st.sampled_from([gq(0), gq(1), gq(-2), gq(0, 1), gq(0, -1), gq(F(1, 2), 1)])
+model_units = st.sampled_from([gq(0), gq(1), gq(-1)])
+model_exponents = st.one_of(
+    model_offsets.map(lambda r: (r,)),
+    st.tuples(model_offsets, model_units, model_units),
+)
 model_coefficients = st.builds(gq, st.integers(-2, 2), st.integers(-2, 2))
 model_terms = st.lists(st.tuples(model_coefficients, model_exponents), max_size=4)
 
 
+def model_poly(coeffs):
+    """coeffs as a tuple with its trailing zeros stripped."""
+    p = list(coeffs)
+    while p and not p[-1]:
+        p.pop()
+    return tuple(p)
+
+
 def model_merge(terms):
-    """sum c e^r as {r: c}: like exponents merged exactly, zero coefficients dropped."""
+    """sum c e^p as {p: c}: like exponents merged exactly, zero coefficients dropped."""
     merged = {}
-    for c, r in terms:
-        merged[r] = merged.get(r, GQ_ZERO) + c
-    return {r: c for r, c in merged.items() if c}
+    for c, p in terms:
+        p = model_poly(p)
+        merged[p] = merged.get(p, GQ_ZERO) + c
+    return {p: c for p, c in merged.items() if c}
 
 
-def model_constant(terms):
-    """The package's formal constant of terms (c, r), built in one call from exp_sum."""
-    return constant_value(exp_sum([(c, (r,)) for r, c in model_merge(terms).items()]))
+def model_product(a, b):
+    """The terms of the product: c1 e^p1 times c2 e^p2 is c1 c2 e^(p1 + p2)."""
+    return [
+        (c1 * c2, tuple(x + y for x, y in zip_longest(p1, p2, fillvalue=GQ_ZERO)))
+        for c1, p1 in a
+        for c2, p2 in b
+    ]
 
 
-def package_constant(terms):
+def as_model(s):
+    """The terms of s as {exponent: coefficient}, after checking that they are canonical.
+
+    Canonical: strictly increasing `_poly_key` (so distinct exponents),
+    nonzero Gaussian-rational coefficients, and exponents that are tuples
+    of Gaussian rationals with no trailing zero.
+    """
+    keys = [_poly_key(t.exponent) for t in s.terms]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+    for t in s.terms:
+        assert type(t.coeff) is GaussianRational and t.coeff
+        assert type(t.exponent) is tuple and all(type(c) is GaussianRational for c in t.exponent)
+        assert not t.exponent or t.exponent[-1]
+    return {t.exponent: t.coeff for t in s.terms}
+
+
+def package_sum(terms):
     acc = exp_term(0)
-    for c, r in terms:
-        acc = acc + exp_term(c, (r,))
+    for c, p in terms:
+        acc = acc + exp_term(c, p)
     return acc
 
 
 @settings(max_examples=200, deadline=None)
 @given(model_terms, model_terms)
+@example([(gq(1), (gq(0), gq(1), gq(1)))], [(gq(1), (gq(0), gq(0), gq(-1)))])
 def test_constant_arithmetic_matches_a_dict_model(a, b):
-    x, y = package_constant(a), package_constant(b)
-    negated = [(-c, r) for c, r in b]
-    product = [(c1 * c2, r1 + r2) for c1, r1 in a for c2, r2 in b]
-    half = gq(F(1, 2))
-    real = [t for c, r in a for t in ((c * half, r), (c.conjugate() * half, r.conjugate()))]
-    assert x + y == model_constant(a + b)
-    assert x - y == model_constant(a + negated)
-    assert x * y == model_constant(product)
-    assert x.real_part() == model_constant(real)
+    """Sums, differences and products, and real parts of formal constants, against a dict model.
+
+    Exponents have degree at most 2, constant ones included, and every
+    result's terms must be canonical (`as_model`).
+    """
+    x, y = package_sum(a), package_sum(b)
+    negated = [(-c, p) for c, p in b]
+    assert as_model(x) == model_merge(a)
+    assert as_model(x + y) == model_merge(a + b)
+    assert as_model(x - y) == model_merge(a + negated)
+    assert as_model(x * y) == model_merge(model_product(a, b))
     assert bool(x) == bool(model_merge(a))
-    assert bool(x.real_part()) == bool(model_merge(real))
+    # the real part of a formal constant: half of c e^r plus conj(c) e^(conj r) per term
+    half = gq(F(1, 2))
+    exponents = [(c, model_poly(p)) for c, p in a]
+    constant = [(c, p[0] if p else GQ_ZERO) for c, p in exponents if len(p) <= 1]
+    real = [t for c, r in constant for t in ((c * half, (r,)), (c.conjugate() * half, (r.conjugate(),)))]
+    assert as_model(package_sum([(c, (r,)) for c, r in constant]).real_part()) == model_merge(real)
 
 
 class TestProjectiveConstancy:

@@ -19,6 +19,7 @@ from curveavoid.exact_linalg import (
     rank_complex,
     rank_real,
 )
+from curveavoid.projective import dependent_subset
 
 F = Fraction
 
@@ -430,3 +431,98 @@ def test_assignment_raises(name):
     with pytest.raises(AttributeError):
         setattr(x, name, F(3))
     assert x == gq(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# entry types: ints, Fractions and Gaussian rationals are read alike, floats never
+
+ENTRY_KINDS = ("int", "fraction", "gaussian")
+small_rationals = bounded_fractions(3, 2)
+small_values = st.one_of(small_rationals.map(gq), st.builds(gq, small_rationals, small_rationals))
+
+
+def as_entry(x, kind):
+    """The Gaussian rational x as an entry of the given kind, where its value allows it."""
+    if kind == "gaussian" or x.im:
+        return x
+    if kind == "int" and x.re.denominator == 1:
+        return int(x.re)
+    return x.re
+
+
+def typed(rows, kinds, data):
+    """rows with each entry of a kind drawn from kinds."""
+    return [[as_entry(x, data.draw(st.sampled_from(kinds))) for x in r] for r in rows]
+
+
+def kinds_of(kind, mixed):
+    return mixed if kind == "mixed" else (kind,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    matrices(small_values, width=st.just(6)),
+    st.sampled_from(ENTRY_KINDS + ("mixed",)),
+    st.data(),
+)
+def test_complex_entry_points_read_every_entry_type(rows, kind, data):
+    entries = typed(rows, kinds_of(kind, ENTRY_KINDS), data)
+    canonical = [[gq(x) for x in r] for r in entries]
+    assert rank_complex(entries) == rank_complex(canonical)
+    assert kernel_complex(entries, 6) == kernel_complex(canonical, 6)
+    for size in (1, 2, 3):
+        expected = dependent_subset([[r] for r in canonical], size)
+        assert dependent_subset([[r] for r in entries], size) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    matrices(small_rationals.map(gq), width=st.just(6)),
+    st.sampled_from(("int", "fraction", "mixed")),
+    st.data(),
+)
+def test_real_entry_points_read_ints_and_fractions(rows, kind, data):
+    entries = typed(rows, kinds_of(kind, ("int", "fraction")), data)
+    fractions = [[F(x) for x in r] for r in entries]
+    canonical = [[gq(x) for x in r] for r in entries]
+    assert rank_real(entries) == rank_real(fractions) == rank_complex(canonical)
+    kernel = kernel_real(entries, 6)
+    assert kernel == kernel_real(fractions, 6) == orthogonal_complement(entries)
+    assert all(type(x) is Fraction for v in kernel for x in v)
+    assert [tuple(map(gq, v)) for v in kernel] == kernel_complex(canonical, 6)
+    square = [r[: len(entries)] for r in entries]
+    det = determinant(square)
+    assert type(det) is Fraction and det == determinant([[F(x) for x in r] for r in square])
+    assert (det == 0) == (rank_complex([[gq(x) for x in r] for r in square]) < len(square))
+
+
+ENTRY_POINTS = {
+    "rank_real": rank_real,
+    "rank_complex": rank_complex,
+    "kernel_real": lambda rows: kernel_real(rows, 6),
+    "kernel_complex": lambda rows: kernel_complex(rows, 6),
+    "determinant": determinant,
+    "orthogonal_complement": orthogonal_complement,
+    "dependent_subset": lambda rows: dependent_subset([[r] for r in rows], 3),
+}
+RATIONAL_ONLY = ("rank_real", "kernel_real", "determinant", "orthogonal_complement")
+
+
+def identity_with(entry, at):
+    rows = [[int(i == j) for j in range(6)] for i in range(6)]
+    rows[at][at] = entry
+    return rows
+
+
+@pytest.mark.parametrize("at", [0, 5])
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_a_float_entry_is_a_type_error(name, at):
+    with pytest.raises(TypeError, match="float"):
+        ENTRY_POINTS[name](identity_with(1.0, at))
+
+
+@pytest.mark.parametrize("at", [0, 5])
+@pytest.mark.parametrize("name", RATIONAL_ONLY)
+def test_a_gaussian_rational_is_a_type_error_where_only_rationals_are_read(name, at):
+    with pytest.raises(TypeError, match="GaussianRational"):
+        ENTRY_POINTS[name](identity_with(gq(1), at))

@@ -1,4 +1,4 @@
-"""The package's public surface: `curveavoid.__all__`, no unused imports, no dead private names, no environment reads."""
+"""The package's public surface: `curveavoid.__all__`, no unused imports, no dead private names, no environment reads, no unchecked terms."""
 
 import ast
 from pathlib import Path
@@ -163,3 +163,39 @@ def test_no_module_reads_the_environment():
     """A report is a function of its scene, curve and plan alone."""
     reads = {path.name: environment_reads(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def calls_of(source, name):
+    """The lines on which a module calls `name`, bare, as an attribute, or through one of its methods."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func, names = node.func, []
+        while isinstance(func, ast.Attribute):
+            names.append(func.attr)
+            func = func.value
+        if isinstance(func, ast.Name):
+            names.append(func.id)
+        if name in names:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_calls_are_found():
+    source = (
+        "from . import curves\n"
+        "from .curves import ExpPoly\n"
+        "a = ExpPoly(1, ())\n"
+        "b = curves.ExpPoly(1, ())\n"
+        "c = ExpPoly._make((1, ()))\n"
+        "d = [ExpPoly]\n"
+        "e = ExpPolynomial(1)\n"
+    )
+    assert calls_of(source, "ExpPoly") == [3, 4, 5]
+
+
+def test_terms_are_built_only_where_they_are_canonicalised():
+    """`ExpSum(terms)` takes canonical terms, so only `curves` and the parser build an `ExpPoly`."""
+    builders = {path.name for path in PACKAGE.glob("*.py") if calls_of(path.read_text(), "ExpPoly")}
+    assert builders <= {"curves.py", "scene.py"}

@@ -62,6 +62,9 @@ CORPUS = [
     ),
 ]
 
+# the characters other than \n and \r at which str.splitlines ends a line
+OTHER_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 
 class TestParsing:
     def test_simple_hyperplane(self):
@@ -127,6 +130,22 @@ class TestParseErrors:
     def test_line_number(self):
         err = self.error("hyperplane H: z1 = 0\nreal S: x1 + = 0")
         assert err.line == 2
+
+    def test_lines_end_at_newlines_only(self):
+        """\\n, \\r\\n and \\r each end one line, as in a file read with universal newlines."""
+        err = self.error("hyperplane A: z1 = 0\r\nhyperplane B: z2 = 0\rhyperplane C: z3 = 0\n\nreal S: x1 + = 0")
+        assert err.line == 5
+
+    @pytest.mark.parametrize("brk", OTHER_LINE_BREAKS)
+    def test_other_line_breaks_are_whitespace(self, brk):
+        """A break that `str.splitlines` knows but an editor does not leaves the line count alone."""
+        err = self.error(f"hyperplane H1: z1 = 0\nhyperplane H2: z2 = 0{brk}\nhyperplane H3:{brk}z3 = 0 = 1\n")
+        assert (err.line, err.column) == (3, 23)
+
+    @pytest.mark.parametrize("brk", OTHER_LINE_BREAKS)
+    def test_comment_runs_to_the_newline(self, brk):
+        scene = parse_scene(f"# a note{brk}more of it\nhyperplane H: z1 = 0  # H{brk}again\n")
+        assert scene.order == (("hyperplane", "H"),)
 
     def test_zero_form(self):
         err = self.error("hyperplane H: z1 - z1 = 0")
