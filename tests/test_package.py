@@ -199,3 +199,9 @@ def test_terms_are_built_only_where_they_are_canonicalised():
     """`ExpSum(terms)` takes canonical terms, so only `curves` and the parser build an `ExpPoly`."""
     builders = {path.name for path in PACKAGE.glob("*.py") if calls_of(path.read_text(), "ExpPoly")}
     assert builders <= {"curves.py", "scene.py"}
+
+
+def test_unreduced_triples_are_built_only_where_they_are_checked():
+    """`exact_linalg._reduced` trusts its caller for ints with d > 0, so only its module and the parser call it."""
+    callers = {path.name for path in PACKAGE.glob("*.py") if calls_of(path.read_text(), "_reduced")}
+    assert callers <= {"exact_linalg.py", "scene.py"}

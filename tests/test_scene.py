@@ -1,9 +1,11 @@
 """Tests for scene parsing, printing, and the round-trip fixpoint."""
 
+import re
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from curveavoid.curves import exp_sum, exp_term
 from curveavoid.exact_linalg import gq
@@ -388,3 +390,154 @@ class TestParseConstant:
         with pytest.raises(ParseError, match="expected a constant") as info:
             parse_constant(text)
         assert (info.value.line, info.value.column) == (1, column)
+
+
+# A scanner that matches one token or whitespace run at a time, as the parser
+# once did, kept here as the specification of how a line splits into tokens.
+REFERENCE_LINE_END = re.compile(r"\r\n|\r|\n")
+REFERENCE_TOKEN = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<number>[0-9]+(?:/[0-9]+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^()=:;,])"
+)
+
+
+def respaced(text):
+    """text with each token at its column and a space everywhere else, or (column, character) where the scan stops.
+
+    A scanner reads the respaced text into the same tokens at the same
+    columns, since only spaces separate them; the line keeps its length, so
+    an error at the end of the line keeps its column too.
+    """
+    out = [" "] * len(text)
+    pos = 0
+    while pos < len(text) and text[pos] != "#":
+        m = REFERENCE_TOKEN.match(text, pos)
+        if m is None:
+            return None, (pos + 1, text[pos])
+        if m.lastgroup != "ws":
+            out[pos : m.end()] = m.group()
+        pos = m.end()
+    return "".join(out), None
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return str(err), err.line, err.column
+
+
+def scan_error(line, stop):
+    column, char = stop
+    return f"line {line}, column {column}: unexpected character {char!r}", line, column
+
+
+def reference_scene_outcome(text):
+    lines = []
+    for line_no, raw in enumerate(REFERENCE_LINE_END.split(text), start=1):
+        line, stop = respaced(raw)
+        if stop is not None:
+            # the earlier lines are parsed before this one is scanned
+            before = outcome(parse_scene, "\n".join(lines))
+            return before if isinstance(before, tuple) else scan_error(line_no, stop)
+        lines.append(line)
+    return outcome(parse_scene, "\n".join(lines))
+
+
+def reference_constant_outcome(text):
+    line, stop = respaced(text)
+    return scan_error(1, stop) if stop is not None else outcome(parse_constant, line)
+
+
+SCAN_ALPHABET = (
+    "0123456789" + "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ" + "-+*/^()=:;,#"
+    + " \t" + "".join(OTHER_LINE_BREAKS) + "@\u00e9"
+)
+# pieces of valid scenes, so that drawn lines get past the declaration head
+SCAN_HEADS = ["", "hyperplane H: ", "hyperplane G:", "real S: ", "real T:", "curve f: (", "curve g:("]
+SCAN_FRAGMENTS = [
+    "exp(", "z1", "z2", "x1", "y3", "z", "i", " = 0", "1/2", "007", "3i", "2*", ", ", "; ", ")",
+]
+scan_pieces = st.one_of(st.sampled_from(SCAN_ALPHABET), st.sampled_from(SCAN_FRAGMENTS))
+scan_bodies = st.lists(scan_pieces, max_size=16).map("".join)
+# a line of the corpus with one piece spliced in, or none
+spliced = st.tuples(
+    st.sampled_from([line for text in CORPUS for line in text.splitlines()]),
+    st.integers(0, 60),
+    scan_pieces | st.just(""),
+).map(lambda t: t[0][: t[1]] + t[2] + t[0][t[1] :])
+scan_lines = st.tuples(st.sampled_from(SCAN_HEADS), scan_bodies).map("".join) | spliced
+scan_texts = st.lists(
+    st.tuples(scan_lines, st.sampled_from(["\n", "\r\n", "\r"])), max_size=4
+).map(lambda pairs: "".join(line + end for line, end in pairs))
+
+
+class TestScannerOracle:
+    """Every outcome, a value or a `ParseError` with its line and column, is the reference scanner's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=scan_texts)
+    @example(text="hyperplane H: z1 = 0\x0b\n")
+    @example(text="hyperplane H: z1 @ = 0\ncurve f: (\u00e9")
+    @example(text="curve f: (exp(z), 1, 1) \u2028\n")
+    def test_scene(self, text):
+        assert outcome(parse_scene, text) == reference_scene_outcome(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=scan_bodies | scan_texts)
+    @example(text="1/2 - 3i\x0c")
+    @example(text="(1 + i)/2 # note @")
+    def test_constant(self, text):
+        assert outcome(parse_constant, text) == reference_constant_outcome(text)
+
+
+def numerals(significant):
+    """Digit strings with up to three leading zeros, whose value has one of the given digit counts."""
+    value = significant.flatmap(lambda k: st.integers(10 ** (k - 1) if k > 1 else 0, 10**k - 1))
+    return st.tuples(st.integers(0, 3), value).map(lambda t: "0" * t[0] + str(t[1]))
+
+
+within_bound = numerals(st.integers(1, MAX_DIGITS))
+at_bound = numerals(st.just(MAX_DIGITS))
+literals = st.one_of(
+    within_bound,
+    at_bound,
+    st.tuples(within_bound | at_bound, within_bound | at_bound).map("/".join),
+)
+
+
+class TestLiteralOracle:
+    """A number token reads as `Fraction` reads it, with its digits counted and a zero denominator reported at it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(literal=literals, indent=st.integers(0, 3))
+    @example(literal="0/0", indent=0)
+    @example(literal="000/0001", indent=1)
+    @example(literal="007/000", indent=2)
+    @example(literal="000" + "9" * MAX_DIGITS + "/000" + "7" * MAX_DIGITS, indent=0)
+    def test_value_or_zero_denominator(self, literal, indent):
+        text = " " * indent + literal
+        if literal.partition("/")[2].strip("0") == "" and "/" in literal:
+            with pytest.raises(ParseError, match="zero denominator") as info:
+                parse_constant(text)
+            assert (info.value.line, info.value.column) == (1, indent + 1)
+        else:
+            assert parse_constant(text) == gq(Fraction(literal))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        literal=st.one_of(
+            numerals(st.just(MAX_DIGITS + 1)),
+            st.tuples(numerals(st.just(MAX_DIGITS + 1)), at_bound).map("/".join),
+            st.tuples(at_bound, numerals(st.just(MAX_DIGITS + 1))).map("/".join),
+            numerals(st.just(MAX_DIGITS + 1)).map(lambda n: n + "/0"),
+        ),
+        indent=st.integers(0, 3),
+    )
+    def test_digits_above_bound(self, literal, indent):
+        """Leading zeros are not digits of the value; the bound is checked before the denominator."""
+        with pytest.raises(ParseError, match=f"at most {MAX_DIGITS} digits") as info:
+            parse_constant(" " * indent + literal)
+        assert (info.value.line, info.value.column) == (1, indent + 1)
