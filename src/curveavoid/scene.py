@@ -18,6 +18,13 @@ before the arithmetic or recursion that would exceed it.  Every constant
 the parser reads or builds has numerators and denominators of at most
 MAX_DIGITS digits in its real and imaginary parts, since the cost of exact
 elimination grows with the size of the entries.
+
+A line is scanned in one pass of one pattern: each match is a token with
+the whitespace before it, a '#' ends the line's tokens, and any other
+character is an error at its column.  The token list ends in a sentinel
+whose column is one past the line's end, so the parser looks ahead by one
+index with no bounds check and reports an error at the end of a line, as
+at any token, at the sentinel.  Number tokens are read as integers.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from .curves import (
     _merge,
     poly,
 )
-from .exact_linalg import GQ_I, GQ_ONE, GQ_ZERO, gq
+from .exact_linalg import GQ_I, GQ_ONE, GQ_ZERO, _reduced, gq
 from .projective import ComplexHyperplane
 
 
@@ -63,11 +70,15 @@ class Token(NamedTuple):
 # lines end at \n, \r\n and \r, as in a file read with universal newlines;
 # the other breaks of `str.splitlines` (form feed, U+2028, ...) match \s
 _LINE_END = re.compile(r"\r\n|\r|\n")
+# The last alternative is \S, not '.': a '.' would back up into the
+# whitespace before the line's end and match it.  Trailing whitespace thus
+# matches nothing, and every other match starts where the last one ended.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<number>\d+(?:/\d+)?)"
+    r"\s*(?:(?P<number>[0-9]+(?:/[0-9]+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^()=:;,])"
+    r"|(?P<comment>#)"
+    r"|(?P<error>\S))"
 )
 
 MAX_DEGREE = 64
@@ -81,35 +92,36 @@ REAL_VARS = ("x1", "y1", "x2", "y2", "x3", "y3")
 
 
 def _tokenize_line(text: str, line_no: int) -> list[Token]:
+    """The tokens of one line, then the end-of-line sentinel."""
     tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos] == "#":
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "comment":
             break
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
-        if m.lastgroup != "ws":
-            tokens.append(Token(m.lastgroup, m.group(), line_no, pos + 1))
-        pos = m.end()
+        tok = Token(kind, m[kind], line_no, m.start(kind) + 1)
+        if kind == "error":
+            raise tok.error(f"unexpected character {tok.text!r}")
+        tokens.append(tok)
+    # its text is no operator, and not "", which `in "+-"` would match
+    tokens.append(Token("end", "end of line", line_no, len(text) + 1))
     return tokens
 
 
 class _Cursor:
-    def __init__(self, tokens: list[Token], line_no: int, line_len: int) -> None:
+    """Reads a line's tokens in order; `next` never moves past the sentinel."""
+
+    def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.index = 0
-        self.line_no = line_no
-        self.line_len = line_len
         self.depth = 0
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
+    def peek(self) -> Token:
+        return self.tokens[self.index]
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of line", self.line_no, self.line_len + 1)
+        tok = self.tokens[self.index]
+        if tok.kind == "end":
+            raise tok.error("unexpected end of line")
         self.index += 1
         return tok
 
@@ -124,12 +136,6 @@ class _Cursor:
         if self.depth == MAX_DEPTH:
             raise tok.error(f"expressions nest at most {MAX_DEPTH} levels deep")
         self.depth += 1
-
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        if tok is None:
-            return ParseError(message, self.line_no, self.line_len + 1)
-        return tok.error(message)
 
 
 def _height_error(tok: Token) -> ParseError:
@@ -147,14 +153,14 @@ def _bounded(c: GaussianRational, tok: Token) -> GaussianRational:
 
 
 def _literal(tok: Token) -> GaussianRational:
-    """A number token, its digits counted before Python converts them."""
-    parts = [p.lstrip("0") or "0" for p in tok.text.split("/")]
-    if any(len(p) > MAX_DIGITS for p in parts):
+    """A number token as a reduced triple, its digits counted before Python converts them."""
+    num, _, den = tok.text.partition("/")
+    num, den = num.lstrip("0"), den.lstrip("0") if den else "1"
+    if len(num) > MAX_DIGITS or len(den) > MAX_DIGITS:
         raise _height_error(tok)
-    try:
-        return gq(Fraction(*map(int, parts)))
-    except ZeroDivisionError:
-        raise tok.error("zero denominator") from None
+    if not den:
+        raise tok.error("zero denominator")
+    return _reduced(int(num or 0), 0, int(den))
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +201,15 @@ class _Domain:
         return {m: -c for m, c in a.items()}
 
     def multiply(self, a: dict, b: dict, op: Token) -> dict:
+        if len(a) == 1 and self.one in a:
+            a, b = b, a
+        if len(b) == 1 and self.one in b:
+            # Scaling by a constant k.  check_product cannot fire: a constant
+            # adds no variable, degree 0 and one factor to a value already in
+            # the domain.  The loop below would build the same dict in the
+            # same order, since m*1 is m, the m are distinct and c*k != 0.
+            k = b[self.one]
+            return {m: _bounded(c * k, op) for m, c in a.items()}
         self.check_product(a, b, op)
         product: dict = {}
         for m, c in a.items():
@@ -216,7 +231,7 @@ class _Domain:
 
 def _parse_expression(cur: _Cursor, domain: _Domain):
     value = _parse_term(cur, domain)
-    while (tok := cur.peek()) is not None and tok.text in "+-":
+    while (tok := cur.peek()).text in "+-":
         cur.next()
         rhs = _parse_term(cur, domain)
         value = domain.add(value, domain.negate(rhs) if tok.text == "-" else rhs, tok)
@@ -225,7 +240,7 @@ def _parse_expression(cur: _Cursor, domain: _Domain):
 
 def _parse_term(cur: _Cursor, domain: _Domain):
     value = _parse_factor(cur, domain)
-    while (tok := cur.peek()) is not None and tok.text in "*/":
+    while (tok := cur.peek()).text in "*/":
         cur.next()
         rhs = _parse_factor(cur, domain)
         if tok.text == "*":
@@ -237,14 +252,14 @@ def _parse_term(cur: _Cursor, domain: _Domain):
 
 def _parse_factor(cur: _Cursor, domain: _Domain):
     tok = cur.peek()
-    if tok is not None and tok.text in "+-":
+    if tok.text in "+-":
         cur.next()
         cur.descend(tok)
         value = _parse_factor(cur, domain)
         cur.depth -= 1
         return domain.negate(value) if tok.text == "-" else value
     value = _parse_atom(cur, domain)
-    while (nxt := cur.peek()) is not None and nxt.text == "^":
+    while cur.peek().text == "^":
         cur.next()
         etok = cur.next()
         if etok.kind != "number" or "/" in etok.text:
@@ -263,8 +278,7 @@ def _parse_atom(cur: _Cursor, domain: _Domain):
         return value
     if tok.kind == "number":
         c = _literal(tok)
-        nxt = cur.peek()
-        if nxt is not None and nxt.text == "i":
+        if cur.peek().text == "i":
             cur.next()
             c = c * GQ_I
         return domain.number(c)
@@ -369,10 +383,10 @@ def _parse_zero_form(cur: _Cursor, variables: Sequence[str]) -> tuple[GaussianRa
     if zero.text != "0":
         raise zero.error("declarations end with '= 0'")
     if 1 in value:
-        raise cur.fail("a linear form may not have a constant part")
+        raise cur.peek().error("a linear form may not have a constant part")
     vec = tuple(value.get(v, GQ_ZERO) for v in variables)
     if not any(vec):
-        raise cur.fail("the zero form defines nothing")
+        raise cur.peek().error("the zero form defines nothing")
     return vec
 
 
@@ -384,9 +398,9 @@ def parse_scene(text: str) -> Scene:
     seen: set[str] = set()
     for line_no, raw in enumerate(_LINE_END.split(text), start=1):
         tokens = _tokenize_line(raw, line_no)
-        if not tokens:
+        if len(tokens) == 1:  # the sentinel alone: a blank or comment line
             continue
-        cur = _Cursor(tokens, line_no, len(raw))
+        cur = _Cursor(tokens)
         head = cur.next()
         if head.text not in ("hyperplane", "real", "curve"):
             raise head.error(f"expected 'hyperplane', 'real' or 'curve', got {head.text!r}")
@@ -406,9 +420,9 @@ def parse_scene(text: str) -> Scene:
                 while True:
                     vec = _parse_zero_form(cur, REAL_VARS)
                     if any(c.im for c in vec):
-                        raise cur.fail("real forms need rational coefficients")
+                        raise cur.peek().error("real forms need rational coefficients")
                     forms.append(tuple(c.re for c in vec))
-                    if cur.peek() is None:
+                    if cur.peek().kind == "end":
                         break
                     cur.expect(";")
                 reals[name] = RealSubspace(tuple(forms))
@@ -424,7 +438,7 @@ def parse_scene(text: str) -> Scene:
             if isinstance(exc, ParseError):
                 raise
             raise head.error(str(exc)) from exc
-        if (extra := cur.peek()) is not None:
+        if (extra := cur.peek()).kind != "end":
             raise extra.error(f"unexpected trailing {extra.text!r}")
         seen.add(name)
         order.append((head.text, name))
@@ -496,11 +510,10 @@ def format_scene(scene: Scene) -> str:
 
 def parse_constant(text: str) -> GaussianRational:
     """A standalone Gaussian-rational literal such as '1/2 - 3i'."""
-    tokens = _tokenize_line(text, 1)
-    cur = _Cursor(tokens, 1, len(text))
+    cur = _Cursor(_tokenize_line(text, 1))
     value = _parse_expression(cur, _CurveDomain())
-    if cur.peek() is not None:
-        raise cur.fail("expected a constant")
+    if cur.peek().kind != "end":
+        raise cur.peek().error("expected a constant")
     if value.keys() - {POLY_ZERO}:
         raise ParseError("expected a constant", 1, 1)
     return value.get(POLY_ZERO, GQ_ZERO)

@@ -129,6 +129,16 @@ class TestSceneLines:
         assert (code, data["general_position"]) == (0, True)
 
 
+class TestSceneDigits:
+    @pytest.mark.parametrize("digit", ["\u0663", "\uff13"])
+    def test_non_ascii_digit_is_two(self, tmp_path, capsys, digit):
+        path = tmp_path / "digit.scene"
+        path.write_bytes((STANDARD4 + f"real S: {digit}*x1 + x2 = 0\n").encode())
+        code, out, err = run(capsys, "gp-check", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: line 6, column 9: unexpected character {digit!r}\n"
+
+
 class TestGpCheck:
     def test_transverse_family(self, scene, capsys):
         code, data = run_json(capsys, "gp-check", scene(STANDARD4))

@@ -2,7 +2,8 @@
 
 Scenes come from a generator that follows the scene grammar (hyperplanes,
 real subspaces of one to three forms, curves built from sums, products,
-exp() of polynomials and '^') and from raw printable text.  A second test
+exp() of polynomials and '^') and from raw printable text, with decimal
+digits of other scripts mixed in.  A second test
 writes grammar scenes as bytes with bytes that are not UTF-8 spliced in;
 a file that does not decode must exit 2.  Every
 subcommand is run in process through `cli.main`, with plan flags that
@@ -115,8 +116,10 @@ def grammar_scenes(draw):
 token_scenes = st.lists(
     st.lists(st.sampled_from(TOKENS), max_size=12).map(" ".join), max_size=4
 ).map("\n".join)
+# printable ASCII, and decimal digits of other scripts, which are not numbers
 raw_scenes = st.text(
-    alphabet=st.characters(min_codepoint=32, max_codepoint=126) | st.just("\n"), max_size=200
+    alphabet=st.characters(min_codepoint=32, max_codepoint=126) | st.sampled_from("\n\u0663\uff13"),
+    max_size=200,
 )
 scenes = mostly(grammar_scenes(), st.one_of(token_scenes, raw_scenes))
 

@@ -149,6 +149,23 @@ class TestParseErrors:
         scene = parse_scene(f"# a note{brk}more of it\nhyperplane H: z1 = 0  # H{brk}again\n")
         assert scene.order == (("hyperplane", "H"),)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("hyperplane H", "unexpected end of line"),
+            ("hyperplane H: z1 =  ", "unexpected end of line"),
+            ("curve f: (exp(z), 1  # unclosed", "unexpected end of line"),
+            ("real S: x1 = 0;\x0c", "unexpected end of line"),
+            ("hyperplane H: z1 + 1 = 0 ", "constant part"),
+            ("hyperplane H: z1 - z1 = 0", "zero form"),
+        ],
+    )
+    def test_end_of_line_is_the_column_after_it(self, text, message):
+        """Comments and trailing whitespace count: the column is one past the line's last character."""
+        err = self.error(text)
+        assert (err.line, err.column) == (1, len(text) + 1)
+        assert message in str(err)
+
     def test_zero_form(self):
         err = self.error("hyperplane H: z1 - z1 = 0")
         assert "zero form" in str(err)
@@ -198,6 +215,18 @@ class TestParseErrors:
 
     def test_division_by_zero_constant(self):
         assert self.error("curve f: (1/0, 1, 1)") is not None
+
+    @pytest.mark.parametrize("digit", ["\u0663", "\u0969", "\uff13"])
+    @pytest.mark.parametrize(
+        "number, column", [("{}", 15), ("1{}", 16), ("1/{}", 17), ("{}i", 15)]
+    )
+    def test_digits_are_ascii(self, digit, number, column):
+        """Other scripts' decimal digits are not numbers, as other letters are not names."""
+        err = self.error(f"hyperplane H: {number.format(digit)}*z1 = 0")
+        assert (err.line, err.column) == (1, column)
+        assert str(err).endswith(f"unexpected character {digit!r}")
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_constant(number.format(digit))
 
 
 def sum_of_exponentials(count, step=1):
