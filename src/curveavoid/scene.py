@@ -264,7 +264,9 @@ def _parse_factor(cur: _Cursor, domain: _Domain):
         etok = cur.next()
         if etok.kind != "number" or "/" in etok.text:
             raise etok.error("exponent must be a nonnegative integer")
-        value = domain.power(value, int(etok.text), etok)
+        # digits counted first, as in `_literal`: so many are above any degree bound
+        digits = etok.text.lstrip("0")
+        value = domain.power(value, int(digits or 0) if len(digits) <= MAX_DIGITS else MAX_DEGREE + 1, etok)
     return value
 
 

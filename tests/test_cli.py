@@ -484,6 +484,14 @@ class TestProject:
         )
         assert code == 2
 
+    def test_long_exponent_in_the_point_is_two(self, scene, capsys):
+        code, out, err = run(
+            capsys, "project", "--curve", "f", "--at", f"exp(z^{'9' * 5000})",
+            scene("curve f: (exp(z), 1, 1)\n"),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: line 1, column 7: exponent polynomials have degree at most 64\n"
+
     @pytest.mark.parametrize("at, column", [("1+i)", 4), ("1 2", 3)])
     def test_bad_point_error_names_its_column(self, scene, capsys, at, column):
         code, out, err = run(

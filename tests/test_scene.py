@@ -256,6 +256,23 @@ class TestInputBounds:
         assert (err.line, err.column) == (1, column)
         assert f"degree at most {MAX_DEGREE}" in str(err)
 
+    # longer than Python's int() reads from a string (4300 digits by default)
+    LONG_EXPONENT = "9" * 5000
+
+    def test_long_exponent_rejected_at_its_token(self):
+        err = self.error(f"curve f: (exp(z^{self.LONG_EXPONENT}), 1, 1)")
+        assert (err.line, err.column) == (1, 17)
+        assert f"degree at most {MAX_DEGREE}" in str(err)
+
+    def test_long_exponent_in_a_constant_rejected_at_its_token(self):
+        with pytest.raises(ParseError, match=f"degree at most {MAX_DEGREE}") as info:
+            parse_constant(f"exp(z^{self.LONG_EXPONENT})")
+        assert (info.value.line, info.value.column) == (1, 7)
+
+    def test_exponent_leading_zeros_are_not_digits(self):
+        scene = parse_scene(f"curve f: (exp(z^{'0' * 5000}2), 1, 1)")
+        assert len(scene.curves["f"].components[0].terms[0].exponent) == 3
+
     # exponents k + 16 m for k, m < 16: a product with exactly MAX_TERMS distinct terms
     FULL = f"({sum_of_exponentials(16)}) * ({sum_of_exponentials(16, step=16)})"
 
