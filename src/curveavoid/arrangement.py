@@ -15,10 +15,9 @@ that way, on a 3x3 Gaussian-rational matrix instead of a 6x6 rational one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .exact_linalg import (
     ComplexVector,
@@ -41,8 +40,7 @@ ALL_CURVES_CONSTANT = "AllCurvesConstant"
 WITNESS_EXISTS = "WitnessExists"
 
 
-@dataclass(frozen=True, slots=True)
-class RealSubspace:
+class RealSubspace(NamedTuple("RealSubspace", [("forms", tuple[RationalVector, ...])])):
     """A linear subspace of R^6 cut out by independent linear forms.
 
     Coordinates are ordered (x1, y1, x2, y2, x3, y3) with z_j = x_j + i y_j.
@@ -50,10 +48,10 @@ class RealSubspace:
     equal exactly when they describe the same subspace.
     """
 
-    forms: tuple[RationalVector, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        rows = [[_frac(x) for x in f] for f in self.forms]
+    def __new__(cls, forms: Sequence[Sequence[RationalLike]]) -> "RealSubspace":
+        rows = [[_frac(x) for x in f] for f in forms]
         if not rows:
             raise ValueError("a real subspace needs at least one defining form")
         if any(len(r) != 6 for r in rows):
@@ -61,7 +59,7 @@ class RealSubspace:
         reduced, _ = _rref(rows)
         if not reduced:
             raise ValueError("zero form does not cut out a proper subspace")
-        object.__setattr__(self, "forms", tuple(tuple(r) for r in reduced))
+        return super().__new__(cls, tuple(tuple(r) for r in reduced))
 
     @property
     def dimension(self) -> int:
@@ -72,16 +70,14 @@ class RealSubspace:
         return rank_complex(list(self.forms) + list(other.forms)) == len(other.forms)
 
 
-@dataclass(frozen=True, slots=True)
-class TripleRank:
+class TripleRank(NamedTuple):
     """Span dimension of the stacked complements for one triple (H~, H_j, H_k)."""
 
     pair: tuple[int, int]
     rank: int
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(NamedTuple):
     tag: str
     witness: "ExpAffineCurve | None"
     evidence: tuple[TripleRank, ...]
@@ -139,8 +135,7 @@ def extract_complex_hyperplane(s: RealSubspace) -> ComplexHyperplane:
     return ComplexHyperplane(holomorphic_coefficients(s.forms[0]))
 
 
-@dataclass(frozen=True, slots=True)
-class CollapsedRealForm:
+class CollapsedRealForm(NamedTuple):
     """Restriction of a form on R^6 to the plane w -> (w, c2 w, c3 w).
 
     The restriction is a*Re(w) + b*Im(w); both coefficients are exact.

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, product, zip_longest
 from typing import Iterable, NamedTuple, Sequence
@@ -122,29 +121,44 @@ class ExpPoly(NamedTuple):
         return self.exponent[0] if self.exponent else GQ_ZERO
 
 
-@dataclass(frozen=True, slots=True)
 class ExpSum:
     """A finite sum of exponential terms in canonical grouped form.
 
     `ExpSum(terms)` takes canonical terms: Gaussian-rational coefficients
     and exponents built by `poly`.  It merges like exponents, drops zero
-    coefficients and orders the terms.
+    coefficients and orders the terms.  Like `GaussianRational` it is an
+    immutable value, compared and hashed by its terms, and not a sequence.
 
     With constant exponents it is a formal constant, a sum of c e^r over
     distinct r; by Lindemann-Weierstrass it is zero exactly when it has no
     terms.  `real_part`, `float_terms` and `log` take formal constants.
     """
 
-    terms: tuple[ExpPoly, ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: tuple[ExpPoly, ...]) -> None:
         grouped: dict[Poly, GaussianRational] = {}
-        for t in self.terms:
+        for t in terms:
             _merge(grouped, t.exponent, t.coeff)
         ordered = tuple(
             ExpPoly(c, p) for p, c in sorted(grouped.items(), key=lambda pc: _poly_key(pc[0]))
         )
         object.__setattr__(self, "terms", ordered)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: an ExpSum is immutable")
+
+    def __reduce__(self) -> tuple:
+        return ExpSum, (self.terms,)
+
+    def __repr__(self) -> str:
+        return f"ExpSum(terms={self.terms!r})"
+
+    def __eq__(self, other: object) -> bool:
+        return self.terms == other.terms if other.__class__ is ExpSum else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -237,17 +251,32 @@ def evaluate_sum(s: ExpSum, z: complex) -> complex:
 # ---------------------------------------------------------------------------
 # curves
 
-@dataclass(frozen=True, slots=True)
 class ExpAffineCurve:
-    """An entire curve C -> C^3 whose components are exponential sums."""
+    """An entire curve C -> C^3 whose components are exponential sums; an immutable value like `ExpSum`."""
 
-    components: tuple[ExpSum, ExpSum, ExpSum]
+    __slots__ = ("components",)
 
-    def __post_init__(self) -> None:
-        if len(self.components) != 3:
+    def __init__(self, components: tuple[ExpSum, ExpSum, ExpSum]) -> None:
+        if len(components) != 3:
             raise ValueError("curves here have exactly 3 components")
-        if not any(self.components):
+        if not any(components):
             raise ValueError("the zero curve has no projective image")
+        object.__setattr__(self, "components", components)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: an ExpAffineCurve is immutable")
+
+    def __reduce__(self) -> tuple:
+        return ExpAffineCurve, (self.components,)
+
+    def __repr__(self) -> str:
+        return f"ExpAffineCurve(components={self.components!r})"
+
+    def __eq__(self, other: object) -> bool:
+        return self.components == other.components if other.__class__ is ExpAffineCurve else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.components,))
 
     @classmethod
     def from_terms(cls, *terms: tuple[GQLike, Sequence[GQLike]]) -> "ExpAffineCurve":

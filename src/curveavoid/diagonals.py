@@ -8,10 +8,9 @@ three classical diagonals of the complete quadrilateral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact_linalg import kernel_complex
 from .projective import (
@@ -22,19 +21,17 @@ from .projective import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
+class Partition(NamedTuple("Partition", [("left", tuple[int, ...]), ("right", tuple[int, ...])])):
     """A balanced two-block partition of {1..2n}, canonically oriented.
 
     The block containing the smallest index is stored first.
     """
 
-    left: tuple[int, ...]
-    right: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        left = tuple(sorted(self.left))
-        right = tuple(sorted(self.right))
+    def __new__(cls, left: Sequence[int], right: Sequence[int]) -> "Partition":
+        left = tuple(sorted(left))
+        right = tuple(sorted(right))
         members = left + right
         n2 = len(members)
         if len(left) != len(right):
@@ -43,26 +40,26 @@ class Partition:
             raise ValueError(f"blocks must partition 1..{n2}")
         if right and (not left or right[0] < left[0]):
             left, right = right, left
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        return super().__new__(cls, left, right)
 
 
-@dataclass(frozen=True, slots=True)
-class DiagonalLine:
+_LINE_FIELDS = [("partition", Partition), ("p", ProjPoint), ("q", ProjPoint), ("form", ComplexHyperplane | None)]
+
+
+class DiagonalLine(NamedTuple("DiagonalLine", _LINE_FIELDS)):
     """The line through the two intersection points of a balanced partition.
 
     `form` is the line's coefficient vector, available in CP^2 only; in
     CP^1 the two points span the whole space and there is no cutting form.
     """
 
-    partition: Partition
-    p: ProjPoint
-    q: ProjPoint
-    form: ComplexHyperplane | None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p == self.q:
+    def __new__(cls, *fields, **named) -> "DiagonalLine":
+        line = super().__new__(cls, *fields, **named)
+        if line.p == line.q:
             raise ValueError("a diagonal needs two distinct points")
+        return line
 
 
 def enumerate_partitions(n: int) -> list[Partition]:

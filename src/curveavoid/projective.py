@@ -8,9 +8,8 @@ projective classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact_linalg import (
     ComplexVector,
@@ -22,37 +21,35 @@ from .exact_linalg import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ProjPoint:
+class ProjPoint(NamedTuple("ProjPoint", [("coords", ComplexVector)])):
     """A point of CP^n, canonically scaled."""
 
-    coords: ComplexVector
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        v = tuple(gq(x) for x in self.coords)
+    def __new__(cls, coords: Sequence[GQLike]) -> "ProjPoint":
+        v = tuple(gq(x) for x in coords)
         if len(v) < 2:
             raise ValueError("point needs at least 2 homogeneous coordinates")
         if not any(v):
             raise ValueError("zero vector does not determine a point")
-        object.__setattr__(self, "coords", _scale_first_nonzero(v))
+        return super().__new__(cls, _scale_first_nonzero(v))
 
 
-@dataclass(frozen=True, slots=True)
-class ComplexHyperplane:
+class ComplexHyperplane(NamedTuple("ComplexHyperplane", [("coefficients", ComplexVector)])):
     """The zero set of a nonzero linear form on C^(n+1).
 
     Coefficients are kept as given; equality compares projective classes.
     """
 
-    coefficients: ComplexVector
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        v = tuple(gq(x) for x in self.coefficients)
+    def __new__(cls, coefficients: Sequence[GQLike]) -> "ComplexHyperplane":
+        v = tuple(gq(x) for x in coefficients)
         if len(v) < 2:
             raise ValueError("a hyperplane needs at least 2 coefficients")
         if not any(v):
             raise ValueError("zero form does not define a hyperplane")
-        object.__setattr__(self, "coefficients", v)
+        return super().__new__(cls, v)
 
     def canonical(self) -> ComplexVector:
         return _scale_first_nonzero(self.coefficients)
@@ -61,6 +58,8 @@ class ComplexHyperplane:
         if not isinstance(other, ComplexHyperplane):
             return NotImplemented
         return self.canonical() == other.canonical()
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's comparison
 
     def __hash__(self) -> int:
         return hash(self.canonical())

@@ -30,7 +30,6 @@ at any token, at the sentinel.  Number tokens are read as integers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, NamedTuple, Sequence
@@ -368,14 +367,17 @@ def _parse_component(cur: _Cursor) -> ExpSum:
 # ---------------------------------------------------------------------------
 # declarations
 
-@dataclass(frozen=True)
-class Scene:
-    """Named hyperplanes, real subspaces, and curves, in declaration order."""
+_TABLES = [("hyperplanes", dict[str, ComplexHyperplane]), ("reals", dict[str, RealSubspace]), ("curves", dict[str, ExpAffineCurve])]
 
-    hyperplanes: dict[str, ComplexHyperplane] = field(default_factory=dict)
-    reals: dict[str, RealSubspace] = field(default_factory=dict)
-    curves: dict[str, ExpAffineCurve] = field(default_factory=dict)
-    order: tuple[tuple[str, str], ...] = ()
+
+class Scene(NamedTuple("Scene", [*_TABLES, ("order", tuple[tuple[str, str], ...])])):
+    """Named hyperplanes, real subspaces, and curves, in declaration order; an omitted table is a new dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, hyperplanes=None, reals=None, curves=None, order=()) -> "Scene":
+        tables = ({} if t is None else t for t in (hyperplanes, reals, curves))
+        return super().__new__(cls, *tables, order)
 
 
 def _parse_zero_form(cur: _Cursor, variables: Sequence[str]) -> tuple[GaussianRational, ...]:

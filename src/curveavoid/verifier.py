@@ -58,8 +58,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import asdict, dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .arrangement import RealSubspace, holomorphic_coefficients
 from .curves import (
@@ -86,36 +86,40 @@ MAX_GRID_POINTS = 1001
 MAX_RANDOM_POINTS = 1_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class SamplingPlan:
+class _Plan(NamedTuple):
     disk_radius: float = 10.0
     grid_points: int = 101
     random_points: int = 10_000
     seed: int = 0
     tolerance: float = 1e-9
 
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(x) and x > 0 for x in (self.disk_radius, self.tolerance)):
+
+class SamplingPlan(_Plan):
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named) -> "SamplingPlan":
+        plan = super().__new__(cls, *fields, **named)
+        if not all(math.isfinite(x) and x > 0 for x in (plan.disk_radius, plan.tolerance)):
             raise ValueError("disk radius and tolerance must be positive and finite")
-        if self.grid_points <= 0 or self.random_points < 0:
+        if plan.grid_points <= 0 or plan.random_points < 0:
             raise ValueError("sample counts must be positive")
-        if self.grid_points > MAX_GRID_POINTS or self.random_points > MAX_RANDOM_POINTS:
+        if plan.grid_points > MAX_GRID_POINTS or plan.random_points > MAX_RANDOM_POINTS:
             raise ValueError(
                 f"at most {MAX_GRID_POINTS} grid points per axis and {MAX_RANDOM_POINTS} random points"
             )
-        if self.grid_points < 3 and not self.random_points:
+        if plan.grid_points < 3 and not plan.random_points:
             # a grid of 1 or 2 points per axis has every node outside the disk
             raise ValueError(
                 "a grid of fewer than 3 points per axis puts no sample in the disk;"
                 " random points are needed"
             )
+        return plan
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True, slots=True)
-class SetResult:
+class SetResult(NamedTuple):
     set: str
     method: str
     verdict: str
@@ -124,11 +128,10 @@ class SetResult:
 
     def to_dict(self) -> dict:
         sample = self.violation_sample
-        return asdict(self) | {"violation_sample": None if sample is None else list(sample)}
+        return self._asdict() | {"violation_sample": None if sample is None else list(sample)}
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     curve: str
     results: tuple[SetResult, ...]
     projection_constant: bool

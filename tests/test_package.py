@@ -1,4 +1,4 @@
-"""The package's public surface: `curveavoid.__all__`, no unused imports, no dead private names, no environment reads, no unchecked terms."""
+"""The package's public surface: `curveavoid.__all__`, no unused imports, no dead private names, no environment reads, no unchecked terms, no `dataclasses`."""
 
 import ast
 from pathlib import Path
@@ -205,3 +205,31 @@ def test_unreduced_triples_are_built_only_where_they_are_checked():
     """`exact_linalg._reduced` trusts its caller for ints with d > 0, so only its module and the parser call it."""
     callers = {path.name for path in PACKAGE.glob("*.py") if calls_of(path.read_text(), "_reduced")}
     assert callers <= {"exact_linalg.py", "scene.py"}
+
+
+def imported_modules(source):
+    """The absolute names of the modules a module imports, or imports names from."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_imported_modules_are_found():
+    source = (
+        "import os.path, json as j\n"
+        "from dataclasses import dataclass\n"
+        "from . import curves\n"
+        "def f():\n"
+        "    import inspect\n"
+    )
+    assert imported_modules(source) == {"os.path", "json", "dataclasses", "inspect"}
+
+
+def test_no_module_imports_dataclasses():
+    """Each `dataclass()` runs an `exec` on every start, and `dataclasses` pulls in `inspect`."""
+    importers = {path.name for path in PACKAGE.glob("*.py") if "dataclasses" in imported_modules(path.read_text())}
+    assert importers == set()

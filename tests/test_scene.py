@@ -16,6 +16,7 @@ from curveavoid.scene import (
     MAX_DIGITS,
     MAX_TERMS,
     ParseError,
+    Scene,
     format_scene,
     parse_constant,
     parse_scene,
@@ -487,7 +488,7 @@ def reference_scene_outcome(text):
         if stop is not None:
             # the earlier lines are parsed before this one is scanned
             before = outcome(parse_scene, "\n".join(lines))
-            return before if isinstance(before, tuple) else scan_error(line_no, stop)
+            return scan_error(line_no, stop) if isinstance(before, Scene) else before
         lines.append(line)
     return outcome(parse_scene, "\n".join(lines))
 

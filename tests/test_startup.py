@@ -1,4 +1,5 @@
-"""Start-up cost: numpy is loaded only when a set needs sampling, `resultant` only at rank 2.
+"""Start-up cost: numpy is loaded only when a set needs sampling, `resultant` only at rank 2,
+and `dataclasses` and the `inspect` it needs never.
 
 A hyperplane met by a curve needs no numpy when its zero is a root of a
 unit polynomial of degree 1 or 2.  A real subspace whose restrictions
@@ -6,8 +7,8 @@ have nonconstant parts of real rank 2 loads `curveavoid.resultant`, and
 on a one-unit curve it decides the subspace without numpy.
 
 Each test runs the package in a fresh interpreter with PYTHONPATH=src and
-reports, after `import curveavoid` and after each command, whether numpy
-and `curveavoid.resultant` are in `sys.modules`.
+reports, after `import curveavoid` and after each command, which of the
+modules it names are in `sys.modules`.
 """
 
 import json
@@ -38,7 +39,7 @@ PROBE = """
 import contextlib, io, json, sys
 import curveavoid
 from curveavoid.cli import main
-loaded = lambda: ["numpy" in sys.modules, "curveavoid.resultant" in sys.modules]
+loaded = lambda: [name in sys.modules for name in json.loads(sys.argv[2])]
 steps = [["import curveavoid", None, *loaded()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -48,9 +49,9 @@ print(json.dumps({"package": curveavoid.__file__, "steps": steps}))
 """
 
 
-def _loaded_after_each(commands) -> list[list]:
+def _loaded_after_each(commands, modules=("numpy", "curveavoid.resultant")) -> list[list]:
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(commands)],
+        [sys.executable, "-c", PROBE, json.dumps(commands), json.dumps(modules)],
         cwd=ROOT,
         env=dict(os.environ, PYTHONPATH="src"),
         capture_output=True,
@@ -94,4 +95,13 @@ def test_closed_form_hits_never_load_numpy():
     ]
     assert _loaded_after_each(commands) == [["import curveavoid", None, False, False]] + [
         [" ".join(argv), 1, False, False] for argv in commands
+    ]
+
+
+def test_no_command_loads_dataclasses_or_inspect():
+    """Building dataclasses costs an `exec` per class on every start, and `dataclasses`
+    imports `inspect`, `ast`, `dis` and `tokenize`; no README command needs them."""
+    steps = _loaded_after_each(EXACT_ONLY, ("dataclasses", "inspect"))
+    assert steps == [["import curveavoid", None, False, False]] + [
+        [" ".join(argv), 0, False, False] for argv in EXACT_ONLY
     ]
