@@ -154,9 +154,7 @@ def _cmd_classify(args: argparse.Namespace, scene: Scene) -> int:
     verdict = classify([h for _, h in hyperplanes], real)
     payload = {
         "verdict": verdict.tag,
-        "triple_ranks": [
-            {"pair": list(t.pair), "rank": t.rank} for t in verdict.evidence
-        ],
+        "triple_ranks": [t._asdict() for t in verdict.evidence],
         "witness": None,
         "report": None,
     }

@@ -126,8 +126,7 @@ class ExpSum:
 
     `ExpSum(terms)` takes canonical terms: Gaussian-rational coefficients
     and exponents built by `poly`.  It merges like exponents, drops zero
-    coefficients and orders the terms.  Like `GaussianRational` it is an
-    immutable value, compared and hashed by its terms, and not a sequence.
+    coefficients and orders the terms.  It is an immutable value, not a sequence.
 
     With constant exponents it is a formal constant, a sum of c e^r over
     distinct r; by Lindemann-Weierstrass it is zero exactly when it has no
@@ -146,7 +145,7 @@ class ExpSum:
         object.__setattr__(self, "terms", ordered)
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: an ExpSum is immutable")
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
 
     def __reduce__(self) -> tuple:
         return ExpSum, (self.terms,)
@@ -263,8 +262,7 @@ class ExpAffineCurve:
             raise ValueError("the zero curve has no projective image")
         object.__setattr__(self, "components", components)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: an ExpAffineCurve is immutable")
+    __setattr__ = ExpSum.__setattr__
 
     def __reduce__(self) -> tuple:
         return ExpAffineCurve, (self.components,)

@@ -30,8 +30,7 @@ class Partition(NamedTuple("Partition", [("left", tuple[int, ...]), ("right", tu
     __slots__ = ()
 
     def __new__(cls, left: Sequence[int], right: Sequence[int]) -> "Partition":
-        left = tuple(sorted(left))
-        right = tuple(sorted(right))
+        left, right = tuple(sorted(left)), tuple(sorted(right))
         members = left + right
         n2 = len(members)
         if len(left) != len(right):
@@ -43,10 +42,14 @@ class Partition(NamedTuple("Partition", [("left", tuple[int, ...]), ("right", tu
         return super().__new__(cls, left, right)
 
 
-_LINE_FIELDS = [("partition", Partition), ("p", ProjPoint), ("q", ProjPoint), ("form", ComplexHyperplane | None)]
+class _DiagonalFields(NamedTuple):
+    partition: Partition
+    p: ProjPoint
+    q: ProjPoint
+    form: ComplexHyperplane | None
 
 
-class DiagonalLine(NamedTuple("DiagonalLine", _LINE_FIELDS)):
+class DiagonalLine(_DiagonalFields):
     """The line through the two intersection points of a balanced partition.
 
     `form` is the line's coefficient vector, available in CP^2 only; in

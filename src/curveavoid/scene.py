@@ -367,10 +367,14 @@ def _parse_component(cur: _Cursor) -> ExpSum:
 # ---------------------------------------------------------------------------
 # declarations
 
-_TABLES = [("hyperplanes", dict[str, ComplexHyperplane]), ("reals", dict[str, RealSubspace]), ("curves", dict[str, ExpAffineCurve])]
+class _SceneFields(NamedTuple):
+    hyperplanes: dict[str, ComplexHyperplane]
+    reals: dict[str, RealSubspace]
+    curves: dict[str, ExpAffineCurve]
+    order: tuple[tuple[str, str], ...]
 
 
-class Scene(NamedTuple("Scene", [*_TABLES, ("order", tuple[tuple[str, str], ...])])):
+class Scene(_SceneFields):
     """Named hyperplanes, real subspaces, and curves, in declaration order; an omitted table is a new dict."""
 
     __slots__ = ()

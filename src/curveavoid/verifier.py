@@ -86,7 +86,7 @@ MAX_GRID_POINTS = 1001
 MAX_RANDOM_POINTS = 1_000_000
 
 
-class _Plan(NamedTuple):
+class _PlanFields(NamedTuple):
     disk_radius: float = 10.0
     grid_points: int = 101
     random_points: int = 10_000
@@ -94,7 +94,7 @@ class _Plan(NamedTuple):
     tolerance: float = 1e-9
 
 
-class SamplingPlan(_Plan):
+class SamplingPlan(_PlanFields):
     __slots__ = ()
 
     def __new__(cls, *fields, **named) -> "SamplingPlan":
