@@ -231,5 +231,7 @@ def test_imported_modules_are_found():
 
 def test_no_module_imports_dataclasses():
     """Each `dataclass()` runs an `exec` on every start, and `dataclasses` pulls in `inspect`."""
-    importers = {path.name for path in PACKAGE.glob("*.py") if "dataclasses" in imported_modules(path.read_text())}
+    importers = {
+        path.name for path in PACKAGE.glob("*.py") if "dataclasses" in imported_modules(path.read_text())
+    }
     assert importers == set()
