@@ -49,6 +49,8 @@ class RealSubspace(NamedTuple("RealSubspace", [("forms", tuple[RationalVector, .
     """
 
     __slots__ = ()
+    # `_replace` builds through `_make`, so both run the checks in `__new__`
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, forms: Sequence[Sequence[RationalLike]]) -> "RealSubspace":
         rows = [[_frac(x) for x in f] for f in forms]

@@ -28,6 +28,8 @@ class Partition(NamedTuple("Partition", [("left", tuple[int, ...]), ("right", tu
     """
 
     __slots__ = ()
+    # `_replace` builds through `_make`, so both run the checks in `__new__`
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, left: Sequence[int], right: Sequence[int]) -> "Partition":
         left, right = tuple(sorted(left)), tuple(sorted(right))
@@ -57,6 +59,8 @@ class DiagonalLine(_DiagonalFields):
     """
 
     __slots__ = ()
+    # `_replace` builds through `_make`, so both run the checks in `__new__`
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, *fields, **named) -> "DiagonalLine":
         line = super().__new__(cls, *fields, **named)

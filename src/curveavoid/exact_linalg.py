@@ -27,9 +27,9 @@ the numerator exactly, and `x * conj(prev) // |prev|^2` on ints never
 rounds.  The identity holds over any commutative integral domain, so one
 kernel serves Q and Q(i): a real row enters with imaginary parts 0 and
 keeps them.  At the end every pivot entry equals the last pivot.  Ranks
-read the pivot count and convert nothing; `_rref` divides each row by its
-pivot once, in the input's field, which gives the unique reduced row
-echelon form with unit pivots, the one rational elimination gives.  A
+read the pivot count and convert nothing; `_rref` divides each rational
+row by its pivot once, which gives the unique reduced row echelon form
+with unit pivots, the one rational elimination gives.  A
 square matrix of full rank ends with its last pivot equal to the
 determinant of the scaled matrix with its rows permuted, by Sylvester's
 identity again, so `determinant` divides out the row scales and the sign
@@ -267,18 +267,13 @@ def _quotient(x_re: int, x_im: int, d_re: int, d_im: int, complex_field: bool):
     return _reduced(x_re * d_re + x_im * d_im, x_im * d_re - x_re * d_im, n)
 
 
-def _rref(rows: Sequence[Sequence[T]]) -> tuple[list[list[T]], list[int]]:
-    """Reduced row echelon form with unit pivots; returns (rows, pivot cols)."""
+def _rref(rows: Sequence[Sequence[RationalLike]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q with unit pivots; returns (rows, pivot cols)."""
+    _check_rational(rows)
     if not rows or not rows[0]:
         return [], []
-    complex_field = isinstance(rows[0][0], GaussianRational)
-    m_re, m_im, pivots, _ = _eliminate(rows)
-    reduced = []
-    for x_re, x_im, pc in zip(m_re, m_im, pivots):
-        d_re, d_im = x_re[pc], x_im[pc]
-        reduced.append(
-            [_quotient(a, b, d_re, d_im, complex_field) for a, b in zip(x_re, x_im)]
-        )
+    m_re, _, pivots, _ = _eliminate(rows)
+    reduced = [[Fraction(a, x[pc]) for a in x] for x, pc in zip(m_re, pivots)]
     return reduced, pivots
 
 

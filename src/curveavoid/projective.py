@@ -25,6 +25,8 @@ class ProjPoint(NamedTuple("ProjPoint", [("coords", ComplexVector)])):
     """A point of CP^n, canonically scaled."""
 
     __slots__ = ()
+    # `_replace` builds through `_make`, so both run the checks in `__new__`
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, coords: Sequence[GQLike]) -> "ProjPoint":
         v = tuple(gq(x) for x in coords)
@@ -42,6 +44,8 @@ class ComplexHyperplane(NamedTuple("ComplexHyperplane", [("coefficients", Comple
     """
 
     __slots__ = ()
+    # `_replace` builds through `_make`, so both run the checks in `__new__`
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, coefficients: Sequence[GQLike]) -> "ComplexHyperplane":
         v = tuple(gq(x) for x in coefficients)

@@ -378,6 +378,8 @@ class Scene(_SceneFields):
     """Named hyperplanes, real subspaces, and curves, in declaration order; an omitted table is a new dict."""
 
     __slots__ = ()
+    # `_replace` builds through `_make`, so both run the checks in `__new__`
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, hyperplanes=None, reals=None, curves=None, order=()) -> "Scene":
         tables = ({} if t is None else t for t in (hyperplanes, reals, curves))

@@ -58,7 +58,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from itertools import combinations
 from typing import NamedTuple
 
 from .arrangement import RealSubspace, holomorphic_coefficients
@@ -74,7 +73,7 @@ from .curves import (
     terms_at,
     unit_form,
 )
-from .exact_linalg import GQ_I, GQ_ZERO, GaussianRational, kernel_real
+from .exact_linalg import GQ_I, GQ_ZERO, GaussianRational, _rref, kernel_real
 from .scene import Scene, format_exp_sum
 
 AVOIDED = "avoided"
@@ -96,6 +95,8 @@ class _PlanFields(NamedTuple):
 
 class SamplingPlan(_PlanFields):
     __slots__ = ()
+    # `_replace` builds through `_make`, so both run the checks in `__new__`
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, *fields, **named) -> "SamplingPlan":
         plan = super().__new__(cls, *fields, **named)
@@ -262,11 +263,7 @@ def _exact_subspace_result(name: str, subspace: RealSubspace, curve: ExpAffineCu
     if rank == 0:
         return SetResult(name, "exact", ZERO_SET_HIT, None, (0.0, 0.0))
     if rank == 2:
-        a, b = next(
-            pair
-            for pair in combinations(range(len(restrictions)), 2)
-            if not kernel_real([[row[k] for k in pair] for row in rows], 2)
-        )
+        a, b = _rref(rows)[1]  # the pivot columns: the first independent pair
         return _unit_plane_result(name, restrictions[a], restrictions[b])
     if rank > 2:
         return None

@@ -2,8 +2,8 @@
 
 Each prints as `Name(field=value, ...)`, compares and hashes by its field
 values (a `ComplexHyperplane` by its projective class), allows no
-attribute to be assigned, canonicalises and validates what it is given,
-and survives a pickle round trip.  `ExpSum` and `ExpAffineCurve` are
+attribute to be assigned, canonicalises and validates what it is given
+(also through `_replace` and `_make`), and survives a pickle round trip.  `ExpSum` and `ExpAffineCurve` are
 arithmetic values, not sequences: they have no length, no order and no
 repetition by an integer.
 """
@@ -267,3 +267,35 @@ def test_invalid_input_names_its_fault(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+# name: (a value, field changes its constructor rejects or canonicalises, fields its constructor canonicalises)
+REBUILT = {
+    "RealSubspace": (CASES["RealSubspace"][0], {"forms": ((1, 2),)}, (((2, 0, 0, 0, 0, 0), (4, 0, 0, 0, 0, 2)),)),
+    "ProjPoint": (CASES["ProjPoint"][0], {"coords": (0, 0)}, ((gq(0, 2), 4),)),
+    "ComplexHyperplane": (CASES["ComplexHyperplane"][0], {"coefficients": (0, gq(0))}, ((1, 2, 0),)),
+    "Partition": (CASES["Partition"][0], {"right": (3,)}, ((3, 4), (1, 2))),
+    "DiagonalLine": (
+        CASES["DiagonalLine"][0],
+        {"q": ProjPoint((2, 0))},
+        (Partition((2,), (1,)), ProjPoint((3, 0)), ProjPoint((0, 5)), None),
+    ),
+    "Scene": (CASES["Scene"][0], {"hyperplanes": None}, (None, None, None, ())),
+    "SamplingPlan": (SamplingPlan(), {"disk_radius": math.nan, "grid_points": 0}, (5, 41, 200, 3, 1e-6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REBUILT))
+def test_replace_and_make_build_through_the_constructor(name):
+    value, changes, fields = REBUILT[name]
+    cls = type(value)
+    if name == "Scene":  # the constructor takes None for a table and makes it a new dict
+        assert value._replace(**changes) == cls(**(value._asdict() | changes)) == Scene(order=value.order)
+    else:
+        with pytest.raises(ValueError) as rejected:
+            cls(**(value._asdict() | changes))
+        with pytest.raises(ValueError) as info:
+            value._replace(**changes)
+        assert str(info.value) == str(rejected.value)
+    made = cls._make(fields)
+    assert type(made) is cls and repr(made) == repr(cls(*fields))

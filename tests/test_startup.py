@@ -1,5 +1,6 @@
-"""Start-up cost: numpy is loaded only when a set needs sampling, `resultant` only at rank 2,
-and `dataclasses` and the `inspect` it needs never.
+"""Start-up cost: `import curveavoid` loads none of the package's modules, numpy is loaded
+only when a set needs sampling, `resultant` only at rank 2, and `dataclasses` and the
+`inspect` it needs never.
 
 A hyperplane met by a curve needs no numpy when its zero is a root of a
 unit polynomial of degree 1 or 2.  A real subspace whose restrictions
@@ -38,9 +39,9 @@ EXACT_ONLY = NO_RANK_TWO + (
 PROBE = """
 import contextlib, io, json, sys
 import curveavoid
-from curveavoid.cli import main
 loaded = lambda: [name in sys.modules for name in json.loads(sys.argv[2])]
 steps = [["import curveavoid", None, *loaded()]]
+from curveavoid.cli import main
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
@@ -62,6 +63,13 @@ def _loaded_after_each(commands, modules=("numpy", "curveavoid.resultant")) -> l
     result = json.loads(done.stdout)
     assert Path(result["package"]).resolve().parent == ROOT / "src" / "curveavoid"
     return result["steps"]
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    """The modules are the API: `import curveavoid` binds `__version__` and imports nothing."""
+    modules = [f"curveavoid.{p.stem}" for p in sorted((ROOT / "src" / "curveavoid").glob("*.py"))]
+    modules.remove("curveavoid.__init__")
+    assert _loaded_after_each([], modules) == [["import curveavoid", None] + [False] * len(modules)]
 
 
 def test_exact_only_commands_never_load_numpy():
