@@ -241,12 +241,6 @@ def terms_at(s: ExpSum, z: complex) -> list[tuple[complex, complex]]:
     return [(t.coeff.to_complex(), poly_eval(t.exponent, z)) for t in s.terms]
 
 
-def evaluate_sum(s: ExpSum, z: complex) -> complex:
-    """The value of s at z; it overflows where the largest term does."""
-    top, (value,) = scaled_values([terms_at(s, z)])
-    return value * math.exp(top)
-
-
 # ---------------------------------------------------------------------------
 # curves
 
@@ -308,34 +302,34 @@ def _direction_groups(s: ExpSum) -> dict[Poly, ExpSum]:
 UNIT_DEGREE_CAP = 64
 
 
-def unit_form(s: ExpSum) -> tuple[GaussianRational, dict[int, ExpSum]] | None:
-    """s as e^(d0(z)) * sum C_n w^n over n >= 0 in the unit w = e^(mu z): mu and {n: C_n}.
+def unit_exponent(polys: Sequence[Poly]) -> tuple[Poly, list[int]] | None:
+    """P and integers n with polys[j] - polys[0] = n_j P, P nonconstant; None if there are none.
 
-    The C_n are the direction groups of s (see `_direction_groups`) and d0
-    is the direction of power 0.  The first direction in canonical order
-    minus the second is a positive integer multiple of mu z.  None when two
-    directions differ by a nonlinear polynomial, when two slopes are not
-    rational multiples (e^z and e^(iz)), or when the degree exceeds
-    UNIT_DEGREE_CAP.
+    This is the one scope test for a unit: the exponents e^(polys[j]) are
+    then e^(polys[0]) w^(n_j) in w = e^(P(z)), which takes every value in
+    C* since P maps C onto C.  A subspace pair passes its exponents with
+    the zero polynomial first, so that each exponent is n P; a hyperplane
+    sum passes its directions (`_direction_groups`).  P is polys[0] minus
+    the first other one, divided by the least integer that makes every n
+    an integer.  None when two differences are not rational multiples of
+    one nonconstant polynomial (slopes 1 and i, or z^2 and z), or when the
+    powers span more than UNIT_DEGREE_CAP.
     """
-    groups = _direction_groups(s)
-    first = next(iter(groups), POLY_ZERO)
-    slopes = []
-    for d in groups:
-        diff = poly([a - b for a, b in zip_longest(first, d, fillvalue=GQ_ZERO)])
-        if len(diff) > 2:
-            return None
-        slopes.append(diff[1] if diff else GQ_ZERO)
-    unit = slopes[1] if len(slopes) > 1 else GQ_ONE
-    ratios = [slope / unit for slope in slopes]
+    first = polys[0]
+    diffs = [poly([a - b for a, b in zip_longest(first, d, fillvalue=GQ_ZERO)]) for d in polys]
+    ref = next((d for d in diffs if d), POLY_Z)
+    if len(ref) < 2:
+        return None
+    ratios = [d[-1] / ref[-1] if len(d) == len(ref) else GQ_ZERO for d in diffs]
     if any(q.im for q in ratios):
+        return None
+    if any(a != q * b for d, q in zip(diffs, ratios) for a, b in zip_longest(d, ref, fillvalue=GQ_ZERO)):
         return None
     denominator = math.lcm(*(q.re.denominator for q in ratios))
     powers = [-int(q.re * denominator) for q in ratios]
-    low = min(powers, default=0)
-    if max(powers, default=0) - low > UNIT_DEGREE_CAP:
+    if max(powers) - min(powers) > UNIT_DEGREE_CAP:
         return None
-    return unit / denominator, {n - low: c for n, c in zip(powers, groups.values())}
+    return tuple(c / denominator for c in ref), powers
 
 
 def _constant_ratio(f: ExpSum, g: ExpSum) -> bool:

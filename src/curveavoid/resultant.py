@@ -1,11 +1,11 @@
 """Exact common real zeros of two real parts on a one-unit curve.
 
 `verifier` calls this for a real subspace whose two restrictions g_1, g_2
-have nonconstant parts of real rank 2.  In scope, every exponent of g_1
-and g_2 is n mu z for one mu and integers n, with no constant offset, so
-g_k = sum b_(k,n) w^n is a Laurent polynomial over Q(i) in the unit
-w = e^(mu z), which takes every value in C* (see `curves.unit_form`).  The
-curve meets the subspace exactly when Re g_1 = Re g_2 = 0 at some w != 0.
+have nonconstant parts of real rank 2.  In scope, the exponents of g_1
+and g_2 share a unit (`curves.unit_exponent`): each is n P for integers n
+and one polynomial P, so g_k = sum b_(k,n) w^n is a Laurent polynomial
+over Q(i) in w = e^(P(z)), which takes every value in C*.  The curve
+meets the subspace exactly when Re g_1 = Re g_2 = 0 at some w != 0.
 
 With w = u + iv, R_k = Re(|w|^(2 N_k) g_k) lies in Q[u, v] and has the
 zeros of Re g_k off w = 0.  N_k is the least power that clears the
@@ -38,7 +38,7 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 
-from .curves import POLY_ZERO, ExpSum, exp_sum, unit_form
+from .curves import POLY_ZERO, ExpSum, Poly, _poly_key, unit_exponent
 from .exact_linalg import GaussianRational, determinant
 
 # deg r <= deg R_1 * deg R_2.  One subspace takes 30-40 ms at 16, about 0.25 s at 36 and
@@ -175,23 +175,21 @@ def _degree(powers: list[int]) -> int:
     return max(powers) + 2 * max(0, -min(powers))
 
 
-def _laurent(restrictions) -> tuple[GaussianRational, list[dict[int, GaussianRational]]] | None:
-    """mu and each g as {n: b_n} with g = sum b_n e^(n mu z); None out of scope.
+def _laurent(restrictions) -> tuple[Poly, list[dict[int, GaussianRational]]] | None:
+    """P and each g as {n: b_n} with g = sum b_n e^(n P(z)); None out of scope (`curves.unit_exponent`).
 
-    Of mu and -mu, the one that gives the smaller product of degrees of R.
+    Of P and -P, the one that gives the smaller product of degrees of R.
     """
-    exponents = {t.exponent for g in restrictions for t in g.terms} | {POLY_ZERO}
-    if any(len(e) > 2 or (e and e[0]) for e in exponents):
+    exponents = sorted({t.exponent for g in restrictions for t in g.terms} | {POLY_ZERO}, key=_poly_key)
+    found = unit_exponent(exponents)
+    if found is None:
         return None
-    form = unit_form(exp_sum((1, e) for e in exponents))
-    if form is None:
-        return None
-    mu = form[0]
-    power = {e: int((e[1] / mu).re) if e else 0 for e in exponents}
+    p, powers = found
+    power = dict(zip(exponents, powers))
     used = [[power[t.exponent] for t in g.terms] for g in restrictions]
-    if math.prod(_degree([-n for n in p]) for p in used) < math.prod(map(_degree, used)):
-        mu, power = -mu, {e: -n for e, n in power.items()}
-    return mu, [{power[t.exponent]: t.coeff for t in g.terms} for g in restrictions]
+    if math.prod(_degree([-n for n in ns]) for ns in used) < math.prod(map(_degree, used)):
+        p, power = tuple(-c for c in p), {e: -n for e, n in power.items()}
+    return p, [{power[t.exponent]: t.coeff for t in g.terms} for g in restrictions]
 
 
 def _real_part(laurent: dict[int, GaussianRational]) -> dict[tuple[int, int], int]:
@@ -255,8 +253,8 @@ def _first_subresultant(s1, s2, points) -> tuple[list, list]:
     return s11, s10
 
 
-def unit_plane_zeros(g1: ExpSum, g2: ExpSum) -> tuple[GaussianRational, list[complex]] | None:
-    """mu and the unit w = e^(mu z) at each common zero of Re g1 and Re g2 (w != 0).
+def unit_plane_zeros(g1: ExpSum, g2: ExpSum) -> tuple[Poly, list[complex]] | None:
+    """P and the unit w = e^(P(z)) at each common zero of Re g1 and Re g2 (w != 0).
 
     The list is empty when the real parts never vanish together.  None
     when the pair is out of scope, r = 0, or no shear up to _SHEARS
@@ -265,7 +263,7 @@ def unit_plane_zeros(g1: ExpSum, g2: ExpSum) -> tuple[GaussianRational, list[com
     found = _laurent((g1, g2))
     if found is None:
         return None
-    mu, laurents = found
+    p, laurents = found
     r1, r2 = (_real_part(g) for g in laurents)
     d1, d2 = (max(i + j for i, j in r) for r in (r1, r2))
     if d1 * d2 > MAX_DEGREE:
@@ -288,10 +286,10 @@ def unit_plane_zeros(g1: ExpSum, g2: ExpSum) -> tuple[GaussianRational, list[com
             q = q[1:]
         roots = _real_roots(q) if len(q) > 1 else []
         if not roots:
-            return mu, []
+            return p, []
         s11, s10 = _first_subresultant(s1, s2, points)
         if not s11 or len(_gcd(q, _primitive(s11))) > 1:
             continue
         vs = [-_eval(s10, u) / _eval(s11, u) for u in roots]
-        return mu, [complex(float(u + lam * v), float(v)) for u, v in zip(roots, vs)]
+        return p, [complex(float(u + lam * v), float(v)) for u, v in zip(roots, vs)]
     return None

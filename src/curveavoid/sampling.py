@@ -2,13 +2,14 @@
 
 This is the only module of the package that imports numpy.  `verify`
 loads it when a real subspace needs sampling, because no exact
-certificate settles it, or when a hyperplane's zero comes from a unit
-polynomial of degree 3 or more (`polynomial_roots`).  The commands that
-need neither never pay for the import.  Since every subspace whose
-restrictions have nonconstant parts of real rank at most one, and every
-one of rank two on a curve whose exponents are integer multiples of one
-mu z, is decided exactly (see `verifier` and `resultant`), the sampler
-serves rank two on other curves, such as those mixing e^z and e^(iz),
+certificate settles it, or when an exact sample needs the roots of a
+polynomial of degree 3 or more (`polynomial_roots`): a polynomial in the
+unit, or P(z) = v for its exponent P.  The commands that need neither
+never pay for the import.  Since every subspace whose restrictions have
+nonconstant parts of real rank at most one, and every one of rank two
+whose restrictions share a unit (`curves.unit_exponent`), is decided
+exactly (see `verifier` and `resultant`), the sampler serves rank two on
+other curves, such as those mixing e^z and e^(iz),
 rank three and more, and the rank-two pairs the elimination leaves
 undecided: a common factor of the two real parts, or a resultant of
 degree above `resultant.MAX_DEGREE`.

@@ -7,10 +7,10 @@ Every hyperplane is decided exactly.  Its form composed with the curve is
 an exponential sum; grouped by exponent direction it has no group (the
 curve lies in the hyperplane), one group (a nowhere-zero c e^(d(z))), or
 two or more, and then it has a zero by Hadamard's factorization and
-Borel's theorem (see `curves.is_nowhere_zero`).  A violation carries the
-zero nearest the origin as its sample, from the roots of the sum's unit
-polynomial (see `curves.unit_form`); a sum without a unit form carries a
-null sample.
+Borel's theorem (see `curves.is_nowhere_zero`).  A violation carries as
+its sample a zero near the origin, chosen by the rule of `_nearest`, when
+the directions share a unit w = e^(P(z)) (`curves.unit_exponent`); a sum
+without one carries a null sample.
 
 A real subspace is decided exactly from the real rank of the nonconstant
 parts of its forms' restrictions to the curve.  A real combination of
@@ -20,24 +20,17 @@ means avoidance, one with zero real part holds everywhere and drops out.
 At rank one the first nonconstant restriction g takes an imaginary value
 (little Picard), so Re g vanishes, and the sample is a zero of g - it as
 for a hyperplane.  At rank two, two restrictions g1, g2 carry the zero
-set.  When every exponent of both is an integer multiple of one mu z,
-they are Laurent polynomials in the unit w = e^(mu z), and
-`resultant.unit_plane_zeros` decides exactly whether Re g1 and Re g2
-vanish together at some w != 0.  It writes Re(|w|^(2N) g) as a
-polynomial in u, v with w = u + iv, N the least power that clears the
-negative powers of g (one more would give both polynomials the factor
-u^2 + v^2 and a resultant that vanishes identically), eliminates v (a
-resultant in u), checks against the first subresultant that each real
-root u carries exactly one common zero, and counts those roots, leaving
-out w = 0, with a Sturm sequence.  The sample is the z nearest the origin
-over the common zeros found.  Any other subspace (rank three or more,
-exponents in two directions such as e^z and e^(iz), a resultant that
-vanishes identically, or one of degree above `resultant.MAX_DEGREE`)
-falls back to dense sampling over a disk with targeted refinement near
-the zero set of each individual form.  The `resultant` module is loaded
-only when a subspace reaches rank two, and `sampling` only when a
-subspace needs it or a unit polynomial of degree 3 or more needs its
-roots.
+set.  When their exponents share a unit w = e^(P(z)), they are Laurent
+polynomials in w, and `resultant.unit_plane_zeros` decides exactly, by
+real elimination, whether Re g1 and Re g2 vanish together at some w != 0;
+the sample is taken from the common zeros by the same rule.  Any other
+subspace (rank three or more, exponents with no common unit such as e^z
+and e^(iz), a resultant that vanishes identically, or one of degree above
+`resultant.MAX_DEGREE`) falls back to dense sampling over a disk with
+targeted refinement near the zero set of each individual form.  The
+`resultant` module is loaded only when a subspace reaches rank two, and
+`sampling` only when a subspace needs it or a polynomial of degree 3 or
+more needs its roots.
 
 Sampling cannot prove avoidance.  Reports therefore label every verdict
 with the method that produced it, and sampled verdicts carry the minimum
@@ -64,6 +57,8 @@ from .arrangement import RealSubspace, holomorphic_coefficients
 from .curves import (
     ExpAffineCurve,
     ExpSum,
+    Poly,
+    _direction_groups,
     apply_form,
     constant_value,
     exp_term,
@@ -71,9 +66,9 @@ from .curves import (
     is_projectively_constant,
     scaled_values,
     terms_at,
-    unit_form,
+    unit_exponent,
 )
-from .exact_linalg import GQ_I, GQ_ZERO, GaussianRational, _rref, kernel_real
+from .exact_linalg import GQ_I, GQ_ZERO, _rref, kernel_real
 from .scene import Scene, format_exp_sum
 
 AVOIDED = "avoided"
@@ -164,8 +159,8 @@ def _exact_hyperplane_result(name: str, s: ExpSum) -> SetResult:
     """The verdict for a hyperplane whose form composed with the curve is s.
 
     The zero sum is a zero-set hit.  Otherwise `is_nowhere_zero` decides:
-    avoidance, or a violation whose sample is the zero nearest the origin
-    when `_nearest_zero` finds it.
+    avoidance, or a violation whose sample is the zero `_nearest_zero`
+    finds, if any.
     """
     if not s:
         return SetResult(name, "exact", ZERO_SET_HIT, None, (0.0, 0.0))
@@ -180,18 +175,21 @@ def _exact_violation(name: str, zero: complex | None) -> SetResult:
 
 
 def _nearest_zero(s: ExpSum) -> complex | None:
-    """The zero nearest the origin of s = e^(d0) P(w), w = e^(mu z) (see `unit_form`).
+    """A zero near the origin of s = e^(d0) sum C_n w^n in the unit w = e^(P(z)).
 
-    The zeros are z = (Log w + 2 pi i k) / mu over the nonzero roots w of P
+    The C_n are the direction groups of s, and P comes from
+    `curves.unit_exponent` on their directions.  The zeros are the z with
+    P(z) = Log w + 2 pi i k over the nonzero roots w of the polynomial in w
     and the integers k (`_nearest`).  For degree 1, Log w = log C0 - log C1
     + i pi in the log domain, so constants beyond the float range keep
-    their zero.  None when s has no unit form or floating point loses every
-    root.
+    their zero.  None when s has no unit or floating point loses every root.
     """
-    form = unit_form(s)
-    if form is None:
+    groups = _direction_groups(s)
+    found = unit_exponent(list(groups))
+    if found is None:
         return None
-    mu, coeffs = form
+    p, powers = found
+    coeffs = {n - min(powers): c for n, c in zip(powers, groups.values())}
     if len(coeffs) == 2:
         log0, log1 = coeffs[0].log(), coeffs[1].log()
         logs = [] if log0 is None or log1 is None else [log0 - log1 + 1j * math.pi]
@@ -199,13 +197,17 @@ def _nearest_zero(s: ExpSum) -> complex | None:
         top = max(t.offset.re for c in coeffs.values() for t in c.terms)
         terms = [coeffs[n].float_terms(top) if n in coeffs else [] for n in range(max(coeffs) + 1)]
         logs = [cmath.log(w) for w in _roots(scaled_values(terms)[1]) if w]
-    return _nearest(logs, mu)
+    return _nearest(logs, p)
 
 
-def _nearest(logs: list[complex], mu: GaussianRational) -> complex | None:
-    """The point (log + 2 pi i k) / mu nearest the origin over the logs and the integers k.
+def _nearest(logs: list[complex], p: Poly) -> complex | None:
+    """The z nearest the origin with P(z) = log + 2 pi i k, over the logs and three k for each.
 
-    A tie in modulus goes to the smaller Im(mu z); None without logs.
+    The k tried are the one that brings Im(log + 2 pi i k) nearest 0 and
+    its two neighbours.  For P = mu z the point is (log + 2 pi i k) / mu,
+    and a tie in modulus goes to the smaller Im(mu z).  Otherwise the
+    point is the nearest root of P(z) - log - 2 pi i k over those k
+    (`_roots`), and a tie goes to the smaller Im z.  None without logs.
     """
     candidates = []
     for log in logs:
@@ -213,11 +215,15 @@ def _nearest(logs: list[complex], mu: GaussianRational) -> complex | None:
         candidates += [log + 2j * math.pi * j for j in (k - 1, k, k + 1)]
     if not candidates:
         return None
-    return min(candidates, key=lambda v: (abs(v), v.imag)) / mu.to_complex()
+    if len(p) == 2 and not p[0]:
+        return min(candidates, key=lambda v: (abs(v), v.imag)) / p[1].to_complex()
+    values = [c.to_complex() for c in p]
+    roots = [z for v in candidates for z in _roots([values[0] - v, *values[1:]])]
+    return min(roots, key=lambda z: (abs(z), z.imag))
 
 
 def _roots(values: list[complex]) -> list[complex]:
-    """The roots of sum values[n] w^n; numpy's only for degree 3 and more."""
+    """The roots of sum values[n] w^n, with multiplicity; numpy's only for degree 3 and more."""
     while values and not values[-1]:
         values.pop()
     if len(values) == 2:
@@ -226,7 +232,7 @@ def _roots(values: list[complex]) -> list[complex]:
         c, b, a = values
         root = cmath.sqrt(b * b - 4 * a * c)
         q = -(b + root if (b.conjugate() * root).real >= 0 else b - root) / 2
-        return [q / a, c / q] if q else []
+        return [q / a, c / q] if q else [q, q]  # q = 0 only for a w^2, whose double root is 0
     if len(values) > 3:
         from .sampling import polynomial_roots
 
@@ -247,7 +253,7 @@ def _exact_subspace_result(name: str, subspace: RealSubspace, curve: ExpAffineCu
     g has a constant group, else t = 1, and g - it has a zero
     (`is_nowhere_zero`).  At rank 2 two restrictions with independent
     nonconstant parts carry the zero set, and `resultant.unit_plane_zeros`
-    decides it on a one-unit curve.  Otherwise None.
+    decides it when their exponents share a unit.  Otherwise None.
     """
     restrictions = [apply_form(holomorphic_coefficients(form), curve) for form in subspace.forms]
     coeffs = [{t.exponent: t.coeff for t in g.terms} for g in restrictions]
@@ -280,10 +286,10 @@ def _unit_plane_result(name: str, g1: ExpSum, g2: ExpSum) -> SetResult | None:
     found = unit_plane_zeros(g1, g2)
     if found is None:
         return None
-    mu, units = found
+    p, units = found
     if not units:
         return SetResult(name, "exact", AVOIDED, None, None)
-    return _exact_violation(name, _nearest([cmath.log(w) for w in units if w], mu))
+    return _exact_violation(name, _nearest([cmath.log(w) for w in units if w], p))
 
 
 def _sampled_result(

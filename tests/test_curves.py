@@ -20,17 +20,18 @@ from curveavoid.curves import (
     POLY_Z,
     ConstructionError,
     ExpAffineCurve,
+    _direction_groups,
     _poly_key,
     apply_form,
     constant_value,
-    evaluate_sum,
     exp_sum,
     exp_term,
     first_constant_with_nonzero_re,
     is_nowhere_zero,
     is_projectively_constant,
+    poly,
     scaled_values,
-    unit_form,
+    unit_exponent,
     witness_constant_projection,
     witness_degenerate_pair,
     witness_dim4_subspace,
@@ -52,6 +53,15 @@ STANDARD = [
     ComplexHyperplane((0, 0, 1)),
     ComplexHyperplane((1, 1, 1)),
 ]
+
+
+def sum_at(s, z):
+    """The value of the exponential sum s at z, term by term with cmath."""
+    total = 0j
+    for t in s.terms:
+        exponent = sum(c.to_complex() * z**k for k, c in enumerate(t.exponent))
+        total += t.coeff.to_complex() * cmath.exp(exponent)
+    return total
 
 
 def real_subspace(*forms):
@@ -104,9 +114,9 @@ class TestExpSumCanonicalisation:
         points = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)]
         assert not zero
         for z in points:
-            assert abs(evaluate_sum(zero, z)) <= 1e-9
+            assert abs(sum_at(zero, z)) <= 1e-9
         assert live
-        assert any(abs(evaluate_sum(live, z)) > 1e-9 for z in points)
+        assert any(abs(sum_at(live, z)) > 1e-9 for z in points)
 
 
 class TestNowhereZero:
@@ -128,24 +138,45 @@ class TestNowhereZero:
         assert is_nowhere_zero(exp_sum([(1, (0, 0, 1)), (1, (0, 1)), (1, ())])) == "no"
 
 
+def unit_form(terms):
+    """P and {n: C_n} with the sum equal to e^(d0) sum C_n w^n in w = e^(P(z)), lowest n 0."""
+    groups = _direction_groups(exp_sum(terms))
+    found = unit_exponent(list(groups))
+    if found is None:
+        return None
+    p, powers = found
+    return p, {n - min(powers): c for n, c in zip(powers, groups.values())}
+
+
 class TestUnitForm:
     def test_powers_of_the_unit(self):
         # (e^z - 2) + e^(2z) + 1 = e^(2z) (-w^2 + w + 1) with w = e^(-z)
-        mu, coeffs = unit_form(exp_sum([(-1, ()), (1, (0, 1)), (1, (0, 2))]))
-        assert mu == gq(-1)
+        p, coeffs = unit_form([(-1, ()), (1, (0, 1)), (1, (0, 2))])
+        assert p == (GQ_ZERO, gq(-1))
         assert coeffs == {0: exp_term(1), 1: exp_term(1), 2: exp_term(-1)}
 
     def test_rational_slopes_share_one_unit(self):
         # e^(z/50) + e^(z/100) - 1, with w = e^(-z/100)
-        mu, coeffs = unit_form(
-            exp_sum([(1, (0, Fraction(1, 50))), (1, (0, Fraction(1, 100))), (-1, ())])
-        )
-        assert (mu, sorted(coeffs)) == (gq(Fraction(-1, 100)), [0, 1, 2])
+        p, coeffs = unit_form([(1, (0, Fraction(1, 50))), (1, (0, Fraction(1, 100))), (-1, ())])
+        assert (p, sorted(coeffs)) == ((GQ_ZERO, gq(Fraction(-1, 100))), [0, 1, 2])
 
     def test_common_nonlinear_direction_is_factored_out(self):
         # e^(z^2 + z + 3) - e^(z^2) = e^(z^2 + z) (e^3 - w) with w = e^(-z)
-        mu, coeffs = unit_form(exp_sum([(1, (3, 1, 1)), (-1, (0, 0, 1))]))
-        assert (mu, coeffs) == (gq(-1), {0: exp_term(1, (3,)), 1: exp_term(-1)})
+        p, coeffs = unit_form([(1, (3, 1, 1)), (-1, (0, 0, 1))])
+        assert (p, coeffs) == ((GQ_ZERO, gq(-1)), {0: exp_term(1, (3,)), 1: exp_term(-1)})
+
+    def test_directions_that_are_multiples_of_a_cube(self):
+        # e^(2z^3) - e^(z^3) + 1 = e^(2z^3) (1 - w + w^2) with w = e^(-z^3)
+        p, coeffs = unit_form([(1, (0, 0, 0, 2)), (-1, (0, 0, 0, 1)), (1, ())])
+        assert p == (GQ_ZERO, GQ_ZERO, GQ_ZERO, gq(-1))
+        assert coeffs == {0: exp_term(1), 1: exp_term(-1), 2: exp_term(1)}
+
+    def test_exponents_with_an_offset(self):
+        """A subspace pair passes its exponents with 0 first; e^(z + 1/2) and e^(2z + 1) are w, w^2."""
+        half = Fraction(1, 2)
+        assert unit_exponent([(), poly((half, 1)), poly((1, 2))]) == (poly((-half, -1)), [0, -1, -2])
+        # e^(2z) is e^(-1) w^2 with w = e^(z + 1/2): an offset that is no multiple of P
+        assert unit_exponent([(), poly((half, 1)), poly((0, 2))]) is None
 
     @pytest.mark.parametrize(
         "terms",
@@ -156,7 +187,10 @@ class TestUnitForm:
         ],
     )
     def test_no_unit_form(self, terms):
-        assert unit_form(exp_sum(terms)) is None
+        assert unit_form(terms) is None
+
+    def test_constant_differences_have_no_unit(self):
+        assert unit_exponent([(), poly((1,))]) is None
 
 
 class TestConstantValue:
@@ -473,7 +507,7 @@ class TestWitnessDim4:
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             values = [
                 sum(
-                    (c.to_complex() * evaluate_sum(comp, z))
+                    (c.to_complex() * sum_at(comp, z))
                     for c, comp in zip(row, curve.components)
                 ).real
                 for row in rows
@@ -618,10 +652,10 @@ class TestWitnessThreeHyperplanes:
 
 
 class TestEvaluation:
-    def test_evaluate_sum(self):
+    def test_sum_at(self):
         s = exp_sum([(1, ()), (2, (0, 1))])
         z = complex(0.3, -1.2)
-        assert abs(evaluate_sum(s, z) - (1 + 2 * cmath.exp(z))) < 1e-12
+        assert abs(sum_at(s, z) - (1 + 2 * cmath.exp(z))) < 1e-12
 
     def test_apply_form_matches_componentwise_evaluation(self):
         curve = ExpAffineCurve.from_terms((1, (0, 1)), (-1, (0, 1)), (1, (0, 2)))
@@ -629,10 +663,10 @@ class TestEvaluation:
         s = apply_form(h, curve)
         z = complex(0.7, 0.4)
         direct = sum(
-            c.to_complex() * evaluate_sum(comp, z)
+            c.to_complex() * sum_at(comp, z)
             for c, comp in zip(h.coefficients, curve.components)
         )
-        assert abs(evaluate_sum(s, z) - direct) < 1e-12
+        assert abs(sum_at(s, z) - direct) < 1e-12
 
     @pytest.mark.parametrize("bad", [complex("nan"), complex(0, float("nan"))])
     def test_scaled_values_rejects_a_nonfinite_exponent_after_a_finite_one(self, bad):

@@ -1,31 +1,43 @@
-"""Verdicts are invariant under complex conjugation of the question.
+"""Verdicts are invariant under the symmetries of the question: conjugation and precomposition.
 
-With f*(z) = conj(f(conj z)), each coefficient and each exponent
-coefficient of f conjugated, f meets the hyperplane {a.w = 0} at z
+Conjugation.  With f*(z) = conj(f(conj z)), each coefficient and each
+exponent coefficient of f conjugated, f meets the hyperplane {a.w = 0} at z
 exactly when f* meets {conj(a).w = 0} at conj(z), and f meets the real
 subspace cut out by forms l(x, y) at z exactly when f* meets the one cut
 out by l(x, -y) at conj(z).  So every method and verdict stays, and every
-exact sample keeps its modulus.  Unlike a change of coordinates, which
-leaves each restriction l.f as it is, conjugation changes the exponential
-sums that the deciding code sees.  Samples are compared by modulus, not
-by bytes: a tie between zeros of equal modulus goes to the smaller
-imaginary part (`verifier._nearest`), which conjugation does not respect.
+exact sample keeps its modulus.
+
+Precomposition.  A nonconstant polynomial q maps C onto C, so f o q meets
+exactly the sets that f meets, and q maps each zero of a restriction of
+f o q to a zero of the same restriction of f.  Every set that f settles
+exactly keeps its method and verdict on f o q, and q of each exact sample
+is a zero of f's restriction, checked here with cmath.  Sets that f
+leaves to sampling are left out: the sampler is not invariant.
+
+Unlike a change of coordinates, which leaves each restriction l.f as it
+is, both change the exponential sums that the deciding code sees.
+Samples are compared as zeros, not by bytes: the sample is the nearest
+root over three branches of the logarithm (`verifier._nearest`), and a tie
+between zeros of equal modulus goes to the smaller imaginary part, which
+neither symmetry respects.
 """
 
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from curveavoid.arrangement import RealSubspace
 from curveavoid.curves import ExpAffineCurve, exp_sum
+from curveavoid.exact_linalg import GQ_ZERO, gq
 from curveavoid.projective import ComplexHyperplane
 from curveavoid.scene import Scene, parse_scene
-from curveavoid.verifier import SamplingPlan, verify
+from curveavoid.verifier import VIOLATED, SamplingPlan, verify
 
 from test_acceptance import budget
-from test_resultant import POWERS, gaussian, independent, scene_text
+from test_resultant import POWERS, components_at, gaussian, independent, relative_margin, scene_text
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 CORPUS = {path.name: parse_scene(path.read_text()) for path in sorted(SCENES.glob("*.scene"))}
@@ -104,3 +116,87 @@ def test_conjugation_keeps_seeded_one_unit_verdicts():
     with budget(5.0):
         for scene in seeded_scenes(20, 12):
             assert_conjugation_keeps_the_verdicts(scene)
+
+
+def poly_times(a, b):
+    out = [GQ_ZERO] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def compose(p, q):
+    """p(q(z)) for coefficient lists, lowest degree first, by Horner's rule."""
+    out = []
+    for c in reversed(p):
+        out = poly_times(out, q)
+        out = [out[0] + c, *out[1:]] if out else [c]
+    return out
+
+
+def precompose_curve(curve, q):
+    return ExpAffineCurve(
+        tuple(exp_sum((t.coeff, compose(t.exponent, q)) for t in component.terms) for component in curve.components)
+    )
+
+
+def seeded_polynomials(rng):
+    """z + b with b in Z[i]/4 nonzero, a z + b with a in Z[i]/2 nonzero, z^2 and z^3."""
+
+    def quarter(n):
+        return gq(Fraction(rng.randint(-n, n), 4), Fraction(rng.randint(-n, n), 4))
+
+    b = GQ_ZERO
+    while not b:
+        b = quarter(8)
+    a = GQ_ZERO
+    while not a:
+        a = quarter(6) * 2
+    z = gq(1)
+    return [[b, z], [quarter(8), a], [GQ_ZERO, GQ_ZERO, z], [GQ_ZERO, GQ_ZERO, GQ_ZERO, z]]
+
+
+def poly_at(q, z):
+    return sum(c.to_complex() * z**k for k, c in enumerate(q))
+
+
+def hyperplane_margin(h, curve, z):
+    """|a.f(z)| / |f(z)|, with f evaluated by cmath."""
+    f = components_at(curve, z)
+    value = sum(a.to_complex() * w for a, w in zip(h.coefficients, f))
+    return abs(value) / math.sqrt(sum(abs(w) ** 2 for w in f))
+
+
+def assert_precomposition_keeps_the_verdicts(scene, q):
+    for name, curve in scene.curves.items():
+        report = verify(curve, scene, PLAN, name)
+        image = verify(precompose_curve(curve, q), scene, PLAN, name)
+        for r, s in zip(report.results, image.results, strict=True):
+            if r.method != "exact":
+                continue
+            assert (s.set, s.method, s.verdict) == (r.set, r.method, r.verdict), q
+            assert (s.violation_sample is None) == (r.violation_sample is None), q
+            if s.verdict == VIOLATED and s.violation_sample is not None:
+                z = poly_at(q, complex(*s.violation_sample))
+                if s.set in scene.hyperplanes:
+                    margin = hyperplane_margin(scene.hyperplanes[s.set], curve, z)
+                else:
+                    margin = relative_margin(scene.reals[s.set], curve, z)
+                assert margin <= PLAN.tolerance, (s.set, q, z, margin)
+
+
+@pytest.mark.parametrize("name", [name for name, scene in CORPUS.items() if scene.curves])
+def test_precomposition_keeps_every_exact_corpus_verdict(name):
+    rng = random.Random(name)
+    with budget(5.0):
+        for q in seeded_polynomials(rng):
+            assert_precomposition_keeps_the_verdicts(CORPUS[name], q)
+
+
+def test_precomposition_keeps_seeded_one_unit_verdicts():
+    rng = random.Random(23)
+    with budget(10.0):
+        for scene in seeded_scenes(10, 13):
+            for q in seeded_polynomials(rng):
+                assert_precomposition_keeps_the_verdicts(scene, q)

@@ -208,6 +208,31 @@ class TestExactPaths:
             "exact", VIOLATED, None, None,
         )
 
+    def test_double_root_of_the_unit_exponent(self):
+        """e^(z^2) - 2e^(2z^2) + 1 = -(2w + 1)(w - 1) in w = e^(z^2); w = 1 gives z^2 = 0, a double root."""
+        scene, f = scene_and_curve(
+            "hyperplane H: z1 + z2 + z3 = 0\ncurve f: (exp(z^2), -2*exp(2*z^2), 1)"
+        )
+        r = verify(f, scene).results[0]
+        assert (r.method, r.verdict, r.violation_sample) == ("exact", VIOLATED, (0.0, 0.0))
+
+    def test_precomposed_witness_is_avoided_exactly(self):
+        """The dim-4 witness composed with z^3: its exponents are n z^3, so H is decided in w = e^(z^3)."""
+        scene = parse_scene((SCENES / "precomposed_witness.scene").read_text())
+        results = verify(scene.curves["f"], scene).results
+        assert [(r.set, r.method, r.verdict, r.violation_sample) for r in results] == [
+            (name, "exact", AVOIDED, None) for name in ("H1", "H2", "H3", "H4", "H")
+        ]
+
+    def test_shifted_hit_is_violated_exactly(self):
+        """dim4_hit.scene composed with z + 1/2: its common zero moves by -1/2, to near 0.194 - 1.650i."""
+        scene = parse_scene((SCENES / "shifted_hit.scene").read_text())
+        r = verify(scene.curves["f"], scene).results[-1]
+        assert (r.set, r.method, r.verdict, r.min_margin) == ("H", "exact", VIOLATED, None)
+        assert r.violation_sample == pytest.approx((0.194272, -1.650346), abs=1e-6)
+        z = np.array([complex(*r.violation_sample)])
+        assert reference_margins(scene.reals["H"], scene.curves["f"], z)[0] <= 1e-9
+
 
 small_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 small_gaussians = st.builds(gq, small_rationals, small_rationals)

@@ -1,0 +1,56 @@
+"""SHA-256 of the benchmark's pool results for seeds 7-9: one value that moves when any answer does.
+
+Run from anywhere, with no arguments:
+
+    python3 tools/pool_hash.py
+
+It imports the package from this checkout's `src/` and the `exact-sweep`
+and `sampled-verify` workloads from `perfbench/`, runs every input of
+each pool once and checks it as the benchmark does.  For each seed in
+turn, the hashed bytes are the 300 `exact-sweep` results, each written as
+
+    "\\0".join([repr(verdict), repr(error), report JSON or "", repr(diagonals), repr(general)])
+
+followed by the 250 `sampled-verify` report JSONs, all concatenated with
+no separator, in UTF-8.  It prints the hex digest and the number of
+failed checks, and writes no file: bytecode is not cached.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import run as bench  # noqa: E402  (perfbench/run.py)
+
+SEEDS = (7, 8, 9)
+
+
+def main() -> int:
+    modules = bench._import_package()
+    digest = hashlib.sha256()
+    failed = 0
+    for seed in SEEDS:
+        sweep = bench.ExactSweep(modules, seed)
+        for i in range(sweep.pool):
+            result = sweep.run(i)
+            failed += sweep.check(i, result).failed
+            verdict, error, report, diagonals, general = result
+            json_text = "" if report is None else report.to_json()
+            parts = [repr(verdict), repr(error), json_text, repr(diagonals), repr(general)]
+            digest.update("\0".join(parts).encode())
+        sampled = bench.SampledVerify(modules, seed)
+        for i in range(sampled.pool):
+            report = sampled.run(i)
+            failed += sampled.check(i, report).failed
+            digest.update(report.to_json().encode())
+    print(f"{digest.hexdigest()}  seeds {', '.join(map(str, SEEDS))}; failed {failed}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
