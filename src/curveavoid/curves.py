@@ -305,7 +305,7 @@ UNIT_DEGREE_CAP = 64
 def unit_exponent(polys: Sequence[Poly]) -> tuple[Poly, list[int]] | None:
     """P and integers n with polys[j] - polys[0] = n_j P, P nonconstant; None if there are none.
 
-    This is the one scope test for a unit: the exponents e^(polys[j]) are
+    This is the one scope test for a unit: the exponentials e^(polys[j]) are
     then e^(polys[0]) w^(n_j) in w = e^(P(z)), which takes every value in
     C* since P maps C onto C.  A subspace pair passes its exponents with
     the zero polynomial first, so that each exponent is n P; a hyperplane
@@ -321,9 +321,7 @@ def unit_exponent(polys: Sequence[Poly]) -> tuple[Poly, list[int]] | None:
     if len(ref) < 2:
         return None
     ratios = [d[-1] / ref[-1] if len(d) == len(ref) else GQ_ZERO for d in diffs]
-    if any(q.im for q in ratios):
-        return None
-    if any(a != q * b for d, q in zip(diffs, ratios) for a, b in zip_longest(d, ref, fillvalue=GQ_ZERO)):
+    if any(q.im or (d and d != tuple(q * c for c in ref)) for d, q in zip(diffs, ratios)):
         return None
     denominator = math.lcm(*(q.re.denominator for q in ratios))
     powers = [-int(q.re * denominator) for q in ratios]

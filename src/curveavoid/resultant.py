@@ -176,9 +176,10 @@ def _degree(powers: list[int]) -> int:
 
 
 def _laurent(restrictions) -> tuple[Poly, list[dict[int, GaussianRational]]] | None:
-    """P and each g as {n: b_n} with g = sum b_n e^(n P(z)); None out of scope (`curves.unit_exponent`).
+    """P and each g as {n: b_n} with g = sum b_n e^(n P(z)); None out of scope.
 
-    Of P and -P, the one that gives the smaller product of degrees of R.
+    The scope is `curves.unit_exponent` on the exponents, 0 first.  Of P
+    and -P, the one that gives the smaller product of degrees of R.
     """
     exponents = sorted({t.exponent for g in restrictions for t in g.terms} | {POLY_ZERO}, key=_poly_key)
     found = unit_exponent(exponents)

@@ -31,6 +31,7 @@ from curveavoid.curves import (
     is_projectively_constant,
     poly,
     scaled_values,
+    terms_at,
     unit_exponent,
     witness_constant_projection,
     witness_degenerate_pair,
@@ -652,10 +653,13 @@ class TestWitnessThreeHyperplanes:
 
 
 class TestEvaluation:
-    def test_sum_at(self):
+    def test_evaluate_sum(self):
+        """The package's one evaluator: `terms_at` and `scaled_values` give s(z) e^(-top)."""
         s = exp_sum([(1, ()), (2, (0, 1))])
-        z = complex(0.3, -1.2)
-        assert abs(sum_at(s, z) - (1 + 2 * cmath.exp(z))) < 1e-12
+        for z, top in ((complex(0.3, -1.2), 0), (complex(600, 1), 512)):
+            expected = cmath.exp(-top) + 2 * cmath.exp(z - top)
+            assert scaled_values([terms_at(s, z)])[0] == top
+            assert abs(scaled_values([terms_at(s, z)])[1][0] - expected) <= 1e-12 * abs(expected)
 
     def test_apply_form_matches_componentwise_evaluation(self):
         curve = ExpAffineCurve.from_terms((1, (0, 1)), (-1, (0, 1)), (1, (0, 2)))

@@ -142,19 +142,16 @@ def precompose_curve(curve, q):
 
 
 def seeded_polynomials(rng):
-    """z + b with b in Z[i]/4 nonzero, a z + b with a in Z[i]/2 nonzero, z^2 and z^3."""
+    """z + b and a z + c with a, b, c in Z[i]/4 and a, b nonzero, then z^2 and z^3."""
 
-    def quarter(n):
-        return gq(Fraction(rng.randint(-n, n), 4), Fraction(rng.randint(-n, n), 4))
+    def quarter():
+        return gq(Fraction(rng.randint(-8, 8), 4), Fraction(rng.randint(-8, 8), 4))
 
-    b = GQ_ZERO
-    while not b:
-        b = quarter(8)
-    a = GQ_ZERO
-    while not a:
-        a = quarter(6) * 2
-    z = gq(1)
-    return [[b, z], [quarter(8), a], [GQ_ZERO, GQ_ZERO, z], [GQ_ZERO, GQ_ZERO, GQ_ZERO, z]]
+    a = b = GQ_ZERO
+    while not (a and b):
+        a, b = quarter(), quarter()
+    one = gq(1)
+    return [[b, one], [quarter(), a], [GQ_ZERO, GQ_ZERO, one], [GQ_ZERO, GQ_ZERO, GQ_ZERO, one]]
 
 
 def poly_at(q, z):
