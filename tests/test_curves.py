@@ -173,7 +173,7 @@ class TestUnitForm:
         assert coeffs == {0: exp_term(1), 1: exp_term(-1), 2: exp_term(1)}
 
     def test_exponents_with_an_offset(self):
-        """A subspace pair passes its exponents with 0 first; e^(z + 1/2) and e^(2z + 1) are w, w^2."""
+        """A subspace pair passes its exponents, 0 first: e^(z + 1/2), e^(2z + 1) are w^-1, w^-2, w = e^(-z - 1/2)."""
         half = Fraction(1, 2)
         assert unit_exponent([(), poly((half, 1)), poly((1, 2))]) == (poly((-half, -1)), [0, -1, -2])
         # e^(2z) is e^(-1) w^2 with w = e^(z + 1/2): an offset that is no multiple of P
