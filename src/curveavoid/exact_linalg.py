@@ -9,7 +9,7 @@ and gcd(a, b, d) = 1: each of its operations works on ints and ends in a
 single gcd, and its real and imaginary parts become `Fraction`s only when
 asked for.
 
-Every rank, kernel and determinant comes from one kernel, `_eliminate`:
+Every rank and kernel comes from one kernel, `_eliminate`:
 fraction-free Gauss-Jordan elimination over the Gaussian integers Z[i],
 after Bareiss (1968, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination").  Every entry is read straight
@@ -29,11 +29,7 @@ kernel serves Q and Q(i): a real row enters with imaginary parts 0 and
 keeps them.  At the end every pivot entry equals the last pivot.  Ranks
 read the pivot count and convert nothing; `_rref` divides each rational
 row by its pivot once, which gives the unique reduced row echelon form
-with unit pivots, the one rational elimination gives.  A
-square matrix of full rank ends with its last pivot equal to the
-determinant of the scaled matrix with its rows permuted, by Sylvester's
-identity again, so `determinant` divides out the row scales and the sign
-of the permutation.
+with unit pivots, the one rational elimination gives.
 """
 
 from __future__ import annotations
@@ -208,12 +204,12 @@ def _check_rational(rows: Sequence[Sequence[RationalLike]]) -> None:
         raise TypeError("expected a rational, got GaussianRational")
 
 
-def _eliminate(rows: Sequence[Sequence[GQLike]]) -> tuple[list[list[int]], list[list[int]], list[int], int]:
+def _eliminate(rows: Sequence[Sequence[GQLike]]) -> tuple[list[list[int]], list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination over Z[i].
 
     Returns the real and imaginary parts of the reduced integer rows, zero
-    rows dropped, the pivot columns, and the sign of the row permutation.
-    Every pivot entry of the result equals the last pivot.
+    rows dropped, and the pivot columns.  Every pivot entry of the result
+    equals the last pivot.
     """
     m_re: list[list[int]] = []
     m_im: list[list[int]] = []
@@ -225,13 +221,11 @@ def _eliminate(rows: Sequence[Sequence[GQLike]]) -> tuple[list[list[int]], list[
     n = len(m_re)
     prev_re, prev_im = 1, 0
     pivots: list[int] = []
-    row, sign = 0, 1
+    row = 0
     for col in range(len(m_re[0]) if m_re else 0):
         pivot = next((i for i in range(row, n) if m_re[i][col] or m_im[i][col]), None)
         if pivot is None:
             continue
-        if pivot != row:
-            sign = -sign
         m_re[row], m_re[pivot] = m_re[pivot], m_re[row]
         m_im[row], m_im[pivot] = m_im[pivot], m_im[row]
         y_re, y_im = m_re[row], m_im[row]
@@ -256,7 +250,7 @@ def _eliminate(rows: Sequence[Sequence[GQLike]]) -> tuple[list[list[int]], list[
         row += 1
         if row == n:
             break
-    return m_re[:row], m_im[:row], pivots, sign
+    return m_re[:row], m_im[:row], pivots
 
 
 def _quotient(x_re: int, x_im: int, d_re: int, d_im: int, complex_field: bool):
@@ -272,7 +266,7 @@ def _rref(rows: Sequence[Sequence[RationalLike]]) -> tuple[list[list[Fraction]],
     _check_rational(rows)
     if not rows or not rows[0]:
         return [], []
-    m_re, _, pivots, _ = _eliminate(rows)
+    m_re, _, pivots = _eliminate(rows)
     reduced = [[Fraction(a, x[pc]) for a in x] for x, pc in zip(m_re, pivots)]
     return reduced, pivots
 
@@ -285,7 +279,7 @@ def _kernel(
     With d the common pivot, d*e_fc - sum_r m[r][fc]*e_pc(r) is d times the
     vector the unit-pivot RREF gives for free column fc.
     """
-    m_re, m_im, pivots, _ = _eliminate(rows)
+    m_re, m_im, pivots = _eliminate(rows)
     d_re, d_im = (m_re[0][pivots[0]], m_im[0][pivots[0]]) if pivots else (1, 0)
     basis: list[tuple[T, ...]] = []
     for fc in range(width):
@@ -318,22 +312,6 @@ def rank_real(rows: Sequence[Sequence[RationalLike]]) -> int:
 def rank_complex(rows: Sequence[Sequence[GQLike]]) -> int:
     _check_rect(rows)
     return len(_eliminate(rows)[2])
-
-
-def determinant(rows: Sequence[Sequence[RationalLike]]) -> Fraction:
-    """Determinant of a square rational matrix.
-
-    After elimination the last pivot is the determinant of the matrix with
-    its rows permuted and each multiplied by its denominators' lcm.
-    """
-    _check_rational(rows)
-    if rows and _check_rect(rows) != len(rows):
-        raise ValueError("a determinant needs a square matrix")
-    m_re, _, pivots, sign = _eliminate(rows)
-    if len(pivots) < len(rows):
-        return Fraction(0)
-    scales = math.prod(math.lcm(*(x.denominator for x in r)) for r in rows)
-    return Fraction(sign * m_re[-1][-1] if rows else 1, scales)
 
 
 def kernel_real(rows: Sequence[Sequence[RationalLike]], width: int) -> list[RationalVector]:

@@ -15,15 +15,16 @@ whose only real zero is w = 0, and their resultant would vanish.
 The elimination follows Basu, Pollack and Roy, *Algorithms in Real
 Algebraic Geometry*.  The shear u -> u + lam v, lam = 0, 1, 2, ..., makes
 both leading coefficients in v constants, so no common zero escapes to
-v = infinity and the Sylvester matrix keeps its shape at every u.  Then
-r(u) = Res_v(R_1, R_2) vanishes exactly at the u of the common complex
-zeros; r = 0 means a common factor, which stays undecided.  It has degree
-at most deg R_1 deg R_2, so it is interpolated from Sylvester
-determinants at that many integer points plus one
-(`exact_linalg.determinant`).  At a root u0 of r where the first
-subresultant s11 v + s10 has s11(u0) != 0, it is the gcd of R_1(u0, v)
-and R_2(u0, v), so u0 carries exactly one common zero, v0 =
--s10(u0)/s11(u0), real when u0 is.  Once gcd(sqfree(r), s11) = 1, the
+v = infinity and the subresultants in v, taken over Z[u], specialise to
+those of R_1(u0, v) and R_2(u0, v) at every u0.  One subresultant
+remainder sequence in Z[u][v] (`_subresultants`) gives r(u) =
+Res_v(R_1, R_2), of degree at most deg R_1 deg R_2, and the first
+subresultant s11 v + s10.  r vanishes exactly at the u of the common
+complex zeros; r = 0 means a common factor, which stays undecided.  At a
+root u0 of r where s11(u0) != 0, the first subresultant is the gcd of
+R_1(u0, v) and R_2(u0, v), so u0 carries exactly one common zero, v0 =
+-s10(u0)/s11(u0), real when u0 is.  With sqfree(r) = r / gcd(r, r'),
+which lies in Z[u] by Gauss's lemma, once gcd(sqfree(r), s11) = 1 the
 real roots of sqfree(r) and the real common zeros correspond one to one.
 The origin is a common zero when both R_k vanish there; its root u = 0
 is divided out after checking that the line u = 0 carries no other common
@@ -39,10 +40,11 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .curves import POLY_ZERO, ExpSum, Poly, _poly_key, unit_exponent
-from .exact_linalg import GaussianRational, determinant
+from .exact_linalg import GaussianRational
 
-# deg r <= deg R_1 * deg R_2.  One subspace takes 30-40 ms at 16, about 0.25 s at 36 and
-# 1-3 s at 64 (CPython 3.11, one x86 core), so larger ones stay sampled.
+# deg r <= deg R_1 * deg R_2.  One subspace takes a median 5 ms at 16, 9 ms at 36 and
+# 75-80 ms at 64 and 81, most of it in the Sturm counts (CPython 3.11, one x86 core),
+# so larger ones stay sampled.
 MAX_DEGREE = 36
 _SHEARS = 16  # shears tried before the pair stays sampled
 _BITS = 64  # relative width of a refined root
@@ -80,25 +82,22 @@ def _sign_at(p: list[int], x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """(q, r) with c a = q b + r for some integer c > 0 and deg r < deg b, in integers."""
-    lead, sign = abs(b[-1]), 1 if b[-1] > 0 else -1
-    q, r = [0] * max(len(a) - len(b) + 1, 0), list(a)
+def _rem(a: list[int], b: list[int]) -> list[int]:
+    """c a mod b for some integer c > 0, in integers: the remainder of pseudo-division."""
+    lead, sign, r = abs(b[-1]), 1 if b[-1] > 0 else -1, list(a)
     while len(r) >= len(b):
         shift, c = len(r) - len(b), r[-1] * sign
-        q = [x * lead for x in q]
-        q[shift] += c
         r = [x * lead for x in r]
         for i, y in enumerate(b):
             r[shift + i] -= c * y
         _trim(r)
-    return q, r
+    return r
 
 
 def _gcd(a: list[int], b: list[int]) -> list[int]:
     """A greatest common divisor of a and b, not both 0, primitive."""
     while b:
-        r = _pdivmod(a, b)[1]
+        r = _rem(a, b)
         a, b = b, _primitive(r) if r else r
     return _primitive(a)
 
@@ -107,18 +106,31 @@ def _derivative(p: list) -> list:
     return [n * c for n, c in enumerate(p)][1:]
 
 
-def _interpolate(values: list) -> list:
-    """The polynomial of degree below len(values) taking them at 0, 1, 2, ...
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
-    Newton's forward differences: p(x) = sum_k (Delta^k values)[0] x(x-1)...(x-k+1) / k!.
-    """
-    p, basis, diffs = [], [1], list(values)
-    for k in range(len(values)):
-        term = [Fraction(diffs[0], math.factorial(k)) * c for c in basis]
-        p = [x + y for x, y in zip_longest(p, term, fillvalue=0)]
-        basis = [x - k * y for x, y in zip([0] + basis, basis + [0])]  # times (x - k)
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return _trim(p)
+
+def _pow(a: list[int], n: int) -> list[int]:
+    out = [1]
+    for _ in range(n):
+        out = _mul(out, a)
+    return out
+
+
+def _exquo(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a b that divides a in Z[u]: long division, each leading quotient an exact int."""
+    q, r = [], list(a)
+    while len(r) >= len(b):
+        c, shift = r[-1] // b[-1], len(r) - len(b)
+        for i, y in enumerate(b):
+            r[shift + i] -= c * y
+        r.pop()
+        q.append(c)
+    return q[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +164,7 @@ def _real_roots(p: list[int]) -> list[Fraction]:
     """
     chain = [p, _primitive(_derivative(p))]
     while len(chain[-1]) > 1:
-        chain.append(_primitive([-c for c in _pdivmod(chain[-2], chain[-1])[1]]))
+        chain.append(_primitive([-c for c in _rem(chain[-2], chain[-1])]))
     bound = 2 ** (2 + max(map(abs, p[:-1])) // abs(p[-1])).bit_length()
     roots, stack = [], [(Fraction(-bound), Fraction(bound))]
     while stack:
@@ -223,35 +235,43 @@ def _shear(r: dict[tuple[int, int], int], lam: int) -> list[list[int]]:
     return _trim([_trim(p) for p in out])
 
 
-def _sylvester(a: list, b: list, j: int) -> list[list]:
-    """Rows v^(q-j-1) a, ..., a, v^(p-j-1) b, ..., b of the j-th subresultant, highest power first."""
-    p, q = len(a) - 1, len(b) - 1
-    width = p + q - j
-    return [
-        [0] * s + f[::-1] + [0] * (width - s - len(f))
-        for f, copies in ((a, q - j), (b, p - j))
-        for s in range(copies)
-    ]
+def _prem(f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
+    """lc(g)^(deg f - deg g + 1) f mod g, for polynomials in v over Z[u]."""
+    lead, r = g[-1], list(f)
+    for shift in range(len(f) - len(g), -1, -1):
+        c = r.pop()  # the top coefficient, which the step cancels
+        r = [_mul(lead, x) for x in r]
+        for i, y in enumerate(g[:-1]):
+            r[shift + i] = _trim([s - t for s, t in zip_longest(r[shift + i], _mul(c, y), fillvalue=0)])
+    return _trim(r)
 
 
-def _at(s: list[list[int]], x: int) -> list[int]:
-    return [_eval(c, x) for c in s]
+def _subresultants(a: list[list[int]], b: list[list[int]]) -> tuple[list[int], tuple[list[int], list[int]]]:
+    """r = Res_v(a, b) and (s11, s10), the first subresultant's coefficients, up to sign.
 
-
-def _first_subresultant(s1, s2, points) -> tuple[list, list]:
-    """(s11, s10), the coefficients in v of the first subresultant, as polynomials in u.
-
-    A factor of degree 1 in v is its own first subresultant, up to a
-    constant.  Otherwise their degrees, like that of r, are at most
-    deg R_1 deg R_2, so the points that give r give them too.
+    The subresultant remainder sequence (Collins 1967; Brown 1978): with
+    deg a >= deg b in v, the pseudo-remainder of a by b divided by
+    lc(a) psc(a)^d, d = deg a - deg b, is the subresultant below b, exact
+    even where degrees are skipped.  The principal coefficient psc(b) is
+    lc(b)^d / psc(a)^(d - 1), with psc = 1 before the first pair, the only
+    one that can have d = 0.  The chain ends in r, of degree 0, unless a
+    common factor stops it early (r = 0).  A member h of degree 1 below a
+    higher degree, times psc(h) / lc(h), is the first subresultant, so
+    s11 = psc(h) and s10 = psc(h) h0 / h1; without one it is 0.
     """
-    if min(len(s1), len(s2)) == 2:
-        s11, s10 = (s1 if len(s1) == 2 else s2)[::-1]
-        return s11, s10
-    rows = [_sylvester(_at(s1, x), _at(s2, x), 1) for x in points]
-    s11 = _interpolate([determinant([r[:-1] for r in m]) for m in rows])
-    s10 = _interpolate([determinant([r[:-2] + r[-1:] for r in m]) for m in rows])
-    return s11, s10
+    if len(a) < len(b):
+        a, b = b, a
+    lead, psc, first = [1], [1], ([], [])
+    while True:
+        d = len(a) - len(b)
+        h = [_exquo(c, _mul(lead, _pow(psc, d))) for c in _prem(a, b)]
+        lead = b[-1]
+        psc = _exquo(_pow(lead, d), _pow(psc, d - 1))
+        if len(b) == 2 < len(a):
+            first = psc, _exquo(_mul(psc, b[0]), b[1])
+        if not h:
+            return (psc if len(b) == 1 else []), first
+        a, b = b, h
 
 
 def unit_plane_zeros(g1: ExpSum, g2: ExpSum) -> tuple[Poly, list[complex]] | None:
@@ -269,17 +289,16 @@ def unit_plane_zeros(g1: ExpSum, g2: ExpSum) -> tuple[Poly, list[complex]] | Non
     d1, d2 = (max(i + j for i, j in r) for r in (r1, r2))
     if d1 * d2 > MAX_DEGREE:
         return None
-    points = range(d1 * d2 + 1)
     origin = (0, 0) not in r1 and (0, 0) not in r2
     for lam in range(_SHEARS):
         s1, s2 = _shear(r1, lam), _shear(r2, lam)
         if len(s1[-1]) > 1 or len(s2[-1]) > 1:
             continue
-        r = _interpolate([determinant(_sylvester(_at(s1, x), _at(s2, x), 0)) for x in points])
+        r, (s11, s10) = _subresultants(s1, s2)
         if not r:
             return None
         r = _primitive(r)
-        q = _primitive(_pdivmod(r, _gcd(r, _derivative(r)))[0]) if len(r) > 1 else r
+        q = _exquo(r, _gcd(r, _derivative(r)))
         if origin:
             on_line = _gcd([c[0] if c else 0 for c in s1], [c[0] if c else 0 for c in s2])
             if any(on_line[:-1]):
@@ -288,7 +307,8 @@ def unit_plane_zeros(g1: ExpSum, g2: ExpSum) -> tuple[Poly, list[complex]] | Non
         roots = _real_roots(q) if len(q) > 1 else []
         if not roots:
             return p, []
-        s11, s10 = _first_subresultant(s1, s2, points)
+        if min(len(s1), len(s2)) == 2:  # a factor of degree 1 in v is its own first subresultant
+            s11, s10 = (s1 if len(s1) == 2 else s2)[::-1]
         if not s11 or len(_gcd(q, _primitive(s11))) > 1:
             continue
         vs = [-_eval(s10, u) / _eval(s11, u) for u in roots]

@@ -203,15 +203,17 @@ def _nearest_zero(s: ExpSum) -> complex | None:
 def _nearest(logs: list[complex], p: Poly) -> complex | None:
     """The z nearest the origin with P(z) = log + 2 pi i k, over the logs and three k for each.
 
-    The k tried are the one that brings Im(log + 2 pi i k) nearest 0 and
-    its two neighbours.  For P = mu z the point is (log + 2 pi i k) / mu,
-    and a tie in modulus goes to the smaller Im(mu z).  Otherwise the
-    point is the nearest root of P(z) - log - 2 pi i k over those k
-    (`_roots`), and a tie goes to the smaller Im z.  None without logs.
+    The k tried are the one that brings Im(log - P(0) + 2 pi i k) nearest
+    0 and its two neighbours, with P(0) read only for P of degree 1.  For
+    P = mu z the point is (log + 2 pi i k) / mu, and a tie in modulus goes
+    to the smaller Im(mu z).  Otherwise the point is the nearest root of
+    P(z) - log - 2 pi i k over those k (`_roots`), and a tie goes to the
+    smaller Im z.  None without logs.
     """
+    centre = p[0].to_complex().imag if len(p) == 2 else 0.0
     candidates = []
     for log in logs:
-        k = round(-log.imag / (2 * math.pi))
+        k = round((centre - log.imag) / (2 * math.pi))
         candidates += [log + 2j * math.pi * j for j in (k - 1, k, k + 1)]
     if not candidates:
         return None

@@ -451,15 +451,77 @@ def _standard_four_image(rng):
     return [tuple(c * x for x in row) for c, row in zip([nonzero_gaussian(rng) for _ in rows], rows)]
 
 
+def refutation_arrangements(rng):
+    """Endless (hyperplanes, S, tag, diagonal, points) for the refutation search.
+
+    Each arrangement is a random GL3(Q(i)) image of the standard four,
+    with alpha random or, when `diagonal`, a scaled diagonal form; the
+    second is the obstructed case, in which classify raises
+    `ConstructionError` (tag None) or, once it decides that case, finds
+    every curve constant.  `points` holds the pair (q, p) of each diagonal,
+    p = H_j cap H_k and q = H_l cap H_m.
+    """
+    while True:
+        rows = _standard_four_image(rng)
+        if rows is None:
+            continue
+        hyperplanes = [ComplexHyperplane(row) for row in rows]
+        points = [
+            (_cross(rows[j], rows[k]), _cross(rows[l], rows[m]))
+            for (j, k), (l, m) in DIAGONAL_PARTITIONS
+        ]
+        diagonal = rng.random() < 0.5
+        if diagonal:
+            p, q = rng.choice(points)
+            c = nonzero_gaussian(rng)
+            alpha = tuple(c * x for x in _cross(p, q))
+        else:
+            alpha = tuple(gaussian(rng) for _ in range(3))
+        if not any(alpha):
+            continue
+        s = RealSubspace((re_part_form(alpha),))
+        yield hyperplanes, s, classify_tag(hyperplanes, s), diagonal, points
+
+
+def classify_tag(hyperplanes, s):
+    try:
+        return classify(hyperplanes, s).tag
+    except ConstructionError:
+        return None  # obstructed: H~ is a diagonal
+
+
+def refutation_scene(hyperplanes, s):
+    return Scene(
+        hyperplanes={f"H{i + 1}": h for i, h in enumerate(hyperplanes)},
+        reals={"S": s},
+        curves={},
+        order=tuple(("hyperplane", f"H{i + 1}") for i in range(4)) + (("real", "S"),),
+    )
+
+
+def diagonal_curves(rng, points, count):
+    """`count` curves c1 e^h q + c2 e^g p on each diagonal, h != g from `REFUTATION_EXPONENTS`."""
+    for p, q in points:
+        for _ in range(count):
+            h, g = rng.sample(REFUTATION_EXPONENTS, 2)
+            c1, c2 = nonzero_gaussian(rng), nonzero_gaussian(rng)
+            yield ExpAffineCurve(tuple(exp_sum([(c1 * y, h), (c2 * x, g)]) for x, y in zip(p, q)))
+
+
+def assert_meets_only_s(curve, scene):
+    """Every set decided exactly, a nonconstant projection, S met and no hyperplane met."""
+    report = verify(curve, scene)
+    assert all(r.method == "exact" for r in report.results)
+    assert not report.projection_constant
+    *met_hyperplanes, met_s = [r.verdict != "avoided" for r in report.results]
+    assert met_s and not any(met_hyperplanes)
+
+
 def test_no_curve_refutes_a_constant_verdict():
     """No curve on a diagonal avoids every set where classify finds all curves constant.
 
-    Each arrangement is a random GL3(Q(i)) image of the standard four,
-    with alpha random or a scaled diagonal form; the second is the
-    obstructed case, in which classify raises `ConstructionError` or, once
-    it decides that case, finds every curve constant.  On each diagonal,
-    through p = H_j cap H_k and q = H_l cap H_m, every curve
-    c1 e^h q + c2 e^g p avoids the four hyperplanes, since each H_i
+    On each diagonal, through p = H_j cap H_k and q = H_l cap H_m, every
+    curve c1 e^h q + c2 e^g p avoids the four hyperplanes, since each H_i
     vanishes at exactly one of p and q, and has nonconstant projection
     when h != g.  So verify must decide every set exactly and find the
     curve meeting S.
@@ -467,51 +529,16 @@ def test_no_curve_refutes_a_constant_verdict():
     rng = random.Random(9)
     outcomes = {"random": 0, "diagonal": 0, "curves": 0}
     with budget(10.0):
-        while outcomes["random"] + outcomes["diagonal"] < 30:
-            rows = _standard_four_image(rng)
-            if rows is None:
-                continue
-            hyperplanes = [ComplexHyperplane(row) for row in rows]
-            points = [
-                (_cross(rows[j], rows[k]), _cross(rows[l], rows[m]))
-                for (j, k), (l, m) in DIAGONAL_PARTITIONS
-            ]
-            diagonal = rng.random() < 0.5
-            if diagonal:
-                p, q = rng.choice(points)
-                c = nonzero_gaussian(rng)
-                alpha = tuple(c * x for x in _cross(p, q))
-            else:
-                alpha = tuple(gaussian(rng) for _ in range(3))
-            if not any(alpha):
-                continue
-            s = RealSubspace((re_part_form(alpha),))
-            try:
-                tag = classify(hyperplanes, s).tag
-            except ConstructionError:
-                tag = None  # obstructed: H~ is a diagonal
+        for hyperplanes, s, tag, diagonal, points in refutation_arrangements(rng):
+            if outcomes["random"] + outcomes["diagonal"] == 30:
+                break
             if diagonal:
                 assert tag in (None, ALL_CURVES_CONSTANT)
             elif tag == WITNESS_EXISTS:
                 continue
             outcomes["diagonal" if diagonal else "random"] += 1
-            scene = Scene(
-                hyperplanes={f"H{i + 1}": h for i, h in enumerate(hyperplanes)},
-                reals={"S": s},
-                curves={},
-                order=tuple(("hyperplane", f"H{i + 1}") for i in range(4)) + (("real", "S"),),
-            )
-            for p, q in points:
-                for _ in range(6):
-                    h, g = rng.sample(REFUTATION_EXPONENTS, 2)
-                    c1, c2 = nonzero_gaussian(rng), nonzero_gaussian(rng)
-                    curve = ExpAffineCurve(
-                        tuple(exp_sum([(c1 * y, h), (c2 * x, g)]) for x, y in zip(p, q))
-                    )
-                    report = verify(curve, scene)
-                    assert all(r.method == "exact" for r in report.results)
-                    assert not report.projection_constant
-                    *met_hyperplanes, met_s = [r.verdict != "avoided" for r in report.results]
-                    assert met_s and not any(met_hyperplanes)
-                    outcomes["curves"] += 1
+            scene = refutation_scene(hyperplanes, s)
+            for curve in diagonal_curves(rng, points, 6):
+                assert_meets_only_s(curve, scene)
+                outcomes["curves"] += 1
     assert min(outcomes.values()) >= 10, outcomes

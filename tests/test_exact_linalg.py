@@ -11,7 +11,6 @@ from curveavoid.exact_linalg import (
     GQ_ZERO,
     GaussianRational,
     _rref,
-    determinant,
     gq,
     kernel_complex,
     kernel_real,
@@ -282,33 +281,6 @@ def test_complex_kernel_matches_reference(rows, data):
     assert kernel_complex(rows, width) == reference_kernel(rows, width, GQ_ONE)
 
 
-def leibniz_determinant(rows):
-    """The determinant as the signed sum over permutations, by expansion along the first row."""
-    if not rows:
-        return F(1)
-    return sum(
-        (-1) ** j * a * leibniz_determinant([r[:j] + r[j + 1:] for r in rows[1:]])
-        for j, a in enumerate(rows[0])
-    )
-
-
-def square_matrices(n):
-    row = st.lists(st.one_of(st.just(F(0)), rationals), min_size=n, max_size=n)
-    return st.lists(row, min_size=n, max_size=n)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 5).flatmap(square_matrices))
-def test_determinant_matches_expansion(rows):
-    """Zero entries force row swaps and singular matrices, which flip or zero the sign."""
-    assert determinant(rows) == leibniz_determinant(rows)
-
-
-def test_determinant_needs_a_square_matrix():
-    with pytest.raises(ValueError, match="square"):
-        determinant([[1, 2]])
-
-
 # ---------------------------------------------------------------------------
 # the reduced integer triple against pairs of Fractions
 
@@ -492,10 +464,6 @@ def test_real_entry_points_read_ints_and_fractions(rows, kind, data):
     assert kernel == kernel_real(fractions, 6) == orthogonal_complement(entries)
     assert all(type(x) is Fraction for v in kernel for x in v)
     assert [tuple(map(gq, v)) for v in kernel] == kernel_complex(canonical, 6)
-    square = [r[: len(entries)] for r in entries]
-    det = determinant(square)
-    assert type(det) is Fraction and det == determinant([[F(x) for x in r] for r in square])
-    assert (det == 0) == (rank_complex([[gq(x) for x in r] for r in square]) < len(square))
 
 
 ENTRY_POINTS = {
@@ -503,12 +471,11 @@ ENTRY_POINTS = {
     "rank_complex": rank_complex,
     "kernel_real": lambda rows: kernel_real(rows, 6),
     "kernel_complex": lambda rows: kernel_complex(rows, 6),
-    "determinant": determinant,
     "orthogonal_complement": orthogonal_complement,
     "_rref": _rref,
     "dependent_subset": lambda rows: dependent_subset([[r] for r in rows], 3),
 }
-RATIONAL_ONLY = ("rank_real", "kernel_real", "determinant", "orthogonal_complement", "_rref")
+RATIONAL_ONLY = ("rank_real", "kernel_real", "orthogonal_complement", "_rref")
 
 
 def identity_with(entry, at):

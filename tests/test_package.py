@@ -225,3 +225,31 @@ def test_no_module_imports_dataclasses():
         path.name for path in PACKAGE.glob("*.py") if "dataclasses" in imported_modules(path.read_text())
     }
     assert importers == set()
+
+
+def names_imported_from(source, module):
+    """The names a module imports from `module`, absolute or relative; "*" for the module itself."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            names |= {a.name for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {"*" for a in node.names if a.name.split(".")[-1] == module}
+    return names
+
+
+def test_names_imported_from_are_found():
+    source = (
+        "from .exact_linalg import GaussianRational, gq\n"
+        "from curveavoid.exact_linalg import rank_real\n"
+        "from . import exact_linalg\n"
+        "import curveavoid.exact_linalg\n"
+        "from .curves import Poly\n"
+    )
+    assert names_imported_from(source, "exact_linalg") == {"GaussianRational", "gq", "rank_real", "*"}
+
+
+def test_the_resultant_uses_no_matrix():
+    """The dim-4 elimination is one subresultant chain: `resultant` reads only the number type from `exact_linalg`."""
+    source = (PACKAGE / "resultant.py").read_text()
+    assert names_imported_from(source, "exact_linalg") == {"GaussianRational"}

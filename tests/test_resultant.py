@@ -6,7 +6,8 @@ oracles check the verdicts: a float Newton solve of (Re g1, Re g2) in
 (x, y), hits built by construction at a Gaussian-rational unit w0, and
 the dim-4 witness on GL3(Q(i)) images of the standard four.  Every
 violated verdict's sample must make both forms vanish to within the
-plan's tolerance, evaluated here with cmath.
+plan's tolerance, evaluated here with cmath.  The subresultant chain
+itself is checked against Sylvester determinants computed here.
 """
 
 import cmath
@@ -15,8 +16,12 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from curveavoid.cli import _witness_scene
 from curveavoid.curves import witness_dim4_subspace
+from curveavoid.exact_linalg import gq
+from curveavoid.resultant import MAX_DEGREE, _real_part, _shear, _subresultants
 from curveavoid.scene import parse_scene
 from curveavoid.verifier import AVOIDED, VIOLATED, SamplingPlan, verify
 
@@ -66,10 +71,10 @@ def form_text(form):
     return " + ".join(f"({a})*{v}" for a, v in zip(form, names) if a) + " = 0"
 
 
-def scene_text(coefficients, forms):
+def scene_text(coefficients, forms, powers=POWERS):
     """The standard four, real H from the two forms, and curve f = (sum_n c_n e^(n z), ...)."""
     components = [
-        " + ".join(term_text(c, n) for n, c in zip(POWERS, row) if any(c)) or "0"
+        " + ".join(term_text(c, n) for n, c in zip(powers, row) if any(c)) or "0"
         for row in coefficients
     ]
     return (
@@ -83,21 +88,25 @@ def independent(a, b):
     return any(a[i] * b[j] != a[j] * b[i] for i in range(6) for j in range(i))
 
 
-def newton_zero(coefficients, forms, radius):
-    """A common zero of Re g1 and Re g2 with |z| < radius, by float Newton from a grid, or None.
-
-    g_k = sum_n b_(k,n) e^(n z) with b_(k,n) = sum_j (a_(2j) - i a_(2j+1)) c_(j,n);
-    d/dx Re g = Re g' and d/dy Re g = -Im g'.
-    """
+def restrictions(coefficients, forms, powers=POWERS):
+    """The b_(k,n) of g_k = sum_n b_(k,n) e^(n z), b_(k,n) = sum_j (a_(2j) - i a_(2j+1)) c_(j,n)."""
     holomorphic = [[complex(f[2 * j], -f[2 * j + 1]) for j in range(3)] for f in forms]
-    b = [
-        [sum(a * complex(*row[k]) for a, row in zip(h, coefficients)) for k in range(len(POWERS))]
+    return [
+        [sum(a * complex(*row[k]) for a, row in zip(h, coefficients)) for k in range(len(powers))]
         for h in holomorphic
     ]
 
+
+def newton_zero(coefficients, forms, radius, powers=POWERS):
+    """A common zero of Re g1 and Re g2 with |z| < radius, by float Newton from a grid, or None.
+
+    d/dx Re g = Re g' and d/dy Re g = -Im g'.
+    """
+    b = restrictions(coefficients, forms, powers)
+
     def values(z):
-        g = [sum(c * cmath.exp(n * z) for n, c in zip(POWERS, row)) for row in b]
-        dg = [sum(n * c * cmath.exp(n * z) for n, c in zip(POWERS, row)) for row in b]
+        g = [sum(c * cmath.exp(n * z) for n, c in zip(powers, row)) for row in b]
+        dg = [sum(n * c * cmath.exp(n * z) for n, c in zip(powers, row)) for row in b]
         return g, dg
 
     for x in range(-3, 4):
@@ -119,7 +128,7 @@ def newton_zero(coefficients, forms, radius):
                     break
             if abs(z) < radius:
                 g, _ = values(z)
-                size = sum(abs(c * cmath.exp(n * z)) for row in b for n, c in zip(POWERS, row))
+                size = sum(abs(c * cmath.exp(n * z)) for row in b for n, c in zip(powers, row))
                 if max(abs(v.real) for v in g) <= 1e-10 * size:
                     return z
     return None
@@ -162,6 +171,168 @@ def test_newton_zeros_are_violations():
                 assert r.verdict == VIOLATED
                 found += 1
     assert found >= 30
+
+
+def unit_degree(row, powers):
+    """deg R = max n + 2 max(0, -min n) over the powers n with b_n != 0."""
+    ns = [n for n, c in zip(powers, row) if c]
+    return max(ns) + 2 * max(0, -min(ns))
+
+
+@pytest.mark.parametrize("powers", [(-1, 0, 1, 2, 3), (-2, -1, 0, 1, 2)])
+def test_newton_zeros_near_the_degree_cap_are_violations(powers):
+    """As above with deg R1 deg R2 = 25 (powers -1..3) or 36 (-2..2), the largest decided exactly."""
+    plan = SamplingPlan(disk_radius=4.0)
+    rng = random.Random(sum(powers) + 3)
+    found = checked = 0
+    with budget(10.0):
+        while checked < 20:
+            coefficients = [[gaussian(rng) for _ in powers] for _ in range(3)]
+            forms = [[rng.randint(-2, 2) for _ in range(6)] for _ in range(2)]
+            if not independent(*forms):
+                continue
+            degrees = [unit_degree(row, powers) for row in restrictions(coefficients, forms, powers)]
+            assert 25 <= math.prod(degrees) <= MAX_DEGREE
+            scene = parse_scene(scene_text(coefficients, forms, powers))
+            r = verify(scene.curves["f"], scene, plan).results[-1]
+            assert r.method == "exact"
+            if r.verdict == VIOLATED:
+                z = complex(*r.violation_sample)
+                assert relative_margin(scene.reals["H"], scene.curves["f"], z) <= plan.tolerance
+            if newton_zero(coefficients, forms, plan.disk_radius, powers) is not None:
+                assert r.verdict == VIOLATED
+                found += 1
+            checked += 1
+    assert found >= 15
+
+
+# ---------------------------------------------------------------------------
+# the subresultant chain against Sylvester determinants
+#
+# Polynomials in v are coefficient lists, lowest first, of polynomials in
+# u, each an int list, lowest first.  The oracle interpolates r and the
+# first subresultant s11 v + s10 from Sylvester determinants at integer u,
+# with its own Fraction determinant.
+
+
+def oracle_determinant(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot], det = m[pivot], m[c], -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+def oracle_interpolate(values):
+    """The polynomial of degree below len(values) taking them at 0, 1, 2, ... (Newton's forward differences)."""
+    p, basis, diffs = [Fraction(0)] * len(values), [Fraction(1)], list(values)
+    for k in range(len(values)):
+        for i, c in enumerate(basis):
+            p[i] += diffs[0] * c / math.factorial(k)
+        basis = [x - k * y for x, y in zip([0, *basis], [*basis, 0])]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return p
+
+
+def oracle_sylvester(a, b, j):
+    """Rows v^(q-j-1) a, ..., a, v^(p-j-1) b, ..., b of the j-th subresultant, highest power first."""
+    p, q = len(a) - 1, len(b) - 1
+    width = p + q - j
+    return [
+        [0] * s + f[::-1] + [0] * (width - s - len(f))
+        for f, copies in ((a, q - j), (b, p - j))
+        for s in range(copies)
+    ]
+
+
+def oracle_chain(a, b):
+    """r and (s11, s10) from Sylvester determinants; each leading coefficient in v must be a constant."""
+    p, q = len(a) - 1, len(b) - 1
+    bound = q * max(map(len, a)) + p * max(map(len, b))
+    at = [[[sum(c * x**k for k, c in enumerate(coeff)) for coeff in f] for f in (a, b)] for x in range(bound)]
+    r = oracle_interpolate([oracle_determinant(oracle_sylvester(f, g, 0)) for f, g in at])
+    rows = [oracle_sylvester(f, g, 1) for f, g in at]
+    s11 = oracle_interpolate([oracle_determinant([row[:-1] for row in m]) for m in rows])
+    s10 = oracle_interpolate([oracle_determinant([row[:-2] + row[-1:] for row in m]) for m in rows])
+    return r, (s11, s10)
+
+
+def proportional(x, y):
+    """x = c y for one constant c != 0, both read as coefficient lists padded with zeros."""
+    width = max(len(x), len(y))
+    x, y = [*x, *[0] * (width - len(x))], [*y, *[0] * (width - len(y))]
+    if not any(x) or not any(y):
+        return not any(x) and not any(y)
+    c = next(Fraction(a) / b for a, b in zip(x, y) if b)
+    return all(a == c * b for a, b in zip(x, y))
+
+
+def first_proportional(x, y):
+    """(s11, s10) = c (t11, t10) for one constant c != 0."""
+    width = max(len(x[0]), len(y[0]))
+    return proportional(*([*s11, *[0] * (width - len(s11)), *s10] for s11, s10 in (x, y)))
+
+
+def assert_chain_matches_the_oracle(a, b):
+    r, first = _subresultants(a, b)
+    expected_r, expected_first = oracle_chain(a, b)
+    assert proportional(r, expected_r)
+    assert first_proportional(first, expected_first)
+    return r, first
+
+
+def test_the_chain_matches_sylvester_determinants_on_seeded_pairs():
+    """R_1, R_2 of seeded Laurent pairs over n = -1..2, sheared as `unit_plane_zeros` shears them."""
+    rng = random.Random(24)
+    checked = 0
+    with budget(10.0):
+        while checked < 20:
+            laurents = [{n: gq(*gaussian(rng)) for n in POWERS if rng.random() < 0.8} for _ in range(2)]
+            laurents = [{n: c for n, c in g.items() if c} for g in laurents]
+            if min(map(len, laurents)) < 2:
+                continue
+            lam = rng.randint(0, 3)
+            s1, s2 = (_shear(_real_part(g), lam) for g in laurents)
+            if len(s1[-1]) > 1 or len(s2[-1]) > 1 or min(len(s1), len(s2)) < 3:
+                continue
+            assert_chain_matches_the_oracle(s1, s2)
+            checked += 1
+
+
+U = [0, 1]  # the polynomial u
+
+
+@pytest.mark.parametrize(
+    "a, b, first, common_factor",
+    [
+        # equal degrees in v: the first pair divides by nothing
+        ([[1], [2], [3]], [U, U, [2]], None, False),
+        # a factor of degree 1 in v: its own first subresultant, up to lc^(deg a - 1)
+        ([[1], U, [], [1]], [[0, 0, 1], [2]], ([4], [0, 0, 2]), False),
+        # v^4 + u v + 1 = v (v^3 + u) + 1: the chain jumps from 3 to 0, so S_1 = 0
+        # and `unit_plane_zeros` skips the shear
+        ([[1], U, [], [], [1]], [U, [], [], [1]], ([], []), False),
+        # v^4 + u^2 v + 2 - v (v^3 + u) = (u^2 - u) v + 2: degree 1 after a jump from 3,
+        # so s11 = psc_1 = (u^2 - u)^2, not the remainder's leading coefficient u^2 - u
+        ([[2], [0, 0, 1], [], [], [1]], [U, [], [], [1]], ([0, 0, 1, -2, 1], [0, -2, 2]), False),
+        # (v + u)(v^2 + 1) and (v + u)(v^2 + v + u): r = 0
+        ([U, [1], U, [1]], [[0, 0, 1], [0, 2], [1, 1], [1]], None, True),
+    ],
+    ids=["equal-degrees", "degree-1-factor", "skips-degree-1", "jump-to-degree-1", "common-factor"],
+)
+def test_the_chain_matches_sylvester_determinants_on_hand_built_pairs(a, b, first, common_factor):
+    r, found = assert_chain_matches_the_oracle(a, b)
+    assert (not r) == common_factor
+    if first is not None:
+        assert first_proportional(found, first)
 
 
 def cmul(a, b):

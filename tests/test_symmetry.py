@@ -29,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from curveavoid.arrangement import RealSubspace
+from curveavoid.arrangement import WITNESS_EXISTS, RealSubspace
 from curveavoid.curves import ExpAffineCurve, exp_sum
 from curveavoid.exact_linalg import GQ_ZERO, gq
 from curveavoid.projective import ComplexHyperplane
@@ -37,6 +37,13 @@ from curveavoid.scene import Scene, parse_scene
 from curveavoid.verifier import VIOLATED, SamplingPlan, verify
 
 from test_acceptance import budget
+from test_arrangement import (
+    assert_meets_only_s,
+    classify_tag,
+    diagonal_curves,
+    refutation_arrangements,
+    refutation_scene,
+)
 from test_resultant import POWERS, components_at, gaussian, independent, relative_margin, scene_text
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -116,6 +123,28 @@ def test_conjugation_keeps_seeded_one_unit_verdicts():
     with budget(5.0):
         for scene in seeded_scenes(20, 12):
             assert_conjugation_keeps_the_verdicts(scene)
+
+
+def test_conjugation_keeps_the_refutation_search():
+    """The refutation search's arrangements and diagonal curves (`test_arrangement`, seed 9), conjugated.
+
+    Each conjugate arrangement gets the same classify tag, and each
+    conjugate curve on a diagonal is still decided exactly, with a
+    nonconstant projection, meeting S and no hyperplane.
+    """
+    rng = random.Random(9)
+    checked = 0
+    with budget(5.0):
+        for hyperplanes, s, tag, _, points in refutation_arrangements(rng):
+            if checked == 30:
+                break
+            mirror = conjugate_scene(refutation_scene(hyperplanes, s))
+            assert classify_tag(list(mirror.hyperplanes.values()), mirror.reals["S"]) == tag
+            if tag == WITNESS_EXISTS:
+                continue
+            checked += 1
+            for curve in diagonal_curves(rng, points, 6):
+                assert_meets_only_s(conjugate_curve(curve), mirror)
 
 
 def poly_times(a, b):

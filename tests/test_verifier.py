@@ -233,6 +233,18 @@ class TestExactPaths:
         z = np.array([complex(*r.violation_sample)])
         assert reference_margins(scene.reals["H"], scene.curves["f"], z)[0] <= 1e-9
 
+    def test_shift_by_a_large_imaginary_constant_keeps_the_sample_near(self):
+        """With z + 20i, the branches of Log w are centred on Im(Log w - 20i), not on Im(Log w).
+
+        Centred on Im(Log w), the sample was 1.40278 - 10.6221i, two periods below this zero.
+        """
+        scene = parse_scene((SCENES / "shifted_hit.scene").read_text().replace("1/2", "20*i"))
+        r = verify(scene.curves["f"], scene).results[-1]
+        assert (r.set, r.method, r.verdict) == ("H", "exact", VIOLATED)
+        assert r.violation_sample == pytest.approx((1.40278, 1.94426), abs=1e-5)
+        z = np.array([complex(*r.violation_sample)])
+        assert reference_margins(scene.reals["H"], scene.curves["f"], z)[0] <= 1e-9
+
 
 small_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 small_gaussians = st.builds(gq, small_rationals, small_rationals)
