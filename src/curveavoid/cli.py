@@ -2,8 +2,10 @@
 
 Subcommands read a scene file and emit JSON (default) or prose (--human).
 Exit codes: 0 success, 1 verification failure, 2 input or parse error,
-3 construction failure.  The sampling seed is --seed, by default that of
-`SamplingPlan()`; no environment variable is read.
+3 construction failure.  Only `verify` takes the sampling flags (--radius,
+--grid, --random, --seed, --tolerance): every set a constructed witness
+meets is decided exactly, so `classify` and `witness` verify under the
+default `SamplingPlan()`.  No environment variable is read.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Sequence
 from .arrangement import RealSubspace, classify, realify
 from .curves import (
     ConstructionError,
+    ExpAffineCurve,
     witness_constant_projection,
     witness_dim4_subspace,
     witness_three_hyperplanes,
@@ -61,16 +64,6 @@ def _witness_scene(
     return Scene(dict(hyperplanes), dict(reals), {}, tuple(order))
 
 
-def _plan_from_args(args: argparse.Namespace) -> SamplingPlan:
-    return SamplingPlan(
-        disk_radius=args.radius,
-        grid_points=args.grid,
-        random_points=args.random,
-        seed=args.seed,
-        tolerance=args.tolerance,
-    )
-
-
 def _report_lines(report: VerificationReport) -> list[str]:
     lines = [f"curve {report.curve}"]
     for r in report.results:
@@ -91,8 +84,14 @@ def _report_lines(report: VerificationReport) -> list[str]:
     return lines
 
 
-def _finish_verification(report: VerificationReport, payload: dict, human: bool, extra_lines: list[str] | None = None) -> int:
-    _emit(payload, (extra_lines or []) + _report_lines(report), human)
+def _verify_witness(
+    args: argparse.Namespace, curve: ExpAffineCurve, sets: Scene, payload: dict, lines: list[str], key: str
+) -> int:
+    """Verify a constructed curve under the default plan, then emit the payload with its report."""
+    report = verify(curve, sets)
+    payload[key] = report.curve
+    payload["report"] = report.to_dict()
+    _emit(payload, lines + _report_lines(report), args.human)
     return 0 if report.all_avoided() else 1
 
 
@@ -148,7 +147,6 @@ def _cmd_diagonals(args: argparse.Namespace, scene: Scene) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace, scene: Scene) -> int:
-    plan = _plan_from_args(args)
     hyperplanes = list(scene.hyperplanes.items())
     real_name, real = _the_real_hyperplane(scene)
     verdict = classify([h for _, h in hyperplanes], real)
@@ -163,19 +161,12 @@ def _cmd_classify(args: argparse.Namespace, scene: Scene) -> int:
     if verdict.witness is None:
         _emit(payload, lines, args.human)
         return 0
-    report = verify(
-        verdict.witness,
-        _witness_scene(hyperplanes, [(real_name, real)]),
-        plan,
-    )
-    payload["witness"] = report.curve
-    payload["report"] = report.to_dict()
-    return _finish_verification(report, payload, args.human, lines)
+    sets = _witness_scene(hyperplanes, [(real_name, real)])
+    return _verify_witness(args, verdict.witness, sets, payload, lines, "witness")
 
 
 def _cmd_witness(args: argparse.Namespace, scene: Scene) -> int:
     hyperplanes = list(scene.hyperplanes.items())
-    plan = _plan_from_args(args)
     payload: dict = {"construction": args.construction}
     extra: list[str] = []
     if args.construction == "constant-projection":
@@ -202,19 +193,16 @@ def _cmd_witness(args: argparse.Namespace, scene: Scene) -> int:
         real_name, real = _the_real_hyperplane(scene)
         curve = witness_three_hyperplanes([h for _, h in hyperplanes], real)
         sets = _witness_scene(hyperplanes, [(real_name, real)])
-    report = verify(curve, sets, plan)
-    payload["curve"] = report.curve
-    payload["report"] = report.to_dict()
-    return _finish_verification(report, payload, args.human, extra)
+    return _verify_witness(args, curve, sets, payload, extra, "curve")
 
 
 def _cmd_verify(args: argparse.Namespace, scene: Scene) -> int:
     if args.curve not in scene.curves:
         raise ValueError(f"no curve named {args.curve!r} in the scene")
-    report = verify(
-        scene.curves[args.curve], scene, _plan_from_args(args), curve_name=args.curve
-    )
-    return _finish_verification(report, report.to_dict(), args.human)
+    plan = SamplingPlan(args.radius, args.grid, args.random, args.seed, args.tolerance)
+    report = verify(scene.curves[args.curve], scene, plan, curve_name=args.curve)
+    _emit(report.to_dict(), _report_lines(report), args.human)
+    return 0 if report.all_avoided() else 1
 
 
 def _cmd_project(args: argparse.Namespace, scene: Scene) -> int:
@@ -245,15 +233,6 @@ def _add_output_flags(sp: argparse.ArgumentParser) -> None:
     sp.set_defaults(human=False)
 
 
-def _add_plan_flags(sp: argparse.ArgumentParser) -> None:
-    default = SamplingPlan()
-    sp.add_argument("--radius", type=float, default=default.disk_radius, help="sampling disk radius")
-    sp.add_argument("--grid", type=int, default=default.grid_points, help="grid points per axis")
-    sp.add_argument("--random", type=int, default=default.random_points, help="random sample count")
-    sp.add_argument("--seed", type=int, default=default.seed, help="random seed")
-    sp.add_argument("--tolerance", type=float, default=default.tolerance, help="hit tolerance")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curveavoid",
@@ -261,12 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def subcommand(name: str, help_text: str, handler, plan: bool = False):
+    def subcommand(name: str, help_text: str, handler):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("scene", help="path to a scene file")
         _add_output_flags(sp)
-        if plan:
-            _add_plan_flags(sp)
         sp.set_defaults(handler=handler)
         return sp
 
@@ -280,11 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
         "classify",
         "decide whether nonconstant-projection curves can avoid the arrangement",
         _cmd_classify,
-        plan=True,
     )
-    witness = subcommand(
-        "witness", "construct a witness curve and verify it", _cmd_witness, plan=True
-    )
+    witness = subcommand("witness", "construct a witness curve and verify it", _cmd_witness)
     witness.add_argument(
         "--construction",
         required=True,
@@ -296,10 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
         ],
         help="which construction to run",
     )
-    verify_sp = subcommand(
-        "verify", "verify a named curve against the scene", _cmd_verify, plan=True
-    )
+    verify_sp = subcommand("verify", "verify a named curve against the scene", _cmd_verify)
     verify_sp.add_argument("--curve", required=True, help="curve name")
+    # the sampling flags: only `verify` can reach the sampler
+    default = SamplingPlan()
+    verify_sp.add_argument("--radius", type=float, default=default.disk_radius, help="sampling disk radius")
+    verify_sp.add_argument("--grid", type=int, default=default.grid_points, help="grid points per axis")
+    verify_sp.add_argument("--random", type=int, default=default.random_points, help="random sample count")
+    verify_sp.add_argument("--seed", type=int, default=default.seed, help="random seed")
+    verify_sp.add_argument("--tolerance", type=float, default=default.tolerance, help="hit tolerance")
     project = subcommand(
         "project", "evaluate the projectivised curve at a point", _cmd_project
     )

@@ -160,21 +160,23 @@ def _real_roots(p: list[int]) -> list[Fraction]:
     Sturm's theorem: the sign variations of the sequence p, p', -rem, ...
     drop by the number of distinct roots in (a, b] from a to b.  Bisection
     from (-2^k, 2^k], past Cauchy's bound, isolates each root; 0 is the
-    first midpoint, so a root at 0 is found exactly.
+    first midpoint, so a root at 0 is found exactly.  Each interval carries
+    the variations at its ends, so the chain is evaluated once per point.
     """
     chain = [p, _primitive(_derivative(p))]
     while len(chain[-1]) > 1:
         chain.append(_primitive([-c for c in _rem(chain[-2], chain[-1])]))
     bound = 2 ** (2 + max(map(abs, p[:-1])) // abs(p[-1])).bit_length()
-    roots, stack = [], [(Fraction(-bound), Fraction(bound))]
+    lo, hi = Fraction(-bound), Fraction(bound)
+    roots, stack = [], [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
     while stack:
-        lo, hi = stack.pop()
-        count = _variations(chain, lo) - _variations(chain, hi)
-        if count == 1:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
             roots.append(_refine(p, lo, hi))
-        elif count > 1:
+        elif v_lo - v_hi > 1:
             mid = (lo + hi) / 2
-            stack += [(lo, mid), (mid, hi)]
+            v_mid = _variations(chain, mid)
+            stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
     return roots
 
 

@@ -62,7 +62,6 @@ from .curves import (
     apply_form,
     constant_value,
     exp_term,
-    is_nowhere_zero,
     is_projectively_constant,
     scaled_values,
     terms_at,
@@ -158,15 +157,16 @@ class VerificationReport(NamedTuple):
 def _exact_hyperplane_result(name: str, s: ExpSum) -> SetResult:
     """The verdict for a hyperplane whose form composed with the curve is s.
 
-    The zero sum is a zero-set hit.  Otherwise `is_nowhere_zero` decides:
-    avoidance, or a violation whose sample is the zero `_nearest_zero`
-    finds, if any.
+    The direction groups of s decide, as in `curves.is_nowhere_zero`: none
+    (the zero sum) is a zero-set hit, one is avoidance, and two or more
+    are a violation whose sample is the zero `_nearest_zero` finds, if any.
     """
-    if not s:
+    groups = _direction_groups(s)
+    if not groups:
         return SetResult(name, "exact", ZERO_SET_HIT, None, (0.0, 0.0))
-    if is_nowhere_zero(s) == "yes":
+    if len(groups) == 1:
         return SetResult(name, "exact", AVOIDED, None, None)
-    return _exact_violation(name, _nearest_zero(s))
+    return _exact_violation(name, _nearest_zero(groups))
 
 
 def _exact_violation(name: str, zero: complex | None) -> SetResult:
@@ -174,17 +174,17 @@ def _exact_violation(name: str, zero: complex | None) -> SetResult:
     return SetResult(name, "exact", VIOLATED, None, sample)
 
 
-def _nearest_zero(s: ExpSum) -> complex | None:
+def _nearest_zero(groups: dict[Poly, ExpSum]) -> complex | None:
     """A zero near the origin of s = e^(d0) sum C_n w^n in the unit w = e^(P(z)).
 
-    The C_n are the direction groups of s, and P comes from
-    `curves.unit_exponent` on their directions.  The zeros are the z with
-    P(z) = Log w + 2 pi i k over the nonzero roots w of the polynomial in w
-    and the integers k (`_nearest`).  For degree 1, Log w = log C0 - log C1
-    + i pi in the log domain, so constants beyond the float range keep
-    their zero.  None when s has no unit or floating point loses every root.
+    The C_n are the direction groups of s, which the caller has formed,
+    and P comes from `curves.unit_exponent` on their directions.  The
+    zeros are the z with P(z) = Log w + 2 pi i k over the nonzero roots w
+    of the polynomial in w and the integers k (`_nearest`).  For degree 1,
+    Log w = log C0 - log C1 + i pi in the log domain, so constants beyond
+    the float range keep their zero.  None when s has no unit or floating
+    point loses every root.
     """
-    groups = _direction_groups(s)
     found = unit_exponent(list(groups))
     if found is None:
         return None
@@ -253,7 +253,7 @@ def _exact_subspace_result(name: str, subspace: RealSubspace, curve: ExpAffineCu
     subspace.  At rank 1 the subspace is the zero set of Re g for the first
     nonconstant g, which vanishes where g = it (little Picard); t = 0 when
     g has a constant group, else t = 1, and g - it has a zero
-    (`is_nowhere_zero`).  At rank 2 two restrictions with independent
+    (`curves.is_nowhere_zero`).  At rank 2 two restrictions with independent
     nonconstant parts carry the zero set, and `resultant.unit_plane_zeros`
     decides it when their exponents share a unit.  Otherwise None.
     """

@@ -42,6 +42,7 @@ hyperplane H4: z1 + z2 + z3 = 0
 real S: x1 + 2*x2 + 3*x3 = 0
 """
 VIOLATING = "hyperplane D: z1 + z2 = 0\ncurve f: (exp(z), 1, 1)\n"
+CONSTRUCTIONS = ["constant-projection", "dim4-subspace", "degenerate-pair", "three-hyperplanes"]
 SEVENTEEN_TERMS = " + ".join(f"exp({k}*z)" for k in range(17))
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -236,21 +237,21 @@ class TestClassify:
         assert err == "error: hyperplanes 1, 2, 3 are not in general position\n"
 
     @pytest.mark.parametrize(
-        "flags",
-        [
-            ("--radius", "nan"),
-            ("--radius", "-1"),
-            ("--tolerance", "inf"),
-            ("--grid", "0"),
-            ("--grid", "2", "--random", "0"),
-        ],
+        "flag, value",
+        [("--radius", "10"), ("--grid", "101"), ("--random", "0"), ("--seed", "0"), ("--tolerance", "1e-9")],
     )
-    def test_invalid_plan_is_two_without_a_witness(self, scene, capsys, flags):
-        path = scene(STANDARD4 + "real S: x1 + 2*x2 + 3*x3 = 0\n")
-        code, out, err = run(capsys, "classify", *flags, path)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
+    @pytest.mark.parametrize(
+        "command",
+        [("classify",)] + [("witness", "--construction", c) for c in CONSTRUCTIONS],
+        ids=["classify"] + [f"witness-{c}" for c in CONSTRUCTIONS],
+    )
+    def test_sampling_flags_are_unrecognized(self, scene, capsys, command, flag, value):
+        """Only verify samples: the constructing commands take no plan, not even the default."""
+        with pytest.raises(SystemExit) as exc:
+            main([*command, scene(DEGENERATE), flag, value])
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        assert f"error: unrecognized arguments: {flag} {value}\n" in out.err
 
 
 class TestWitness:

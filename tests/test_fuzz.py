@@ -6,8 +6,10 @@ exp() of polynomials and '^') and from raw printable text, with decimal
 digits of other scripts mixed in.  A second test
 writes grammar scenes as bytes with bytes that are not UTF-8 spliced in;
 a file that does not decode must exit 2.  Every
-subcommand is run in process through `cli.main`, with plan flags that
-include 0, negative values, nan and inf.  For each example the exit code
+subcommand is run in process through `cli.main`.  `verify`, the one
+command that samples, gets plan flags that include 0, negative values, nan
+and inf; `classify` and `witness` get a stray plan flag one time in ten,
+and must then exit 2.  For each example the exit code
 must be one of 0-3, no exception may escape `main` (a numpy warning is an
 error under this suite's settings), and the run must finish within
 `TIME_BOUND_S`.  Each generated part is valid nine times in ten, so that
@@ -155,11 +157,14 @@ def argvs(draw):
     argv = [command]
     if draw(st.booleans()):
         argv.append(draw(st.sampled_from(["--json", "--human"])))
-    if command in ("classify", "witness", "verify"):
+    if command == "verify":
         for flag, (valid, invalid) in PLAN_VALUES.items():
             # the default grid and random counts are large, so these two are always given
             if flag in ("--grid", "--random") or draw(st.booleans()):
                 argv += [flag, draw(mostly(st.sampled_from(valid), st.sampled_from(invalid)))]
+    if command in ("classify", "witness"):
+        stray = [[flag, value] for flag, (valid, _) in PLAN_VALUES.items() for value in valid]
+        argv += draw(mostly(st.just([]), st.sampled_from(stray)))
     if command == "witness":
         constructions = [
             "constant-projection", "dim4-subspace", "degenerate-pair", "three-hyperplanes",
@@ -192,6 +197,8 @@ def run_scene(argv, data: bytes):
         code = run_main(argv + [str(path)])
         elapsed = time.perf_counter() - start
     assert code in (0, 1, 2, 3), (code, argv, data)
+    if argv[0] in ("classify", "witness") and set(argv) & set(PLAN_VALUES):
+        assert code == 2, (code, argv, data)
     assert elapsed < TIME_BOUND_S, (elapsed, argv, data)
     return code
 

@@ -226,3 +226,28 @@ def test_precomposition_keeps_seeded_one_unit_verdicts():
         for scene in seeded_scenes(10, 13):
             for q in seeded_polynomials(rng):
                 assert_precomposition_keeps_the_verdicts(scene, q)
+
+
+def test_precomposition_keeps_the_refutation_search():
+    """The refutation search's diagonal curves (`test_arrangement`, seed 9), each precomposed with one q.
+
+    q is one of `seeded_polynomials`, drawn from its own rng.  f o q meets
+    exactly the sets that f meets, so each precomposed curve is still
+    decided exactly, with a nonconstant projection, meeting S and no
+    hyperplane.
+    """
+    rng, shapes = random.Random(9), random.Random(19)
+    checked = curves = 0
+    with budget(5.0):
+        for hyperplanes, s, tag, _, points in refutation_arrangements(rng):
+            if checked == 30:
+                break
+            if tag == WITNESS_EXISTS:
+                continue
+            checked += 1
+            scene = refutation_scene(hyperplanes, s)
+            for curve in diagonal_curves(rng, points, 6):
+                q = shapes.choice(seeded_polynomials(shapes))
+                assert_meets_only_s(precompose_curve(curve, q), scene)
+                curves += 1
+    assert curves == 540
