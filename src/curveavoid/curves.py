@@ -460,6 +460,8 @@ def witness_degenerate_pair(
         raise ValueError("pair indices must satisfy 1 <= j < k <= 4")
     if len(hyperplanes) != 4:
         raise ValueError("exactly four hyperplanes are required")
+    if any(len(h.coefficients) != 3 for h in hyperplanes):
+        raise ValueError("hyperplanes live in C^3")
     require_general_position(hyperplanes, 3)
     p = intersection_point([hyperplanes[j - 1], hyperplanes[k - 1]]).coords
     q = intersection_point([h for i, h in enumerate(hyperplanes, 1) if i not in pair]).coords

@@ -28,8 +28,8 @@ rounds.  The identity holds over any commutative integral domain, so one
 kernel serves Q and Q(i): a real row enters with imaginary parts 0 and
 keeps them.  At the end every pivot entry equals the last pivot.  Ranks
 read the pivot count and convert nothing; `_rref` divides each rational
-row by its pivot once, which gives the unique reduced row echelon form
-with unit pivots, the one rational elimination gives.
+row by its pivot once, for the unique unit-pivot echelon form.  Kernel
+vectors are built in Q(i) only, and `kernel_real` reads their real parts.
 """
 
 from __future__ import annotations
@@ -253,46 +253,31 @@ def _eliminate(rows: Sequence[Sequence[GQLike]]) -> tuple[list[list[int]], list[
     return m_re[:row], m_im[:row], pivots
 
 
-def _quotient(x_re: int, x_im: int, d_re: int, d_im: int, complex_field: bool):
-    """(x_re + i x_im) / (d_re + i d_im) in the input's field."""
-    if not complex_field:
-        return Fraction(x_re, d_re)
-    n = d_re * d_re + d_im * d_im
-    return _reduced(x_re * d_re + x_im * d_im, x_im * d_re - x_re * d_im, n)
-
-
 def _rref(rows: Sequence[Sequence[RationalLike]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Q with unit pivots; returns (rows, pivot cols)."""
     _check_rational(rows)
-    if not rows or not rows[0]:
-        return [], []
     m_re, _, pivots = _eliminate(rows)
     reduced = [[Fraction(a, x[pc]) for a in x] for x, pc in zip(m_re, pivots)]
     return reduced, pivots
 
 
-def _kernel(
-    rows: Sequence[Sequence[T]], width: int, complex_field: bool
-) -> list[tuple[T, ...]]:
-    """Kernel basis, each vector scaled so its first nonzero entry is 1.
+def _kernel(rows: Sequence[Sequence[GQLike]], width: int) -> list[ComplexVector]:
+    """Kernel basis over Q(i), each vector scaled so its first nonzero entry is 1.
 
     With d the common pivot, d*e_fc - sum_r m[r][fc]*e_pc(r) is d times the
     vector the unit-pivot RREF gives for free column fc.
     """
     m_re, m_im, pivots = _eliminate(rows)
     d_re, d_im = (m_re[0][pivots[0]], m_im[0][pivots[0]]) if pivots else (1, 0)
-    basis: list[tuple[T, ...]] = []
-    for fc in range(width):
-        if fc in pivots:
-            continue
+    basis: list[ComplexVector] = []
+    for fc in (c for c in range(width) if c not in pivots):
         v_re, v_im = [0] * width, [0] * width
         v_re[fc], v_im[fc] = d_re, d_im
         for x_re, x_im, pc in zip(m_re, m_im, pivots):
             v_re[pc], v_im[pc] = -x_re[fc], -x_im[fc]
         l_re, l_im = next((a, b) for a, b in zip(v_re, v_im) if a or b)
-        basis.append(
-            tuple(_quotient(a, b, l_re, l_im, complex_field) for a, b in zip(v_re, v_im))
-        )
+        n = l_re * l_re + l_im * l_im
+        basis.append(tuple(_reduced(a * l_re + b * l_im, b * l_re - a * l_im, n) for a, b in zip(v_re, v_im)))
     return basis
 
 
@@ -315,11 +300,15 @@ def rank_complex(rows: Sequence[Sequence[GQLike]]) -> int:
 
 
 def kernel_real(rows: Sequence[Sequence[RationalLike]], width: int) -> list[RationalVector]:
-    """Basis of the right kernel, each vector scaled so its first nonzero entry is 1."""
+    """Basis of the right kernel, each vector scaled so its first nonzero entry is 1.
+
+    Vector k ends at the k-th free column of the echelon form, so the
+    columns at which no vector ends are exactly the pivot columns.
+    """
     _check_rational(rows)
     if rows and _check_rect(rows) != width:
         raise ValueError(f"expected {width} columns")
-    return _kernel(rows, width, False)
+    return [tuple(x.re for x in v) for v in _kernel(rows, width)]
 
 
 def kernel_complex(rows: Sequence[Sequence[GQLike]], width: int | None = None) -> list[ComplexVector]:
@@ -329,7 +318,7 @@ def kernel_complex(rows: Sequence[Sequence[GQLike]], width: int | None = None) -
         raise ValueError("width required for an empty matrix")
     if rows and width is not None and w != width:
         raise ValueError(f"expected {width} columns")
-    return _kernel(rows, w, True)
+    return _kernel(rows, w)
 
 
 def orthogonal_complement(rows: Sequence[Sequence[RationalLike]]) -> list[RationalVector]:

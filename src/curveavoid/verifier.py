@@ -67,7 +67,7 @@ from .curves import (
     terms_at,
     unit_exponent,
 )
-from .exact_linalg import GQ_I, GQ_ZERO, _rref, kernel_real
+from .exact_linalg import GQ_I, GQ_ZERO, kernel_real
 from .scene import Scene, format_exp_sum
 
 AVOIDED = "avoided"
@@ -271,7 +271,9 @@ def _exact_subspace_result(name: str, subspace: RealSubspace, curve: ExpAffineCu
     if rank == 0:
         return SetResult(name, "exact", ZERO_SET_HIT, None, (0.0, 0.0))
     if rank == 2:
-        a, b = _rref(rows)[1]  # the pivot columns: the first independent pair
+        # a kernel vector ends at its free column; the two pivot columns are the first independent pair
+        free = {max(k for k, x in enumerate(v) if x) for v in kernel}
+        a, b = (k for k in range(len(restrictions)) if k not in free)
         return _unit_plane_result(name, restrictions[a], restrictions[b])
     if rank > 2:
         return None

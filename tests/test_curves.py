@@ -550,6 +550,14 @@ class TestWitnessDegeneratePair:
         with pytest.raises(ConstructionError, match="construction failed"):
             witness_degenerate_pair(STANDARD, s, (1, 2))
 
+    def test_hyperplanes_of_cp3_rejected(self):
+        """Like its sibling constructions, it names the dimension before any elimination."""
+        hs = [ComplexHyperplane(c) for c in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 1))]
+        with pytest.raises(ValueError, match=r"hyperplanes live in C\^3"):
+            witness_dim4_subspace(hs)
+        with pytest.raises(ValueError, match=r"hyperplanes live in C\^3"):
+            witness_degenerate_pair(hs, real_subspace((1, 0, 0, 0, 0, 0)), (1, 2))
+
     def test_transverse_pair_rejected(self):
         s = real_subspace((1, 0, 2, 0, 3, 0))
         with pytest.raises(ValueError, match="general position"):

@@ -1,6 +1,7 @@
 """Tests for exact linear algebra over Q and Q(i)."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -267,6 +268,27 @@ def test_real_kernel_matches_reference(rows):
     if width == 6:
         assert rank_real(rows) == len(pivots)
         assert orthogonal_complement(rows) == reference_kernel(rows, 6, F(1))
+
+
+def test_kernel_real_vectors_end_at_the_free_columns():
+    """The last nonzero index of each `kernel_real` vector runs through the non-pivot columns.
+
+    Half the seeded matrices repeat a multiple of their first column as the
+    second, so their first two columns are dependent and the pivots skip one.
+    """
+    rng = random.Random(27)
+    for trial in range(300):
+        width = rng.randint(1, 7)
+        rows = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(width)] for _ in range(rng.randint(0, 5))]
+        if trial % 2 and width > 1:
+            for r in rows:
+                r[1] = -2 * r[0]
+        if trial % 3 == 0 and rows:
+            rows.append([a + b for a, b in zip(rows[0], rows[-1])])
+        kernel = kernel_real(rows, width)
+        assert all(type(x) is Fraction for v in kernel for x in v)
+        ends = [max(k for k, x in enumerate(v) if x) for v in kernel]
+        assert ends == [c for c in range(width) if c not in _rref(rows)[1]]
 
 
 @settings(max_examples=200, deadline=None)

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from curveavoid.arrangement import RealSubspace, holomorphic_coefficients
 from curveavoid.cli import main
-from curveavoid.curves import ExpAffineCurve, exp_sum, exp_term
+from curveavoid.curves import ExpAffineCurve, apply_form, exp_sum, exp_term
 from curveavoid.exact_linalg import gq
 from curveavoid.projective import ComplexHyperplane
 from curveavoid.scene import Scene, parse_scene
@@ -232,6 +232,41 @@ class TestExactPaths:
         assert r.violation_sample == pytest.approx((0.194272, -1.650346), abs=1e-6)
         z = np.array([complex(*r.violation_sample)])
         assert reference_margins(scene.reals["H"], scene.curves["f"], z)[0] <= 1e-9
+
+    def test_a_rank_two_subspace_is_eliminated_once(self, monkeypatch):
+        """The pivot pair comes from the kernel's own elimination, not from a second one."""
+        import curveavoid.exact_linalg as exact_linalg
+
+        scene = parse_scene((SCENES / "dim4_hit.scene").read_text())
+        widths = []
+        eliminate = exact_linalg._eliminate
+
+        def counting(rows):
+            widths.append(len(rows[0]))
+            return eliminate(rows)
+
+        monkeypatch.setattr(exact_linalg, "_eliminate", counting)
+        r = verify(scene.curves["f"], scene).results[-1]
+        assert (r.set, r.method, r.verdict) == ("H", "exact", VIOLATED)
+        assert widths == [2]  # H's two restrictions, eliminated by `kernel_real` alone
+
+    def test_the_pivot_pair_skips_a_dependent_restriction(self, monkeypatch):
+        """e^z, e^z, e^(2z): the second restriction repeats the first, so the pair is (0, 2)."""
+        import curveavoid.verifier as verifier
+
+        pairs = []
+        unit_plane_result = verifier._unit_plane_result
+
+        def capture(name, g1, g2):
+            pairs.append((g1, g2))
+            return unit_plane_result(name, g1, g2)
+
+        monkeypatch.setattr(verifier, "_unit_plane_result", capture)
+        scene, f = scene_and_curve("real T: x1 = 0; x2 = 0; x3 = 0\ncurve f: (exp(z), exp(z), exp(2*z))")
+        r = verify(f, scene).results[0]
+        assert (r.method, r.verdict) == ("exact", AVOIDED)
+        forms = [holomorphic_coefficients(form) for form in scene.reals["T"].forms]
+        assert pairs == [(apply_form(forms[0], f), apply_form(forms[2], f))]
 
     def test_shift_by_a_large_imaginary_constant_keeps_the_sample_near(self):
         """With z + 20i, the branches of Log w are centred on Im(Log w - 20i), not on Im(Log w).

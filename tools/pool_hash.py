@@ -12,8 +12,12 @@ turn, the hashed bytes are the 300 `exact-sweep` results, each written as
     "\\0".join([repr(verdict), repr(error), report JSON or "", repr(diagonals), repr(general)])
 
 followed by the 250 `sampled-verify` report JSONs, all concatenated with
-no separator, in UTF-8.  It prints the hex digest and the number of
-failed checks, and writes no file: bytecode is not cached.
+no separator, in UTF-8.  It prints the hex digest beside `RECORDED`,
+the digest of the current specification, and the number of failed
+checks, and writes no file: bytecode is not cached.  It exits 1 when a
+check fails or the digest differs from `RECORDED`.  A recorded
+specification change that moves the digest updates `RECORDED` in the
+same commit.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import run as bench  # noqa: E402  (perfbench/run.py)
 
 SEEDS = (7, 8, 9)
+RECORDED = "5f0a170dbd4316dba217f56521e384a0d0f5556ede721d67921a109f99462f7b"
 
 
 def main() -> int:
@@ -48,8 +53,10 @@ def main() -> int:
             report = sampled.run(i)
             failed += sampled.check(i, report).failed
             digest.update(report.to_json().encode())
-    print(f"{digest.hexdigest()}  seeds {', '.join(map(str, SEEDS))}; failed {failed}")
-    return 1 if failed else 0
+    computed = digest.hexdigest()
+    print(f"{computed}  seeds {', '.join(map(str, SEEDS))}; failed {failed}")
+    print(f"{RECORDED}  recorded; {'match' if computed == RECORDED else 'MISMATCH'}")
+    return 1 if failed or computed != RECORDED else 0
 
 
 if __name__ == "__main__":
