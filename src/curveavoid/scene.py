@@ -19,12 +19,15 @@ the parser reads or builds has numerators and denominators of at most
 MAX_DIGITS digits in its real and imaginary parts, since the cost of exact
 elimination grows with the size of the entries.
 
-A line is scanned in one pass of one pattern: each match is a token with
-the whitespace before it, a '#' ends the line's tokens, and any other
-character is an error at its column.  The token list ends in a sentinel
-whose column is one past the line's end, so the parser looks ahead by one
-index with no bounds check and reports an error at the end of a line, as
-at any token, at the sentinel.  Number tokens are read as integers.
+A line's code, the text before its first '#', is first searched for a
+character that no token may contain, an error at its column; every other
+character starts or continues a number, a name or an operator, so the
+code's tokens are then the strings of one `findall`.  A number token
+starts with a digit and is read as integers, and a name is an identifier.
+The token list ends in a sentinel, a string that no token equals, so the
+parser looks ahead by one index with no bounds check.  An error is raised
+at the index of its token and located only when it is reported: at the
+token's column, or one past the line's end for the sentinel.
 """
 
 from __future__ import annotations
@@ -56,29 +59,23 @@ class ParseError(ValueError):
         self.column = column
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
+class _TokenError(Exception):
+    """A parse error at the index-th token of a line, located when it is reported."""
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.column)
+    def at(self, line: int, text: str) -> ParseError:
+        """The error at its column in text, the line's raw text."""
+        index, message = self.args
+        starts = [m.start() + 1 for m in _TOKEN_RE.finditer(text.partition("#")[0])]
+        return ParseError(message, line, starts[index] if index < len(starts) else len(text) + 1)
 
 
 # lines end at \n, \r\n and \r, as in a file read with universal newlines;
 # the other breaks of `str.splitlines` (form feed, U+2028, ...) match \s
 _LINE_END = re.compile(r"\r\n|\r|\n")
-# The last alternative is \S, not '.': a '.' would back up into the
-# whitespace before the line's end and match it.  Trailing whitespace thus
-# matches nothing, and every other match starts where the last one ended.
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>[0-9]+(?:/[0-9]+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()=:;,])"
-    r"|(?P<comment>#)"
-    r"|(?P<error>\S))"
-)
+_BAD_CHAR = re.compile(r"[^0-9A-Za-z_\s\-+*/^()=:;,]")
+_TOKEN_RE = re.compile(r"[0-9]+(?:/[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()=:;,]")
+# no token, and no substring of "+-", "*/" or "^", which the parser tests with `in`
+_END = "\n"
 
 MAX_DEGREE = 64
 MAX_TERMS = 256
@@ -90,75 +87,65 @@ COMPLEX_VARS = ("z1", "z2", "z3")
 REAL_VARS = ("x1", "y1", "x2", "y2", "x3", "y3")
 
 
-def _tokenize_line(text: str, line_no: int) -> list[Token]:
+def _tokenize_line(text: str, line_no: int) -> list[str]:
     """The tokens of one line, then the end-of-line sentinel."""
-    tokens: list[Token] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "comment":
-            break
-        tok = Token(kind, m[kind], line_no, m.start(kind) + 1)
-        if kind == "error":
-            raise tok.error(f"unexpected character {tok.text!r}")
-        tokens.append(tok)
-    # its text is no operator, and not "", which `in "+-"` would match
-    tokens.append(Token("end", "end of line", line_no, len(text) + 1))
+    code = text.partition("#")[0]
+    if bad := _BAD_CHAR.search(code):
+        raise ParseError(f"unexpected character {bad[0]!r}", line_no, bad.start() + 1)
+    tokens = _TOKEN_RE.findall(code)
+    tokens.append(_END)
     return tokens
 
 
 class _Cursor:
     """Reads a line's tokens in order; `next` never moves past the sentinel."""
 
-    def __init__(self, tokens: list[Token]) -> None:
+    def __init__(self, tokens: list[str]) -> None:
         self.tokens = tokens
         self.index = 0
         self.depth = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.index]
-
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.index]
-        if tok.kind == "end":
-            raise tok.error("unexpected end of line")
+        if tok == _END:
+            raise _TokenError(self.index, "unexpected end of line")
         self.index += 1
         return tok
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> None:
         tok = self.next()
-        if tok.text != text:
-            raise tok.error(f"expected {text!r}, got {tok.text!r}")
-        return tok
+        if tok != text:
+            raise _TokenError(self.index - 1, f"expected {text!r}, got {tok!r}")
 
-    def descend(self, tok: Token) -> None:
-        """Enter one more level of nesting, opened by tok; the caller leaves it."""
+    def descend(self) -> None:
+        """Enter one more level of nesting, opened by the token just read; the caller leaves it."""
         if self.depth == MAX_DEPTH:
-            raise tok.error(f"expressions nest at most {MAX_DEPTH} levels deep")
+            raise _TokenError(self.index - 1, f"expressions nest at most {MAX_DEPTH} levels deep")
         self.depth += 1
 
 
-def _height_error(tok: Token) -> ParseError:
-    return tok.error(f"numerators and denominators have at most {MAX_DIGITS} digits")
+def _height_error(at: int) -> _TokenError:
+    return _TokenError(at, f"numerators and denominators have at most {MAX_DIGITS} digits")
 
 
-def _bounded(c: GaussianRational, tok: Token) -> GaussianRational:
+def _bounded(c: GaussianRational, at: int) -> GaussianRational:
     """c, unless one of its four integers has more than MAX_DIGITS digits; its height bounds all four."""
     if c.height() < _HEIGHT_LIMIT:
         return c
     re, im = c.re, c.im
     if max(abs(re.numerator), re.denominator, abs(im.numerator), im.denominator) >= _HEIGHT_LIMIT:
-        raise _height_error(tok)
+        raise _height_error(at)
     return c
 
 
-def _literal(tok: Token) -> GaussianRational:
+def _literal(tok: str, at: int) -> GaussianRational:
     """A number token as a reduced triple, its digits counted before Python converts them."""
-    num, _, den = tok.text.partition("/")
+    num, _, den = tok.partition("/")
     num, den = num.lstrip("0"), den.lstrip("0") if den else "1"
     if len(num) > MAX_DIGITS or len(den) > MAX_DIGITS:
-        raise _height_error(tok)
+        raise _height_error(at)
     if not den:
-        raise tok.error("zero denominator")
+        raise _TokenError(at, "zero denominator")
     return _reduced(int(num or 0), 0, int(den))
 
 
@@ -169,18 +156,18 @@ def _literal(tok: Token) -> GaussianRational:
 # named variables, polynomials in z, and exponential sums.  In each a value
 # is a sparse sum, a dict from monomials to nonzero coefficients, so
 # `_Domain` holds all the arithmetic and a subclass only says what its
-# monomials are.  Binary operations receive their operator token (the
-# exponent for '^'), where any error they raise is reported, and pass each
-# coefficient they build through `_bounded`.  A value belongs to the one
-# expression being parsed, so a sum merges its right operand into its left
-# in place (`curves._merge`): n terms cost n dict updates.
+# monomials are.  Binary operations receive the index of their operator
+# token (of the exponent for '^'), where any error they raise is reported,
+# and pass each coefficient they build through `_bounded`.  A value belongs
+# to the one expression being parsed, so a sum merges its right operand
+# into its left in place (`curves._merge`): n terms cost n dict updates.
 
 class _Domain:
     """Arithmetic on sparse sums, the same in every domain.
 
-    A subclass supplies `one`, its constant monomial; `variable`;
-    `check_product(a, b, op)`, which raises at op if a*b leaves the domain;
-    and `monomial_product(m, n, op)`.
+    A subclass supplies `one`, its constant monomial; `variable(cur, name)`,
+    which raises at the name, the token just read; `check_product(a, b, op)`,
+    which raises at op if a*b leaves the domain; and `monomial_product(m, n, op)`.
     """
 
     one: object
@@ -188,18 +175,18 @@ class _Domain:
     def number(self, c: GaussianRational) -> dict:
         return {self.one: c} if c else {}
 
-    def add(self, a: dict, b: dict, op: Token) -> dict:
+    def add(self, a: dict, b: dict, op: int) -> dict:
         for m, c in b.items():
             _bounded(_merge(a, m, c), op)
         # only curve components can have this many terms
         if len(a) > MAX_TERMS:
-            raise op.error(f"a curve component has at most {MAX_TERMS} terms")
+            raise _TokenError(op, f"a curve component has at most {MAX_TERMS} terms")
         return a
 
     def negate(self, a: dict) -> dict:
         return {m: -c for m, c in a.items()}
 
-    def multiply(self, a: dict, b: dict, op: Token) -> dict:
+    def multiply(self, a: dict, b: dict, op: int) -> dict:
         if len(a) == 1 and self.one in a:
             a, b = b, a
         if len(b) == 1 and self.one in b:
@@ -218,76 +205,82 @@ class _Domain:
             _bounded(c, op)
         return product
 
-    def divide(self, a: dict, b: dict, op: Token) -> dict:
+    def divide(self, a: dict, b: dict, op: int) -> dict:
         if b.keys() != {self.one}:
-            raise op.error("division is only by nonzero constants")
+            raise _TokenError(op, "division is only by nonzero constants")
         k = b[self.one]
         return {m: _bounded(c / k, op) for m, c in a.items()}
 
-    def power(self, a: dict, exponent: int, op: Token) -> dict:
-        raise op.error("'^' is not allowed here")
+    def power(self, a: dict, exponent: int, op: int) -> dict:
+        raise _TokenError(op, "'^' is not allowed here")
 
+
+# The parser looks ahead with `cur.tokens[cur.index]`, and steps over a token
+# it has just matched, so never the sentinel, with `cur.index += 1`.
 
 def _parse_expression(cur: _Cursor, domain: _Domain):
     value = _parse_term(cur, domain)
-    while (tok := cur.peek()).text in "+-":
-        cur.next()
+    while (tok := cur.tokens[cur.index]) in "+-":
+        op = cur.index
+        cur.index += 1
         rhs = _parse_term(cur, domain)
-        value = domain.add(value, domain.negate(rhs) if tok.text == "-" else rhs, tok)
+        value = domain.add(value, domain.negate(rhs) if tok == "-" else rhs, op)
     return value
 
 
 def _parse_term(cur: _Cursor, domain: _Domain):
     value = _parse_factor(cur, domain)
-    while (tok := cur.peek()).text in "*/":
-        cur.next()
+    while (tok := cur.tokens[cur.index]) in "*/":
+        op = cur.index
+        cur.index += 1
         rhs = _parse_factor(cur, domain)
-        if tok.text == "*":
-            value = domain.multiply(value, rhs, tok)
+        if tok == "*":
+            value = domain.multiply(value, rhs, op)
         else:
-            value = domain.divide(value, rhs, tok)
+            value = domain.divide(value, rhs, op)
     return value
 
 
 def _parse_factor(cur: _Cursor, domain: _Domain):
-    tok = cur.peek()
-    if tok.text in "+-":
-        cur.next()
-        cur.descend(tok)
+    tok = cur.tokens[cur.index]
+    if tok in "+-":
+        cur.index += 1
+        cur.descend()
         value = _parse_factor(cur, domain)
         cur.depth -= 1
-        return domain.negate(value) if tok.text == "-" else value
+        return domain.negate(value) if tok == "-" else value
     value = _parse_atom(cur, domain)
-    while cur.peek().text == "^":
-        cur.next()
-        etok = cur.next()
-        if etok.kind != "number" or "/" in etok.text:
-            raise etok.error("exponent must be a nonnegative integer")
+    while cur.tokens[cur.index] == "^":
+        cur.index += 1
+        exponent = cur.next()
+        if not exponent.isdigit():
+            raise _TokenError(cur.index - 1, "exponent must be a nonnegative integer")
         # digits counted first, as in `_literal`: so many are above any degree bound
-        digits = etok.text.lstrip("0")
-        value = domain.power(value, int(digits or 0) if len(digits) <= MAX_DIGITS else MAX_DEGREE + 1, etok)
+        digits = exponent.lstrip("0")
+        n = int(digits or 0) if len(digits) <= MAX_DIGITS else MAX_DEGREE + 1
+        value = domain.power(value, n, cur.index - 1)
     return value
 
 
 def _parse_atom(cur: _Cursor, domain: _Domain):
     tok = cur.next()
-    if tok.text == "(":
-        cur.descend(tok)
+    if tok == "(":
+        cur.descend()
         value = _parse_expression(cur, domain)
         cur.expect(")")
         cur.depth -= 1
         return value
-    if tok.kind == "number":
-        c = _literal(tok)
-        if cur.peek().text == "i":
-            cur.next()
+    if tok[0].isdigit():
+        c = _literal(tok, cur.index - 1)
+        if cur.tokens[cur.index] == "i":
+            cur.index += 1
             c = c * GQ_I
         return domain.number(c)
-    if tok.text == "i":
+    if tok == "i":
         return domain.number(GQ_I)
-    if tok.kind == "name":
+    if tok.isidentifier():
         return domain.variable(cur, tok)
-    raise tok.error(f"unexpected token {tok.text!r}")
+    raise _TokenError(cur.index - 1, f"unexpected token {tok!r}")
 
 
 class _LinearDomain(_Domain):
@@ -298,14 +291,14 @@ class _LinearDomain(_Domain):
     def __init__(self, variables: Sequence[str]) -> None:
         self.variables = variables
 
-    def variable(self, cur, tok):
-        if tok.text not in self.variables:
-            raise tok.error(f"unknown variable {tok.text!r}")
-        return {tok.text: GQ_ONE}
+    def variable(self, cur, name):
+        if name not in self.variables:
+            raise _TokenError(cur.index - 1, f"unknown variable {name!r}")
+        return {name: GQ_ONE}
 
     def check_product(self, a, b, op):
         if a.keys() - {1} and b.keys() - {1}:
-            raise op.error("products of variables are not linear")
+            raise _TokenError(op, "products of variables are not linear")
 
     def monomial_product(self, m, n, op):
         return n if m == 1 else m
@@ -316,21 +309,21 @@ class _PolyDomain(_Domain):
 
     one = 0
 
-    def variable(self, cur, tok):
-        if tok.text != "z":
-            raise tok.error(f"only z may appear inside exp(), not {tok.text!r}")
+    def variable(self, cur, name):
+        if name != "z":
+            raise _TokenError(cur.index - 1, f"only z may appear inside exp(), not {name!r}")
         return {1: GQ_ONE}
 
     def check_product(self, a, b, op):
         if a and b and max(a) + max(b) > MAX_DEGREE:
-            raise op.error(f"exponent polynomials have degree at most {MAX_DEGREE}")
+            raise _TokenError(op, f"exponent polynomials have degree at most {MAX_DEGREE}")
 
     def monomial_product(self, m, n, op):
         return m + n
 
     def power(self, a, exponent, op):
         if exponent > MAX_DEGREE or max(a, default=0) * exponent > MAX_DEGREE:
-            raise op.error(f"exponent polynomials have degree at most {MAX_DEGREE}")
+            raise _TokenError(op, f"exponent polynomials have degree at most {MAX_DEGREE}")
         out = self.number(GQ_ONE)
         for _ in range(exponent):
             out = self.multiply(out, a, op)
@@ -342,10 +335,11 @@ class _CurveDomain(_Domain):
 
     one = POLY_ZERO
 
-    def variable(self, cur, tok):
-        if tok.text != "exp":
-            raise tok.error(f"unexpected name {tok.text!r} in a curve component")
-        cur.descend(cur.expect("("))
+    def variable(self, cur, name):
+        if name != "exp":
+            raise _TokenError(cur.index - 1, f"unexpected name {name!r} in a curve component")
+        cur.expect("(")
+        cur.descend()
         p = _parse_expression(cur, _PolyDomain())
         cur.expect(")")
         cur.depth -= 1
@@ -353,7 +347,7 @@ class _CurveDomain(_Domain):
 
     def check_product(self, a, b, op):
         if len(a) * len(b) > MAX_TERMS:
-            raise op.error(f"a curve component has at most {MAX_TERMS} terms")
+            raise _TokenError(op, f"a curve component has at most {MAX_TERMS} terms")
 
     def monomial_product(self, p, q, op):
         return poly([_bounded(x + y, op) for x, y in zip_longest(p, q, fillvalue=GQ_ZERO)])
@@ -389,14 +383,13 @@ class Scene(_SceneFields):
 def _parse_zero_form(cur: _Cursor, variables: Sequence[str]) -> tuple[GaussianRational, ...]:
     value = _parse_expression(cur, _LinearDomain(variables))
     cur.expect("=")
-    zero = cur.next()
-    if zero.text != "0":
-        raise zero.error("declarations end with '= 0'")
+    if cur.next() != "0":
+        raise _TokenError(cur.index - 1, "declarations end with '= 0'")
     if 1 in value:
-        raise cur.peek().error("a linear form may not have a constant part")
+        raise _TokenError(cur.index, "a linear form may not have a constant part")
     vec = tuple(value.get(v, GQ_ZERO) for v in variables)
     if not any(vec):
-        raise cur.peek().error("the zero form defines nothing")
+        raise _TokenError(cur.index, "the zero form defines nothing")
     return vec
 
 
@@ -411,47 +404,47 @@ def parse_scene(text: str) -> Scene:
         if len(tokens) == 1:  # the sentinel alone: a blank or comment line
             continue
         cur = _Cursor(tokens)
-        head = cur.next()
-        if head.text not in ("hyperplane", "real", "curve"):
-            raise head.error(f"expected 'hyperplane', 'real' or 'curve', got {head.text!r}")
-        name_tok = cur.next()
-        if name_tok.kind != "name":
-            raise name_tok.error("expected a name")
-        name = name_tok.text
-        if name in seen:
-            raise name_tok.error(f"duplicate name {name!r}")
-        cur.expect(":")
         try:
-            if head.text == "hyperplane":
-                vec = _parse_zero_form(cur, COMPLEX_VARS)
-                hyperplanes[name] = ComplexHyperplane(vec)
-            elif head.text == "real":
-                forms = []
-                while True:
-                    vec = _parse_zero_form(cur, REAL_VARS)
-                    if any(c.im for c in vec):
-                        raise cur.peek().error("real forms need rational coefficients")
-                    forms.append(tuple(c.re for c in vec))
-                    if cur.peek().kind == "end":
-                        break
-                    cur.expect(";")
-                reals[name] = RealSubspace(tuple(forms))
-            else:
-                cur.expect("(")
-                comps = [_parse_component(cur)]
-                for _ in range(2):
-                    cur.expect(",")
-                    comps.append(_parse_component(cur))
-                cur.expect(")")
-                curves[name] = ExpAffineCurve(tuple(comps))
-        except ValueError as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise head.error(str(exc)) from exc
-        if (extra := cur.peek()).kind != "end":
-            raise extra.error(f"unexpected trailing {extra.text!r}")
+            head = cur.next()
+            if head not in ("hyperplane", "real", "curve"):
+                raise _TokenError(0, f"expected 'hyperplane', 'real' or 'curve', got {head!r}")
+            name = cur.next()
+            if not name.isidentifier():
+                raise _TokenError(1, "expected a name")
+            if name in seen:
+                raise _TokenError(1, f"duplicate name {name!r}")
+            cur.expect(":")
+            try:
+                if head == "hyperplane":
+                    vec = _parse_zero_form(cur, COMPLEX_VARS)
+                    hyperplanes[name] = ComplexHyperplane(vec)
+                elif head == "real":
+                    forms = []
+                    while True:
+                        vec = _parse_zero_form(cur, REAL_VARS)
+                        if any(c.im for c in vec):
+                            raise _TokenError(cur.index, "real forms need rational coefficients")
+                        forms.append(tuple(c.re for c in vec))
+                        if cur.tokens[cur.index] == _END:
+                            break
+                        cur.expect(";")
+                    reals[name] = RealSubspace(tuple(forms))
+                else:
+                    cur.expect("(")
+                    comps = [_parse_component(cur)]
+                    for _ in range(2):
+                        cur.expect(",")
+                        comps.append(_parse_component(cur))
+                    cur.expect(")")
+                    curves[name] = ExpAffineCurve(tuple(comps))
+            except ValueError as exc:
+                raise _TokenError(0, str(exc)) from exc
+            if (extra := cur.tokens[cur.index]) != _END:
+                raise _TokenError(cur.index, f"unexpected trailing {extra!r}")
+        except _TokenError as exc:
+            raise exc.at(line_no, raw) from exc.__cause__
         seen.add(name)
-        order.append((head.text, name))
+        order.append((head, name))
     return Scene(hyperplanes, reals, curves, tuple(order))
 
 
@@ -521,9 +514,12 @@ def format_scene(scene: Scene) -> str:
 def parse_constant(text: str) -> GaussianRational:
     """A standalone Gaussian-rational literal such as '1/2 - 3i'."""
     cur = _Cursor(_tokenize_line(text, 1))
-    value = _parse_expression(cur, _CurveDomain())
-    if cur.peek().kind != "end":
-        raise cur.peek().error("expected a constant")
+    try:
+        value = _parse_expression(cur, _CurveDomain())
+        if cur.tokens[cur.index] != _END:
+            raise _TokenError(cur.index, "expected a constant")
+    except _TokenError as exc:
+        raise exc.at(1, text) from None
     if value.keys() - {POLY_ZERO}:
         raise ParseError("expected a constant", 1, 1)
     return value.get(POLY_ZERO, GQ_ZERO)

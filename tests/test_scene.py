@@ -402,6 +402,59 @@ class TestInputBounds:
         with pytest.raises(ParseError, match=f"at most {MAX_DIGITS} digits"):
             parse_constant(f"{self.LONG}*{self.LONG}")
 
+    @pytest.mark.parametrize(
+        "body",
+        ["1" * 100_000, "1/2 " * 25_000, "exp(z)+" * 14_286],
+        ids=["digits", "fractions", "sums"],
+    )
+    def test_long_bad_line_is_rejected_in_linear_time(self, body):
+        # `11` also scans as `1 1`, so a whole-line pattern of repeated tokens
+        # would backtrack exponentially over the digits before the '@'
+        text = body + "@"
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            err = self.error(text)
+            elapsed.append(time.perf_counter() - start)
+        assert (err.line, err.column) == (1, len(text))
+        assert str(err).endswith("unexpected character '@'")
+        assert min(elapsed) < 0.2
+
+
+# Each line repeats its faulty operator or exponent earlier and in a trailing
+# comment; '|' marks the occurrence the error is reported at, and is removed.
+TWO_TERMS = sum_of_exponentials(2)
+REPEATED = [
+    ("real S: 2*x1 + x1|*y1 = 0  # x1*y1", "products of variables are not linear"),
+    ("hyperplane H: z1/2 + z2|/z3 = 0  # z2/z3", "division is only by nonzero constants"),
+    ("curve f: (exp(z^2)^|2, 1, 1)  # exp(z)^2", "'^' is not allowed here"),
+    ("curve f: (exp((z^9)^|9), 1, 1)  # ^9", f"degree at most {MAX_DEGREE}"),
+    ("curve f: (exp(2*z^40 + z^40|*z^30), 1, 1)  # z^40*z^30", f"degree at most {MAX_DEGREE}"),
+    (f"curve f: ({sum_of_exponentials(MAX_TERMS)} |+ exp(-z), 1, 1)  # + exp(-z)",
+     f"at most {MAX_TERMS} terms"),
+    (f"curve f: (({TWO_TERMS}) * ({TWO_TERMS}) |* ({sum_of_exponentials(100)}), 1, 1)  # * (",
+     f"at most {MAX_TERMS} terms"),
+    (f"hyperplane H: 2*z1 + 1{'0' * 40}|*1{'0' * 40}*z2 = 0  # *", f"at most {MAX_DIGITS} digits"),
+    (f"hyperplane H: z1 + {'9' * MAX_DIGITS} |+ 1 = 0  # + 1", f"at most {MAX_DIGITS} digits"),
+    ("curve f: (exp(1/2*z^2 + z^|1/2), 1, 1)  # z^1/2", "exponent must be a nonnegative integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "marked, message",
+    REPEATED,
+    ids=[
+        "nonlinear", "division", "power", "degree-power", "degree-product", "terms-sum",
+        "terms-product", "digits-product", "digits-sum", "exponent",
+    ],
+)
+def test_error_at_a_repeated_operator_is_at_its_occurrence(marked, message):
+    line = marked.replace("|", "")
+    with pytest.raises(ParseError) as info:
+        parse_scene("hyperplane A: z1 + 2*z2 - z3/2 = 0  # ^2\n" + line)
+    assert (info.value.line, info.value.column) == (2, marked.index("|") + 1)
+    assert message in str(info.value)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("text", CORPUS)
