@@ -9,7 +9,7 @@ predicate is `projective.dependent_subset` on the three stacks of forms.
 The classifier only ever stacks the realified forms of complex hyperplanes
 (H~, H_j, H_k).  The real span of Re(c.z) and Im(c.z) is the realification
 of the complex line C.c, so the real rank of such a stack is 2 * rank_C of
-the three complex coefficient vectors: 4 or 6.  `triple_rank` computes it
+the three complex coefficient vectors: 4 or 6.  `triple_ranks` computes it
 that way, on a 3x3 Gaussian-rational matrix instead of a 6x6 rational one.
 """
 
@@ -98,15 +98,6 @@ def realify(h: ComplexHyperplane) -> RealSubspace:
     return RealSubspace((re_part_form(a), re_part_form([-GQ_I * c for c in a])))
 
 
-def triple_rank(alpha: Sequence[GQLike], a: Sequence[GQLike], b: Sequence[GQLike]) -> int:
-    """Real rank of the stacked realified forms of three complex forms on C^3.
-
-    The real span of Re(c.z) and Im(c.z) is the realification of the line
-    C.c, so the stack spans the realified complex span of alpha, a and b.
-    """
-    return 2 * rank_complex([alpha, a, b])
-
-
 def holomorphic_coefficients(form: Sequence[RationalLike]) -> ComplexVector:
     """Complex coefficients c with form(x, y) = Re(sum c_j z_j).
 
@@ -164,24 +155,20 @@ def collapse_real_form(s: RealSubspace, c2: GQLike, c3: GQLike) -> CollapsedReal
     return CollapsedRealForm(g.re, -g.im)
 
 
-def _validate_four(hyperplanes: Sequence[ComplexHyperplane]) -> None:
-    if len(hyperplanes) != 4:
-        raise ValueError("classification takes exactly 4 complex hyperplanes")
-    if any(len(h.coefficients) != 3 for h in hyperplanes):
-        raise ValueError("hyperplanes live in C^3")
-
-
 def triple_ranks(
     hyperplanes: Sequence[ComplexHyperplane], s: RealSubspace
 ) -> tuple[TripleRank, ...]:
     """Span dimension of (H~, H_j, H_k) complements for every pair j < k."""
-    _validate_four(hyperplanes)
+    if len(hyperplanes) != 4:
+        raise ValueError("classification takes exactly 4 complex hyperplanes")
+    if any(len(h.coefficients) != 3 for h in hyperplanes):
+        raise ValueError("hyperplanes live in C^3")
     if s.dimension != 5:
         raise ValueError("classification takes a real hyperplane")
     alpha = holomorphic_coefficients(s.forms[0])
     rows = [h.coefficients for h in hyperplanes]
     return tuple(
-        TripleRank((j + 1, k + 1), triple_rank(alpha, rows[j], rows[k]))
+        TripleRank((j + 1, k + 1), 2 * rank_complex([alpha, rows[j], rows[k]]))
         for j, k in combinations(range(4), 2)
     )
 

@@ -45,10 +45,6 @@ def _emit(payload: dict, human_lines: list[str], human: bool) -> None:
         print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _gq_str_vector(coords) -> list[str]:
-    return [str(c) for c in coords]
-
-
 def _the_real_hyperplane(scene: Scene) -> tuple[str, RealSubspace]:
     reals = [(n, s) for n, s in scene.reals.items() if s.dimension == 5]
     if len(reals) != 1:
@@ -128,8 +124,8 @@ def _cmd_diagonals(args: argparse.Namespace, scene: Scene) -> int:
     for d in diagonals:
         entry = {
             "partition": [list(d.partition.left), list(d.partition.right)],
-            "p": _gq_str_vector(d.p.coords),
-            "q": _gq_str_vector(d.q.coords),
+            "p": [str(c) for c in d.p.coords],
+            "q": [str(c) for c in d.q.coords],
             "line": format_complex_form(d.form.coefficients),
         }
         entries.append(entry)
@@ -169,31 +165,30 @@ def _cmd_witness(args: argparse.Namespace, scene: Scene) -> int:
     hyperplanes = list(scene.hyperplanes.items())
     payload: dict = {"construction": args.construction}
     extra: list[str] = []
+    reals: list[tuple[str, RealSubspace]] = []
     if args.construction == "constant-projection":
         curve = witness_constant_projection([h for _, h in hyperplanes])
-        sets = _witness_scene(hyperplanes, [])
     elif args.construction == "dim4-subspace":
         subspace, curve = witness_dim4_subspace([h for _, h in hyperplanes])
-        sets = _witness_scene(hyperplanes, [("H", subspace)])
+        reals = [("H", subspace)]
         payload["subspace"] = [format_real_form(f) for f in subspace.forms]
         extra.append(
             "subspace H: " + "; ".join(f"{form} = 0" for form in payload["subspace"])
         )
-    elif args.construction == "degenerate-pair":
-        real_name, real = _the_real_hyperplane(scene)
-        verdict = classify([h for _, h in hyperplanes], real)
-        if verdict.witness is None:
-            raise ValueError("every triple is in general position; nothing to construct")
-        curve = verdict.witness
-        pair = next(t.pair for t in verdict.evidence if t.rank < 6)
-        sets = _witness_scene(hyperplanes, [(real_name, real)])
-        payload["pair"] = list(pair)
-        extra.append(f"degenerate pair: {pair}")
     else:
         real_name, real = _the_real_hyperplane(scene)
-        curve = witness_three_hyperplanes([h for _, h in hyperplanes], real)
-        sets = _witness_scene(hyperplanes, [(real_name, real)])
-    return _verify_witness(args, curve, sets, payload, extra, "curve")
+        reals = [(real_name, real)]
+        if args.construction == "degenerate-pair":
+            verdict = classify([h for _, h in hyperplanes], real)
+            if verdict.witness is None:
+                raise ValueError("every triple is in general position; nothing to construct")
+            curve = verdict.witness
+            pair = next(t.pair for t in verdict.evidence if t.rank < 6)
+            payload["pair"] = list(pair)
+            extra.append(f"degenerate pair: {pair}")
+        else:
+            curve = witness_three_hyperplanes([h for _, h in hyperplanes], real)
+    return _verify_witness(args, curve, _witness_scene(hyperplanes, reals), payload, extra, "curve")
 
 
 def _cmd_verify(args: argparse.Namespace, scene: Scene) -> int:

@@ -167,7 +167,8 @@ class _Domain:
 
     A subclass supplies `one`, its constant monomial; `variable(cur, name)`,
     which raises at the name, the token just read; `check_product(a, b, op)`,
-    which raises at op if a*b leaves the domain; and `monomial_product(m, n, op)`.
+    which raises at op if a*b leaves the domain; and `monomial_product(m, n, op)`,
+    needed only where `check_product` admits two nonconstant factors.
     """
 
     one: object
@@ -300,9 +301,6 @@ class _LinearDomain(_Domain):
         if a.keys() - {1} and b.keys() - {1}:
             raise _TokenError(op, "products of variables are not linear")
 
-    def monomial_product(self, m, n, op):
-        return n if m == 1 else m
-
 
 class _PolyDomain(_Domain):
     """Monomials: the powers of z, as their exponents."""
@@ -398,7 +396,6 @@ def parse_scene(text: str) -> Scene:
     reals: dict[str, RealSubspace] = {}
     curves: dict[str, ExpAffineCurve] = {}
     order: list[tuple[str, str]] = []
-    seen: set[str] = set()
     for line_no, raw in enumerate(_LINE_END.split(text), start=1):
         tokens = _tokenize_line(raw, line_no)
         if len(tokens) == 1:  # the sentinel alone: a blank or comment line
@@ -411,7 +408,7 @@ def parse_scene(text: str) -> Scene:
             name = cur.next()
             if not name.isidentifier():
                 raise _TokenError(1, "expected a name")
-            if name in seen:
+            if name in hyperplanes or name in reals or name in curves:
                 raise _TokenError(1, f"duplicate name {name!r}")
             cur.expect(":")
             try:
@@ -443,7 +440,6 @@ def parse_scene(text: str) -> Scene:
                 raise _TokenError(cur.index, f"unexpected trailing {extra!r}")
         except _TokenError as exc:
             raise exc.at(line_no, raw) from exc.__cause__
-        seen.add(name)
         order.append((head, name))
     return Scene(hyperplanes, reals, curves, tuple(order))
 

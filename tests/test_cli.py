@@ -102,6 +102,11 @@ class TestExitCodes:
         assert code == 2
         assert "line 1" in err
 
+    def test_name_that_is_not_an_identifier_is_two(self, scene, capsys):
+        code, out, err = run(capsys, "gp-check", scene("hyperplane 12: z1 = 0\n"))
+        assert (code, out) == (2, "")
+        assert err.endswith(": line 1, column 12: expected a name\n")
+
     def test_unknown_curve_is_two(self, scene, capsys):
         code, out, err = run(capsys, "verify", "--curve", "g", scene(VIOLATING))
         assert code == 2
@@ -157,6 +162,13 @@ class TestGpCheck:
         code, out, err = run(capsys, "gp-check", "--human", scene(STANDARD4))
         assert code == 0
         assert "general position: yes" in out
+
+    def test_human_mode_with_fewer_than_three_members(self, scene, capsys):
+        code, out, err = run(
+            capsys, "gp-check", "--human", scene("hyperplane A: z1 = 0\nhyperplane B: z2 = 0\n")
+        )
+        assert (code, err) == (0, "")
+        assert out == "members: A, B\ngeneral position: yes (fewer than three members)\n"
 
     @pytest.mark.parametrize(
         "text, members, failing",
@@ -448,6 +460,13 @@ class TestProject:
         )
         assert code == 0
         assert data["at"] == [1.0, 1.0]
+
+    def test_point_where_every_component_vanishes_is_undefined(self, scene, capsys):
+        path = scene("curve f: (exp(z) - 1, exp(z) - 1, 0)\n")
+        code, data = run_json(capsys, "project", "--curve", "f", "--at", "0", path)
+        assert (code, data["value"]) == (0, None)
+        code, out, err = run(capsys, "project", "--curve", "f", "--at", "0", "--human", path)
+        assert (code, out, err) == (0, "undefined (all components vanish at this point)\n", "")
 
     def test_far_point_stays_finite(self, capsys, monkeypatch):
         """e^2000 overflows a float; the projective point [0 : 0 : 1] does not."""

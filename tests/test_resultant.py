@@ -18,10 +18,11 @@ from pathlib import Path
 
 import pytest
 
+from curveavoid.arrangement import holomorphic_coefficients
 from curveavoid.cli import _witness_scene
-from curveavoid.curves import witness_dim4_subspace
+from curveavoid.curves import apply_form, witness_dim4_subspace
 from curveavoid.exact_linalg import gq
-from curveavoid.resultant import MAX_DEGREE, _real_part, _shear, _subresultants
+from curveavoid.resultant import MAX_DEGREE, _real_part, _shear, _subresultants, unit_plane_zeros
 from curveavoid.scene import parse_scene
 from curveavoid.verifier import AVOIDED, VIOLATED, SamplingPlan, verify
 
@@ -143,6 +144,23 @@ def test_one_unit_hit_is_violated_exactly():
     z = complex(*r.violation_sample)
     assert abs(z) < plan.disk_radius
     assert relative_margin(scene.reals["H"], scene.curves["f"], z) <= plan.tolerance
+
+
+def test_a_restriction_linear_in_v_is_its_own_first_subresultant():
+    """R1 = u - 1 and R2 = v: the common zero w = 1, z = 0, read off the factor of degree 1 in v."""
+    scene = parse_scene("curve f: (exp(z), 1, 0)\nreal T: x1 - x2 = 0; y1 = 0\n")
+    (r,) = verify(scene.curves["f"], scene).results
+    assert (r.method, r.verdict, r.violation_sample) == ("exact", VIOLATED, (0.0, 0.0))
+
+
+def test_a_pair_above_the_degree_cap_is_sampled():
+    """Re w^a = Re w^(a-1) = 0 with deg R1 deg R2 = a (a - 1) just above MAX_DEGREE."""
+    a = next(a for a in range(2, MAX_DEGREE + 2) if a * (a - 1) > MAX_DEGREE)
+    scene = parse_scene(f"curve f: (exp({a}*z), exp({a - 1}*z), 1)\nreal T: x1 = 0; x2 = 0\n")
+    f, subspace = scene.curves["f"], scene.reals["T"]
+    assert unit_plane_zeros(*(apply_form(holomorphic_coefficients(form), f) for form in subspace.forms)) is None
+    (r,) = verify(f, scene).results
+    assert (r.set, r.method) == ("T", "sampled")
 
 
 def test_newton_zeros_are_violations():

@@ -178,6 +178,21 @@ class TestParseErrors:
         err = self.error("hyperplane H: z1 = 0\nhyperplane H: z2 = 0")
         assert "duplicate" in str(err)
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("hyperplane H: z1 = 0", "real H: x1 = 0"),
+            ("real H: x1 = 0", "curve H: (1, 1, exp(z))"),
+            ("curve H: (1, 1, exp(z))", "hyperplane H: z1 = 0"),
+        ],
+    )
+    def test_duplicate_name_across_kinds(self, first, second):
+        err = self.error(f"{first}\n# a comment\n{second}")
+        head = second.split()[0]
+        assert (str(err), err.line, err.column) == (
+            f"line 3, column {len(head) + 2}: duplicate name 'H'", 3, len(head) + 2
+        )
+
     def test_unknown_variable(self):
         err = self.error("hyperplane H: z4 = 0")
         assert "unknown variable" in str(err)

@@ -710,6 +710,13 @@ class TestReportShape:
         assert report.projection_constant
         assert report.projection_values == (((1.0, 0.0), (2.0, 0.0), (3.0, 0.0)),)
 
+    def test_probe_where_every_component_vanishes_is_skipped(self):
+        scene, f = scene_and_curve("curve f: (exp(z) - 1, exp(z) - 1, 0)")
+        assert projective_value(f, 0) is None
+        report = verify(f, scene)
+        assert report.projection_constant
+        assert report.projection_values == (((1.0, 0.0), (1.0, 0.0), (0.0, 0.0)),)
+
     def test_curve_description_defaults_to_canonical_text(self):
         scene, f = scene_and_curve("hyperplane H: z1 = 0\ncurve f: (1, -1, exp(z))")
         assert verify(f, scene).curve == "(1, -1, exp(z))"
