@@ -10,26 +10,37 @@ single gcd, and its real and imaginary parts become `Fraction`s only when
 asked for.
 
 Every rank and kernel comes from one kernel, `_eliminate`:
-fraction-free Gauss-Jordan elimination over the Gaussian integers Z[i],
-after Bareiss (1968, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination").  Every entry is read straight
-from its integers as a triple (a, b, d) for (a + bi)/d, an int or a
-`Fraction` as (n, 0, d), and each row is multiplied by the lcm of its d,
-which keeps its row space, so the entries become pairs of Python ints.
-With p the new pivot, in row r and column c, and prev the pivot before it
-(1 at the start), every other row i becomes
+fraction-free elimination after Bareiss (1968, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination").  Every entry is read
+straight from its integers as a triple (a, b, d) for (a + bi)/d, an int
+or a `Fraction` as (n, 0, d), and each row is multiplied by the lcm of
+its d, which keeps its row space, so the entries become pairs of Python
+ints.  With p the new pivot, in row r and column c, and prev the pivot
+before it (1 at the start), row i becomes
 
     m[i][j] = (p * m[i][j] - m[i][c] * m[r][j]) / prev.
 
 By Sylvester's identity each entry after k pivots is, up to sign, a minor
-of order k or k + 1 of the scaled matrix, so it lies in Z[i]: prev divides
-the numerator exactly, and `x * conj(prev) // |prev|^2` on ints never
-rounds.  The identity holds over any commutative integral domain, so one
-kernel serves Q and Q(i): a real row enters with imaginary parts 0 and
-keeps them.  At the end every pivot entry equals the last pivot.  Ranks
-read the pivot count and convert nothing; `_rref` divides each rational
-row by its pivot once, for the unique unit-pivot echelon form.  Kernel
-vectors are built in Q(i) only, and `kernel_real` reads their real parts.
+of order k or k + 1 of the scaled matrix.  The identity holds over any
+commutative integral domain, so the entries stay in the ring the rows
+span and prev divides each numerator exactly.  The ring is read off the
+input, not chosen by the caller:
+
+- If every imaginary part is 0 (the rows of `rank_real`, `kernel_real`,
+  `_rref`, and any rational rows given to the complex entry points), the
+  recurrence runs in Z on one int per entry, and `//` never rounds.  The
+  imaginary parts are returned as the zero rows they are.
+- Otherwise it runs in Z[i] on pairs of ints, and `x * conj(prev) //
+  |prev|^2` never rounds.
+
+The pass is as long as the caller reads.  `rank_real` and `rank_complex`
+read only the pivot count, so they clear only the rows below each pivot
+(forward elimination); the pivots are the same.  `_kernel` and `_rref`
+take the full Gauss-Jordan pass, which also clears the rows above, so at
+the end every pivot entry equals the last pivot.  `_rref` divides each
+rational row by its pivot once, for the unique unit-pivot echelon form.
+Kernel vectors are built in Q(i) only, and `kernel_real` reads their real
+parts.
 """
 
 from __future__ import annotations
@@ -204,12 +215,16 @@ def _check_rational(rows: Sequence[Sequence[RationalLike]]) -> None:
         raise TypeError("expected a rational, got GaussianRational")
 
 
-def _eliminate(rows: Sequence[Sequence[GQLike]]) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination over Z[i].
+def _eliminate(
+    rows: Sequence[Sequence[GQLike]], *, forward: bool = False
+) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Fraction-free elimination over Z, or over Z[i] if an entry is not real.
 
-    Returns the real and imaginary parts of the reduced integer rows, zero
-    rows dropped, and the pivot columns.  Every pivot entry of the result
-    equals the last pivot.
+    Returns the real and imaginary parts of the integer rows, zero rows
+    dropped, and the pivot columns.  The full pass is Gauss-Jordan: every
+    pivot entry of its result equals the last pivot.  With `forward` only
+    the rows below each pivot are cleared, which finds the same pivots;
+    the rows above them are left as they were reached.
     """
     m_re: list[list[int]] = []
     m_im: list[list[int]] = []
@@ -219,6 +234,7 @@ def _eliminate(rows: Sequence[Sequence[GQLike]]) -> tuple[list[list[int]], list[
         m_re.append([a * (scale // d) for a, _, d in entries])
         m_im.append([b * (scale // d) for _, b, d in entries])
     n = len(m_re)
+    real = not any(map(any, m_im))
     prev_re, prev_im = 1, 0
     pivots: list[int] = []
     row = 0
@@ -231,11 +247,15 @@ def _eliminate(rows: Sequence[Sequence[GQLike]]) -> tuple[list[list[int]], list[
         y_re, y_im = m_re[row], m_im[row]
         p_re, p_im = y_re[col], y_im[col]
         norm = prev_re * prev_re + prev_im * prev_im
-        for i in range(n):
+        for i in range(row + 1 if forward else 0, n):
             if i == row:
                 continue
             x_re, x_im = m_re[i], m_im[i]
             b_re, b_im = x_re[col], x_im[col]
+            if real:
+                # the same recurrence in Z; every imaginary part is 0 and stays 0
+                m_re[i] = [(p_re * a - b_re * c) // prev_re for a, c in zip(x_re, y_re)]
+                continue
             new_re: list[int] = []
             new_im: list[int] = []
             for a_re, a_im, c_re, c_im in zip(x_re, x_im, y_re, y_im):
@@ -291,12 +311,12 @@ def rank_real(rows: Sequence[Sequence[RationalLike]]) -> int:
     _check_rational(rows)
     if rows and _check_rect(rows) != 6:
         raise ValueError("real matrices here have exactly 6 columns")
-    return len(_eliminate(rows)[2])
+    return len(_eliminate(rows, forward=True)[2])
 
 
 def rank_complex(rows: Sequence[Sequence[GQLike]]) -> int:
     _check_rect(rows)
-    return len(_eliminate(rows)[2])
+    return len(_eliminate(rows, forward=True)[2])
 
 
 def kernel_real(rows: Sequence[Sequence[RationalLike]], width: int) -> list[RationalVector]:

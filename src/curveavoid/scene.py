@@ -351,6 +351,15 @@ class _CurveDomain(_Domain):
         return poly([_bounded(x + y, op) for x, y in zip_longest(p, q, fillvalue=GQ_ZERO)])
 
 
+class _ConstantDomain(_CurveDomain):
+    """A curve component's arithmetic, where a name other than exp is not a constant."""
+
+    def variable(self, cur, name):
+        if name != "exp":
+            raise _TokenError(cur.index - 1, "expected a constant")
+        return super().variable(cur, name)
+
+
 def _parse_component(cur: _Cursor) -> ExpSum:
     terms = _parse_expression(cur, _CurveDomain())
     return ExpSum(tuple(ExpPoly(c, p) for p, c in terms.items()))
@@ -511,7 +520,7 @@ def parse_constant(text: str) -> GaussianRational:
     """A standalone Gaussian-rational literal such as '1/2 - 3i'."""
     cur = _Cursor(_tokenize_line(text, 1))
     try:
-        value = _parse_expression(cur, _CurveDomain())
+        value = _parse_expression(cur, _ConstantDomain())
         if cur.tokens[cur.index] != _END:
             raise _TokenError(cur.index, "expected a constant")
     except _TokenError as exc:

@@ -512,7 +512,7 @@ class TestProject:
         assert (code, out) == (2, "")
         assert err == "error: line 1, column 7: exponent polynomials have degree at most 64\n"
 
-    @pytest.mark.parametrize("at, column", [("1+i)", 4), ("1 2", 3)])
+    @pytest.mark.parametrize("at, column", [("1+i)", 4), ("1 2", 3), ("z", 1)])
     def test_bad_point_error_names_its_column(self, scene, capsys, at, column):
         code, out, err = run(
             capsys, "project", "--curve", "f", "--at", at, scene("curve f: (exp(z), 1, 1)\n")

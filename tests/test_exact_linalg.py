@@ -11,6 +11,8 @@ from curveavoid.exact_linalg import (
     GQ_ONE,
     GQ_ZERO,
     GaussianRational,
+    _eliminate,
+    _frac,
     _rref,
     gq,
     kernel_complex,
@@ -301,6 +303,99 @@ def test_complex_kernel_matches_reference(rows, data):
             _rref(rows)
     assert rank_complex(rows) == len(pivots)
     assert kernel_complex(rows, width) == reference_kernel(rows, width, GQ_ONE)
+
+
+def seeded_rational_matrices(seed, count):
+    """0-6 rows of widths 1-8: drawn, zero, or combinations of earlier rows.
+
+    About a third of the nonzero entries have numerators and denominators
+    of 30 to 40 digits, so a division that were not exact would show.
+    """
+    rng = random.Random(seed)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.2:
+            return F(0)
+        if kind < 0.5:
+            sign = rng.choice((-1, 1))
+            return F(sign * rng.randint(10**29, 10**40), rng.randint(10**29, 10**40))
+        return F(rng.randint(-9, 9), rng.randint(1, 4))
+
+    for _ in range(count):
+        width = rng.choice((6, rng.randint(1, 8)))
+        rows = []
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.choice(("drawn", "zero", "dependent"))
+            if kind == "dependent" and rows:
+                r1, r2 = rng.choice(rows), rng.choice(rows)
+                a, b = entry(), entry()
+                rows.append([a * x + b * y for x, y in zip(r1, r2)])
+            elif kind == "zero":
+                rows.append([F(0)] * width)
+            else:
+                rows.append([entry() for _ in range(width)])
+        yield width, rows
+
+
+def test_rational_rows_agree_in_z_and_in_z_i():
+    """Integer elimination of rational rows agrees with the Z[i] recurrence and with the full pass.
+
+    One nonzero row times i changes neither the row space's rank nor the
+    kernel, but its imaginary parts send `_eliminate` through the Z[i]
+    recurrence, where the rows as drawn take the integer one.
+    """
+    for width, rows in seeded_rational_matrices(30, 400):
+        full = _eliminate(rows)
+        assert all(not any(r) for r in full[1])
+        pivots = full[2]
+        nonzero = [k for k, r in enumerate(rows) if any(r)]
+        turned = [list(r) for r in rows]
+        if nonzero:
+            k = nonzero[len(nonzero) // 2]
+            turned[k] = [gq(0, x) for x in rows[k]]
+        assert _eliminate(turned)[2] == pivots
+        assert _eliminate(rows, forward=True)[2] == _eliminate(turned, forward=True)[2] == pivots
+        assert rank_complex(rows) == rank_complex(turned) == len(pivots)
+        if width == 6:
+            assert rank_real(rows) == len(pivots)
+        assert kernel_complex(rows, width) == kernel_complex(turned, width)
+        assert kernel_complex(rows, width) == [tuple(map(gq, v)) for v in kernel_real(rows, width)]
+
+
+class TestInputChecks:
+    def test_a_float_is_not_a_rational(self):
+        with pytest.raises(TypeError, match="float"):
+            _frac(1.0)
+        with pytest.raises(TypeError, match="float"):
+            gq(1, 0.5)
+
+    def test_imaginary_part_given_twice(self):
+        with pytest.raises(ValueError, match="given twice"):
+            gq(gq(1), 1)
+        assert gq(gq(1, 2), 0) == gq(1, 2)
+
+    # The short row would be read as far as it goes, since each loop zips rows.
+    RAGGED = [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0, 0]]
+
+    @pytest.mark.parametrize(
+        "call",
+        [rank_complex, rank_real, lambda rows: kernel_complex(rows), lambda rows: kernel_real(rows, 6)],
+        ids=["rank_complex", "rank_real", "kernel_complex", "kernel_real"],
+    )
+    def test_ragged_rows(self, call):
+        with pytest.raises(ValueError, match="ragged"):
+            call(self.RAGGED)
+
+    @pytest.mark.parametrize("kernel", [kernel_real, kernel_complex])
+    def test_wrong_width(self, kernel):
+        with pytest.raises(ValueError, match="expected 5 columns"):
+            kernel([[1, 0, 0, 0]], 5)
+
+    def test_an_empty_matrix_needs_a_width(self):
+        with pytest.raises(ValueError, match="width required"):
+            kernel_complex([])
+        assert kernel_complex([], 2) == [(GQ_ONE, GQ_ZERO), (GQ_ZERO, GQ_ONE)]
 
 
 # ---------------------------------------------------------------------------

@@ -498,10 +498,11 @@ class TestParseConstant:
             parse_constant("1 +")
 
     @pytest.mark.parametrize(
-        "text, column", [("1+i)", 4), ("1 2", 3), ("(1/2 - 3i) z", 12), ("exp(z)", 1)]
+        "text, column",
+        [("1+i)", 4), ("1 2", 3), ("(1/2 - 3i) z", 12), ("exp(z)", 1), ("z", 1), ("2*x1", 3)],
     )
     def test_error_column(self, text, column):
-        """The first token after a complete constant, or column 1 for a nonconstant."""
+        """The first token after a complete constant, a name other than exp, or column 1 for a nonconstant."""
         with pytest.raises(ParseError, match="expected a constant") as info:
             parse_constant(text)
         assert (info.value.line, info.value.column) == (1, column)

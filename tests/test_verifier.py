@@ -241,9 +241,9 @@ class TestExactPaths:
         widths = []
         eliminate = exact_linalg._eliminate
 
-        def counting(rows):
+        def counting(rows, **options):
             widths.append(len(rows[0]))
-            return eliminate(rows)
+            return eliminate(rows, **options)
 
         monkeypatch.setattr(exact_linalg, "_eliminate", counting)
         r = verify(scene.curves["f"], scene).results[-1]
