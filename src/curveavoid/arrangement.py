@@ -26,6 +26,7 @@ from .exact_linalg import (
     RationalLike,
     RationalVector,
     _frac,
+    _Record,
     _rref,
     GQ_I,
     gq,
@@ -40,7 +41,7 @@ ALL_CURVES_CONSTANT = "AllCurvesConstant"
 WITNESS_EXISTS = "WitnessExists"
 
 
-class RealSubspace(NamedTuple("RealSubspace", [("forms", tuple[RationalVector, ...])])):
+class RealSubspace(_Record, NamedTuple("RealSubspace", [("forms", tuple[RationalVector, ...])])):
     """A linear subspace of R^6 cut out by independent linear forms.
 
     Coordinates are ordered (x1, y1, x2, y2, x3, y3) with z_j = x_j + i y_j.
@@ -49,8 +50,6 @@ class RealSubspace(NamedTuple("RealSubspace", [("forms", tuple[RationalVector, .
     """
 
     __slots__ = ()
-    # `_replace` builds through `_make`, so both run the checks in `__new__`
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, forms: Sequence[Sequence[RationalLike]]) -> "RealSubspace":
         rows = [[_frac(x) for x in f] for f in forms]

@@ -123,7 +123,7 @@ def _cmd_diagonals(args: argparse.Namespace, scene: Scene) -> int:
     lines = [f"{len(diagonals)} diagonals of {len(hyperplanes)} hyperplanes"]
     for d in diagonals:
         entry = {
-            "partition": [list(d.partition.left), list(d.partition.right)],
+            "partition": d.partition,
             "p": [str(c) for c in d.p.coords],
             "q": [str(c) for c in d.q.coords],
             "line": format_complex_form(d.form.coefficients),
@@ -208,7 +208,7 @@ def _cmd_project(args: argparse.Namespace, scene: Scene) -> int:
     payload = {
         "curve": args.curve,
         "at": [at.real, at.imag],
-        "value": None if value is None else [list(c) for c in value],
+        "value": value,
     }
     if value is None:
         lines = ["undefined (all components vanish at this point)"]

@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .exact_linalg import kernel_complex
+from .exact_linalg import _Record, kernel_complex
 from .projective import (
     ComplexHyperplane,
     ProjPoint,
@@ -21,15 +21,13 @@ from .projective import (
 )
 
 
-class Partition(NamedTuple("Partition", [("left", tuple[int, ...]), ("right", tuple[int, ...])])):
+class Partition(_Record, NamedTuple("Partition", [("left", tuple[int, ...]), ("right", tuple[int, ...])])):
     """A balanced two-block partition of {1..2n}, canonically oriented.
 
     The block containing the smallest index is stored first.
     """
 
     __slots__ = ()
-    # `_replace` builds through `_make`, so both run the checks in `__new__`
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, left: Sequence[int], right: Sequence[int]) -> "Partition":
         left, right = tuple(sorted(left)), tuple(sorted(right))
@@ -51,7 +49,7 @@ class _DiagonalFields(NamedTuple):
     form: ComplexHyperplane | None
 
 
-class DiagonalLine(_DiagonalFields):
+class DiagonalLine(_Record, _DiagonalFields):
     """The line through the two intersection points of a balanced partition.
 
     `form` is the line's coefficient vector, available in CP^2 only; in
@@ -59,8 +57,6 @@ class DiagonalLine(_DiagonalFields):
     """
 
     __slots__ = ()
-    # `_replace` builds through `_make`, so both run the checks in `__new__`
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, *fields, **named) -> "DiagonalLine":
         line = super().__new__(cls, *fields, **named)

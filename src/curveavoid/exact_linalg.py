@@ -60,6 +60,13 @@ def _frac(x: RationalLike) -> Fraction:
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
+class _Record:
+    """A base for validated records: `_replace` and `_make` build through `__new__`, so both run its checks."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+
 class GaussianRational:
     """A complex number with rational real and imaginary parts.
 

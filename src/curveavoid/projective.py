@@ -17,16 +17,15 @@ from .exact_linalg import (
     gq,
     kernel_complex,
     rank_complex,
+    _Record,
     _scale_first_nonzero,
 )
 
 
-class ProjPoint(NamedTuple("ProjPoint", [("coords", ComplexVector)])):
+class ProjPoint(_Record, NamedTuple("ProjPoint", [("coords", ComplexVector)])):
     """A point of CP^n, canonically scaled."""
 
     __slots__ = ()
-    # `_replace` builds through `_make`, so both run the checks in `__new__`
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, coords: Sequence[GQLike]) -> "ProjPoint":
         v = tuple(gq(x) for x in coords)
@@ -37,15 +36,13 @@ class ProjPoint(NamedTuple("ProjPoint", [("coords", ComplexVector)])):
         return super().__new__(cls, _scale_first_nonzero(v))
 
 
-class ComplexHyperplane(NamedTuple("ComplexHyperplane", [("coefficients", ComplexVector)])):
+class ComplexHyperplane(_Record, NamedTuple("ComplexHyperplane", [("coefficients", ComplexVector)])):
     """The zero set of a nonzero linear form on C^(n+1).
 
     Coefficients are kept as given; equality compares projective classes.
     """
 
     __slots__ = ()
-    # `_replace` builds through `_make`, so both run the checks in `__new__`
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, coefficients: Sequence[GQLike]) -> "ComplexHyperplane":
         v = tuple(gq(x) for x in coefficients)

@@ -48,7 +48,7 @@ from .curves import (
     _merge,
     poly,
 )
-from .exact_linalg import GQ_I, GQ_ONE, GQ_ZERO, _reduced, gq
+from .exact_linalg import GQ_I, GQ_ONE, GQ_ZERO, _Record, _reduced, gq
 from .projective import ComplexHyperplane
 
 
@@ -375,12 +375,10 @@ class _SceneFields(NamedTuple):
     order: tuple[tuple[str, str], ...]
 
 
-class Scene(_SceneFields):
+class Scene(_Record, _SceneFields):
     """Named hyperplanes, real subspaces, and curves, in declaration order; an omitted table is a new dict."""
 
     __slots__ = ()
-    # `_replace` builds through `_make`, so both run the checks in `__new__`
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, hyperplanes=None, reals=None, curves=None, order=()) -> "Scene":
         tables = ({} if t is None else t for t in (hyperplanes, reals, curves))

@@ -67,7 +67,7 @@ from .curves import (
     terms_at,
     unit_exponent,
 )
-from .exact_linalg import GQ_I, GQ_ZERO, kernel_real
+from .exact_linalg import GQ_I, GQ_ZERO, _Record, kernel_real
 from .scene import Scene, format_exp_sum
 
 AVOIDED = "avoided"
@@ -87,10 +87,8 @@ class _PlanFields(NamedTuple):
     tolerance: float = 1e-9
 
 
-class SamplingPlan(_PlanFields):
+class SamplingPlan(_Record, _PlanFields):
     __slots__ = ()
-    # `_replace` builds through `_make`, so both run the checks in `__new__`
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, *fields, **named) -> "SamplingPlan":
         plan = super().__new__(cls, *fields, **named)
@@ -110,9 +108,6 @@ class SamplingPlan(_PlanFields):
             )
         return plan
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 class SetResult(NamedTuple):
     set: str
@@ -120,10 +115,6 @@ class SetResult(NamedTuple):
     verdict: str
     min_margin: float | None
     violation_sample: tuple[float, float] | None
-
-    def to_dict(self) -> dict:
-        sample = self.violation_sample
-        return self._asdict() | {"violation_sample": None if sample is None else list(sample)}
 
 
 class VerificationReport(NamedTuple):
@@ -137,15 +128,7 @@ class VerificationReport(NamedTuple):
         return all(r.verdict == AVOIDED for r in self.results)
 
     def to_dict(self) -> dict:
-        return {
-            "curve": self.curve,
-            "plan": self.plan.to_dict(),
-            "results": [r.to_dict() for r in self.results],
-            "projection_constant": self.projection_constant,
-            "projection_values": [
-                [list(coord) for coord in value] for value in self.projection_values
-            ],
-        }
+        return self._asdict() | {"plan": self.plan._asdict(), "results": [r._asdict() for r in self.results]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)

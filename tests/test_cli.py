@@ -421,7 +421,7 @@ class TestSeedPrecedence:
 
     def test_default_flags_are_the_default_plan(self, scene, capsys):
         _, data = run_json(capsys, "verify", "--curve", "f", scene(self.SCENE))
-        assert data["plan"] == SamplingPlan().to_dict()
+        assert data["plan"] == SamplingPlan()._asdict()
 
     def test_default_seed_is_zero(self, scene, capsys):
         _, data = run_json(capsys, "verify", "--curve", "f", scene(self.SCENE))

@@ -153,10 +153,21 @@ def test_a_restriction_linear_in_v_is_its_own_first_subresultant():
     assert (r.method, r.verdict, r.violation_sample) == ("exact", VIOLATED, (0.0, 0.0))
 
 
-def test_a_pair_above_the_degree_cap_is_sampled():
-    """Re w^a = Re w^(a-1) = 0 with deg R1 deg R2 = a (a - 1) just above MAX_DEGREE."""
-    a = next(a for a in range(2, MAX_DEGREE + 2) if a * (a - 1) > MAX_DEGREE)
-    scene = parse_scene(f"curve f: (exp({a}*z), exp({a - 1}*z), 1)\nreal T: x1 = 0; x2 = 0\n")
+_ABOVE_CAP = next(a for a in range(2, MAX_DEGREE + 2) if a * (a - 1) > MAX_DEGREE)
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        # Re w^a = Re w^(a-1) = 0 with deg R1 deg R2 = a (a - 1) just above MAX_DEGREE
+        pytest.param(f"(exp({_ABOVE_CAP}*z), exp({_ABOVE_CAP - 1}*z), 1)", id="above-cap"),
+        # R1 = u and R2 = u(u^2 - 3v^2) share the factor u, so r = 0
+        pytest.param("(exp(z), exp(3*z), 1)", id="common-factor"),
+    ],
+)
+def test_a_pair_no_exact_path_settles_is_sampled(curve):
+    """`unit_plane_zeros` returns None, and the sampler decides {Re g1 = 0, Re g2 = 0}."""
+    scene = parse_scene(f"curve f: {curve}\nreal T: x1 = 0; x2 = 0\n")
     f, subspace = scene.curves["f"], scene.reals["T"]
     assert unit_plane_zeros(*(apply_form(holomorphic_coefficients(form), f) for form in subspace.forms)) is None
     (r,) = verify(f, scene).results

@@ -162,6 +162,22 @@ class TestExactPaths:
         r = verify(f, scene).results[0]
         assert (r.method, r.verdict, r.violation_sample) == ("exact", VIOLATED, None)
 
+    @pytest.mark.parametrize(
+        "component, sample",
+        [
+            # the constant group floats to 0.0, so w = -1 is the one nonzero root left;
+            # the other exact root, about -10^-20, lies near |z| = 46
+            ("exp(2*z) + exp(z) + exp(1/10^20) - 1", (0.0, math.pi)),
+            # the e^z group floats to 0.0 as well, and no nonzero root is left
+            ("exp(2*z) + exp(z + 1/10^20) - exp(z) + exp(1/10^20) - 1", None),
+        ],
+    )
+    def test_groups_that_float_to_zero_drop_out_of_the_roots(self, component, sample):
+        """e^(10^-20) - 1 is a nonzero constant that rounds to 0.0; the verdict still stands."""
+        scene, f = scene_and_curve(f"hyperplane H: z1 = 0\ncurve f: ({component}, 0, 1)")
+        r = verify(f, scene).results[0]
+        assert (r.method, r.verdict, r.violation_sample) == ("exact", VIOLATED, sample)
+
     def test_three_groups_zero_from_the_unit_quadratic(self):
         """e^(z/50) + e^(z/100) - 1 is w^2 + w - 1 in w = e^(z/100), so it
         vanishes at 100 log((sqrt 5 - 1)/2), outside the disk."""
@@ -267,6 +283,14 @@ class TestExactPaths:
         assert (r.method, r.verdict) == ("exact", AVOIDED)
         forms = [holomorphic_coefficients(form) for form in scene.reals["T"].forms]
         assert pairs == [(apply_form(forms[0], f), apply_form(forms[2], f))]
+
+    def test_a_rank_three_subspace_is_sampled(self):
+        """Three restrictions of real rank 3 are beyond the exact scope, so the sampler decides."""
+        scene, f = scene_and_curve(
+            "real T: x1 - y1 = 0; x3 = 0; -2*x1 + y3 = 0\ncurve f: (exp(z), -exp(z), exp(2*z))"
+        )
+        r = verify(f, scene).results[0]
+        assert (r.set, r.method) == ("T", "sampled")
 
     def test_shift_by_a_large_imaginary_constant_keeps_the_sample_near(self):
         """With z + 20i, the branches of Log w are centred on Im(Log w - 20i), not on Im(Log w).
