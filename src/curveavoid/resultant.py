@@ -23,14 +23,14 @@ subresultant s11 v + s10.  r vanishes exactly at the u of the common
 complex zeros; r = 0 means a common factor, which stays undecided.  At a
 root u0 of r where s11(u0) != 0, the first subresultant is the gcd of
 R_1(u0, v) and R_2(u0, v), so u0 carries exactly one common zero, v0 =
--s10(u0)/s11(u0), real when u0 is.  With sqfree(r) = r / gcd(r, r'),
-which lies in Z[u] by Gauss's lemma, once gcd(sqfree(r), s11) = 1 the
+-s10(u0)/s11(u0), real when u0 is.  So once gcd(sqfree(r), s11) = 1, the
 real roots of sqfree(r) and the real common zeros correspond one to one.
 The origin is a common zero when both R_k vanish there; its root u = 0
 is divided out after checking that the line u = 0 carries no other common
-zero.  A Sturm sequence over Q counts the real roots left (Sturm's
-theorem): none means avoidance.  Each one is isolated by bisection on
-Sturm counts and refined by rational bisection on the sign of r.
+zero.  The remainder sequence r, r', -rem, ... ends in gcd(r, r'), and
+divided by it is a Sturm sequence whose first member is sqfree(r).  No
+real root means avoidance.  Each one is isolated by bisection on Sturm
+counts and refined by rational bisection on the sign of sqfree(r).
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from itertools import zip_longest
 from .curves import POLY_ZERO, ExpSum, Poly, _poly_key, unit_exponent
 from .exact_linalg import GaussianRational
 
-# deg r <= deg R_1 * deg R_2.  One subspace takes a median 5 ms at 16, 9 ms at 36 and
-# 75-80 ms at 64 and 81, most of it in the Sturm counts (CPython 3.11, one x86 core),
-# so larger ones stay sampled.
+# deg r <= deg R_1 * deg R_2.  One subspace takes a median 4 ms at 16, 8 ms at 36 and
+# 45-90 ms at 64 and 81, two thirds of it in isolating and refining the roots (CPython
+# 3.11, one x86 core), so larger ones stay sampled.
 MAX_DEGREE = 36
 _SHEARS = 16  # shears tried before the pair stays sampled
 _BITS = 64  # relative width of a refined root
@@ -94,12 +94,12 @@ def _rem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """A greatest common divisor of a and b, not both 0, primitive."""
-    while b:
-        r = _rem(a, b)
-        a, b = b, _primitive(r) if r else r
-    return _primitive(a)
+def _sequence(a: list[int], b: list[int]) -> list[list[int]]:
+    """a, b, then the primitive -rem of the last two until degree 0 or rem 0; the last is +-gcd(a, b)."""
+    chain = [a, b]
+    while len(chain[-1]) > 1 and (r := _rem(chain[-2], chain[-1])):
+        chain.append(_primitive([-c for c in r]))
+    return chain
 
 
 def _derivative(p: list) -> list:
@@ -154,30 +154,30 @@ def _refine(p: list[int], lo: Fraction, hi: Fraction) -> Fraction:
     return hi
 
 
-def _real_roots(p: list[int]) -> list[Fraction]:
-    """The real roots of the squarefree p of degree 1 or more.
+def _real_roots(r: list[int]) -> tuple[list[int], list[Fraction]]:
+    """q = sqfree(r), with the content of r, and its real roots, for r of degree 1 or more.
 
-    Sturm's theorem: the sign variations of the sequence p, p', -rem, ...
-    drop by the number of distinct roots in (a, b] from a to b.  Bisection
-    from (-2^k, 2^k], past Cauchy's bound, isolates each root; 0 is the
-    first midpoint, so a root at 0 is found exactly.  Each interval carries
-    the variations at its ends, so the chain is evaluated once per point.
+    r, r', -rem, ... ends in g = gcd(r, r'); divided by g (exactly, by Gauss's
+    lemma) it is a Sturm sequence of q = r / g.  Bisection from (-2^k, 2^k],
+    past Cauchy's bound, isolates each root; 0 is the first midpoint, so a
+    root at 0 is found exactly.  Each interval carries the variations at its
+    ends, so the chain is evaluated once per point.
     """
-    chain = [p, _primitive(_derivative(p))]
-    while len(chain[-1]) > 1:
-        chain.append(_primitive([-c for c in _rem(chain[-2], chain[-1])]))
-    bound = 2 ** (2 + max(map(abs, p[:-1])) // abs(p[-1])).bit_length()
+    chain = _sequence(r, _primitive(_derivative(r)))
+    chain = [_exquo(p, chain[-1]) for p in chain]
+    q = chain[0]
+    bound = 2 ** (2 + max(map(abs, q[:-1])) // abs(q[-1])).bit_length()
     lo, hi = Fraction(-bound), Fraction(bound)
     roots, stack = [], [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
     while stack:
         lo, hi, v_lo, v_hi = stack.pop()
         if v_lo - v_hi == 1:
-            roots.append(_refine(p, lo, hi))
+            roots.append(_refine(q, lo, hi))
         elif v_lo - v_hi > 1:
             mid = (lo + hi) / 2
             v_mid = _variations(chain, mid)
             stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
-    return roots
+    return q, roots
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +299,17 @@ def unit_plane_zeros(g1: ExpSum, g2: ExpSum) -> tuple[Poly, list[complex]] | Non
         r, (s11, s10) = _subresultants(s1, s2)
         if not r:
             return None
-        r = _primitive(r)
-        q = _exquo(r, _gcd(r, _derivative(r)))
         if origin:
-            on_line = _gcd([c[0] if c else 0 for c in s1], [c[0] if c else 0 for c in s2])
+            on_line = _sequence([c[0] if c else 0 for c in s1], [c[0] if c else 0 for c in s2])[-1]
             if any(on_line[:-1]):
                 continue
-            q = q[1:]
-        roots = _real_roots(q) if len(q) > 1 else []
+            r = r[next(i for i, c in enumerate(r) if c) :]  # sqfree(r / u^m) = sqfree(r) / u
+        q, roots = _real_roots(r) if len(r) > 1 else (r, [])
         if not roots:
             return p, []
         if min(len(s1), len(s2)) == 2:  # a factor of degree 1 in v is its own first subresultant
             s11, s10 = (s1 if len(s1) == 2 else s2)[::-1]
-        if not s11 or len(_gcd(q, _primitive(s11))) > 1:
+        if not s11 or len(_sequence(q, s11)[-1]) > 1:
             continue
         vs = [-_eval(s10, u) / _eval(s11, u) for u in roots]
         return p, [complex(float(u + lam * v), float(v)) for u, v in zip(roots, vs)]

@@ -29,7 +29,7 @@ from curveavoid.scene import Scene, parse_scene
 from curveavoid.verifier import verify
 
 from test_acceptance import budget
-from test_curves import gaussian, nonzero_gaussian
+from test_curves import CP3, gaussian, nonzero_gaussian
 
 F = Fraction
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -542,3 +542,22 @@ def test_no_curve_refutes_a_constant_verdict():
                 assert_meets_only_s(curve, scene)
                 outcomes["curves"] += 1
     assert min(outcomes.values()) >= 10, outcomes
+
+
+# each argument check, with the message it raises
+INVALID = [
+    (lambda: realify(CP3[0]), "realification lives in C^3 = R^6"),
+    (lambda: holomorphic_coefficients((1, 0, 0, 0, 0)), "expected a form on R^6"),
+    (
+        lambda: collapse_real_form(real_subspace((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)), 0, 0),
+        "collapse is defined for real hyperplanes",
+    ),
+    (lambda: triple_ranks(CP3, real_subspace((1, 0, 0, 0, 0, 0))), "hyperplanes live in C^3"),
+]
+
+
+@pytest.mark.parametrize("call, message", INVALID, ids=[m for _, m in INVALID])
+def test_invalid_input_names_its_fault(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

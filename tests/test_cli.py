@@ -112,6 +112,11 @@ class TestExitCodes:
         assert code == 2
         assert "g" in err
 
+    def test_unknown_curve_to_project_is_two(self, scene, capsys):
+        code, out, err = run(capsys, "project", "--curve", "g", "--at", "0", scene(VIOLATING))
+        assert (code, out) == (2, "")
+        assert err == "error: no curve named 'g' in the scene\n"
+
     def test_obstructed_construction_is_three(self, scene, capsys):
         code, out, err = run(capsys, "classify", scene(OBSTRUCTED))
         assert code == 3

@@ -685,3 +685,34 @@ class TestEvaluation:
         """max() skips a NaN that is not first, so every exponent is checked itself."""
         with pytest.raises(ValueError, match="beyond the float range"):
             scaled_values([[(1, 0j)], [(1, 2 + 0j), (1, bad)]])
+
+
+CP3 = [ComplexHyperplane(tuple(int(j == k) for j in range(4))) for k in range(4)]  # the coordinate planes of CP^3
+REAL_HYPERPLANE = RealSubspace(((1, 0, 0, 0, 0, 0),))
+DIM4 = RealSubspace(((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)))
+
+# each argument check, with the message it raises
+INVALID = [
+    (
+        lambda: apply_form((1, 0), ExpAffineCurve.from_terms((1, POLY_Z), (1, ()), (1, ()))),
+        "forms on C^3 have 3 coefficients",
+    ),
+    (lambda: witness_constant_projection([*CP3, ComplexHyperplane((1, 1, 1, 1))]), "hyperplanes live in C^3"),
+    (lambda: witness_dim4_subspace(STANDARD[:3]), "exactly four hyperplanes are required"),
+    (lambda: witness_degenerate_pair(STANDARD, DIM4, (1, 2)), "a real hyperplane is required"),
+    (
+        lambda: witness_degenerate_pair(STANDARD, REAL_HYPERPLANE, (2, 1)),
+        "pair indices must satisfy 1 <= j < k <= 4",
+    ),
+    (
+        lambda: witness_degenerate_pair(STANDARD[:3], REAL_HYPERPLANE, (1, 2)),
+        "exactly four hyperplanes are required",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", INVALID, ids=[m for _, m in INVALID])
+def test_invalid_input_names_its_fault(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -13,6 +13,8 @@ from curveavoid.diagonals import (
 from curveavoid.exact_linalg import GQ_ZERO, gq
 from curveavoid.projective import ComplexHyperplane, ProjLine, ProjPoint, incident
 
+from test_curves import CP3
+
 STANDARD = [
     ComplexHyperplane((1, 0, 0)),
     ComplexHyperplane((0, 1, 0)),
@@ -139,3 +141,20 @@ class TestDiagonalsOfSix:
     def test_points_of_one_diagonal_differ(self):
         for d in enumerate_diagonals(self.HYPERPLANES):
             assert d.p != d.q
+
+
+# each argument check, with the message it raises
+INVALID = [
+    (lambda: enumerate_partitions(0), "n must be positive"),
+    (lambda: intersection_point([]), "no hyperplanes given"),
+    (lambda: intersection_point(STANDARD[:1]), "need exactly 2 hyperplanes in CP^2"),
+    (lambda: enumerate_diagonals([STANDARD[0], CP3[0]]), "hyperplanes live in the same CP^n"),
+    (lambda: enumerate_diagonals(CP3), "4 hyperplanes must live in CP^2"),
+]
+
+
+@pytest.mark.parametrize("call, message", INVALID, ids=[m for _, m in INVALID])
+def test_invalid_input_names_its_fault(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

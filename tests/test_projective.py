@@ -113,3 +113,17 @@ class TestGeneralPosition:
         with pytest.raises(ValueError, match="^hyperplanes 1, 2, 4 are not in general position$"):
             require_general_position(hyperplanes, 3)
         require_general_position(hyperplanes[:3], 3)
+
+
+# each argument check, with the message it raises
+INVALID = [
+    (lambda: incident(ProjPoint((1, 0)), ComplexHyperplane((1, 0, 0))), "dimension mismatch"),
+    (lambda: line_through(ProjPoint((1, 0, 0, 0)), ProjPoint((0, 1, 0, 0))), "line_through works in CP^2"),
+]
+
+
+@pytest.mark.parametrize("call, message", INVALID, ids=[m for _, m in INVALID])
+def test_invalid_input_names_its_fault(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

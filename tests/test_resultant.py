@@ -7,7 +7,8 @@ oracles check the verdicts: a float Newton solve of (Re g1, Re g2) in
 the dim-4 witness on GL3(Q(i)) images of the standard four.  Every
 violated verdict's sample must make both forms vanish to within the
 plan's tolerance, evaluated here with cmath.  The subresultant chain
-itself is checked against Sylvester determinants computed here.
+itself is checked against Sylvester determinants computed here, and the
+real roots against polynomials multiplied out here from known roots.
 """
 
 import cmath
@@ -22,7 +23,7 @@ from curveavoid.arrangement import holomorphic_coefficients
 from curveavoid.cli import _witness_scene
 from curveavoid.curves import apply_form, witness_dim4_subspace
 from curveavoid.exact_linalg import gq
-from curveavoid.resultant import MAX_DEGREE, _real_part, _shear, _subresultants, unit_plane_zeros
+from curveavoid.resultant import MAX_DEGREE, _real_part, _real_roots, _shear, _subresultants, unit_plane_zeros
 from curveavoid.scene import parse_scene
 from curveavoid.verifier import AVOIDED, VIOLATED, SamplingPlan, verify
 
@@ -151,6 +152,18 @@ def test_a_restriction_linear_in_v_is_its_own_first_subresultant():
     scene = parse_scene("curve f: (exp(z), 1, 0)\nreal T: x1 - x2 = 0; y1 = 0\n")
     (r,) = verify(scene.curves["f"], scene).results
     assert (r.method, r.verdict, r.violation_sample) == ("exact", VIOLATED, (0.0, 0.0))
+
+
+def test_two_common_zeros_over_one_u_move_to_the_next_shear():
+    """Re w^2 = 1 and Re(w^2 + w) = 4 meet at w = 3 +- i sqrt(8), which share u = 3.
+
+    At shear 0, r = c (u - 3)^2 and the first subresultant vanishes, so the
+    pair is tried again at shear 1, where the two zeros have distinct u.
+    """
+    scene = parse_scene("curve f: (exp(2*z) - 1, exp(2*z) + exp(z) - 4, 1)\nreal T: x1 = 0; x2 = 0\n")
+    (r,) = verify(scene.curves["f"], scene).results
+    assert (r.method, r.verdict) == ("exact", VIOLATED)
+    assert abs(complex(*r.violation_sample) - cmath.log(3 - 1j * math.sqrt(8))) <= 1e-12
 
 
 _ABOVE_CAP = next(a for a in range(2, MAX_DEGREE + 2) if a * (a - 1) > MAX_DEGREE)
@@ -362,6 +375,34 @@ def test_the_chain_matches_sylvester_determinants_on_hand_built_pairs(a, b, firs
     assert (not r) == common_factor
     if first is not None:
         assert first_proportional(found, first)
+
+
+def oracle_multiply(a, b):
+    """The product of two int coefficient lists, lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_real_roots_gives_the_square_free_part_and_its_rational_roots():
+    """r = c prod (d u - n)^m (u^2 + b), with a = n/d distinct: q = +-c prod (d u - n) (u^2 + b) and roots a."""
+    rng = random.Random(11)
+    for _ in range(40):
+        roots = sorted({Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))})
+        b = rng.randint(1, 5)
+        r = q = [rng.choice((-1, 1)) * rng.randint(1, 6)]
+        for a in roots:
+            factor = [-a.numerator, a.denominator]
+            q = oracle_multiply(q, factor)
+            for _ in range(rng.randint(1, 3)):
+                r = oracle_multiply(r, factor)
+        r, q = oracle_multiply(r, [b, 0, 1]), oracle_multiply(q, [b, 0, 1])
+        found_q, found = _real_roots(r)
+        assert found_q in (q, [-c for c in q])
+        assert len(found) == len(roots)
+        assert all(abs(x - a) <= abs(a) / 2**60 for x, a in zip(sorted(found), roots))
 
 
 def cmul(a, b):

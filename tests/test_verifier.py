@@ -761,3 +761,22 @@ class TestProjectiveValue:
                 SamplingPlan(disk_radius=bad)
             with pytest.raises(ValueError, match="finite"):
                 SamplingPlan(tolerance=bad)
+
+
+def far_exponent_on_a_small_grid():
+    """e^(z^64) overflows at a grid point of the disk of radius 1e5: sampling cannot evaluate the curve."""
+    scene, f = scene_and_curve("curve f: (exp(z^64), exp(i*z), 1)\nreal T: x1 = 0; x2 = 0\n")
+    verify(f, scene, SamplingPlan(disk_radius=1e5, grid_points=3, random_points=0))
+
+
+# each argument check, with the message it raises
+INVALID = [
+    (far_exponent_on_a_small_grid, "an exponent is beyond the float range at a sample point"),
+]
+
+
+@pytest.mark.parametrize("call, message", INVALID, ids=[m for _, m in INVALID])
+def test_invalid_input_names_its_fault(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
