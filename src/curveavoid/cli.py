@@ -286,14 +286,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = Path(args.scene).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        scene = parse_scene(text)
+        scene = parse_scene(Path(args.scene).read_text(encoding="utf-8"))
     except ParseError as exc:
         print(f"error: {args.scene}: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         return args.handler(args, scene)

@@ -394,6 +394,17 @@ def _at(form: Sequence[GaussianRational], point: Sequence[GaussianRational]) -> 
     return sum((a * x for a, x in zip(form, point)), GQ_ZERO)
 
 
+def _meets(hyperplanes: Sequence[ComplexHyperplane], pair: tuple[int, int]) -> list[Sequence[GaussianRational]]:
+    """The coordinates of H_j cap H_k for pair = (j, k), then of the meet of the other two."""
+    if len(hyperplanes) != 4:
+        raise ValueError("exactly four hyperplanes are required")
+    if any(len(h.coefficients) != 3 for h in hyperplanes):
+        raise ValueError("hyperplanes live in C^3")
+    require_general_position(hyperplanes, 3)
+    sides = ([h for i, h in enumerate(hyperplanes, 1) if (i in pair) is side] for side in (True, False))
+    return [intersection_point(side).coords for side in sides]
+
+
 def witness_dim4_subspace(
     hyperplanes: Sequence[ComplexHyperplane],
 ) -> tuple[RealSubspace, ExpAffineCurve]:
@@ -409,18 +420,12 @@ def witness_dim4_subspace(
     {Re(w1 - w2) = 0, Re(w1 - w3) = 0}; where Re(e^z) vanishes, Re(e^(2z))
     equals -Im(e^z)^2 < 0, so the two forms never vanish together on it.
     """
-    if len(hyperplanes) != 4:
-        raise ValueError("exactly four hyperplanes are required")
-    if any(len(h.coefficients) != 3 for h in hyperplanes):
-        raise ValueError("hyperplanes live in C^3")
-    require_general_position(hyperplanes, 3)
+    p, q = _meets(hyperplanes, (1, 2))
     a = [h.coefficients for h in hyperplanes]
     # the relations among the columns (a4, a1, a2, a3) are spanned by one
     # kernel vector, scaled to (1, -lambda1, -lambda2, -lambda3)
     (mu,) = kernel_complex([[row[j] for row in (a[3], *a[:3])] for j in range(3)])
     w = [[-m * x for x in row] for m, row in zip(mu[1:], a[:3])]
-    p = intersection_point(hyperplanes[:2]).coords
-    q = intersection_point(hyperplanes[2:]).coords
     at_p, at_q = _at(a[3], p), _at(w[0], q)
     curve = ExpAffineCurve(
         tuple(exp_term(y / at_q, POLY_Z) + exp_term(x / at_p, (0, 2)) for x, y in zip(p, q))
@@ -458,13 +463,7 @@ def witness_degenerate_pair(
     j, k = pair
     if not (1 <= j < k <= 4):
         raise ValueError("pair indices must satisfy 1 <= j < k <= 4")
-    if len(hyperplanes) != 4:
-        raise ValueError("exactly four hyperplanes are required")
-    if any(len(h.coefficients) != 3 for h in hyperplanes):
-        raise ValueError("hyperplanes live in C^3")
-    require_general_position(hyperplanes, 3)
-    p = intersection_point([hyperplanes[j - 1], hyperplanes[k - 1]]).coords
-    q = intersection_point([h for i, h in enumerate(hyperplanes, 1) if i not in pair]).coords
+    p, q = _meets(hyperplanes, pair)
     alpha = holomorphic_coefficients(s.forms[0])
     at_p, at_q = _at(alpha, p), _at(alpha, q)
     if at_p:

@@ -117,9 +117,7 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other: GQLike) -> "GaussianRational":
-        o = other if other.__class__ is GaussianRational else gq(other)
-        d, e = self._d, o._d
-        return _reduced(self._a * e - o._a * d, self._b * e - o._b * d, d * e)
+        return self + -(other if other.__class__ is GaussianRational else gq(other))
 
     def __rsub__(self, other: GQLike) -> "GaussianRational":
         return gq(other) - self
@@ -149,10 +147,6 @@ class GaussianRational:
 
     def conjugate(self) -> "GaussianRational":
         return _reduced(self._a, -self._b, self._d)
-
-    def norm2(self) -> Fraction:
-        """Squared modulus, exact."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def to_complex(self) -> complex:
         # int true division rounds correctly, as Fraction.__float__ does

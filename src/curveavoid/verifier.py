@@ -25,12 +25,12 @@ polynomials in w, and `resultant.unit_plane_zeros` decides exactly, by
 real elimination, whether Re g1 and Re g2 vanish together at some w != 0;
 the sample is taken from the common zeros by the same rule.  Any other
 subspace (rank three or more, exponents with no common unit such as e^z
-and e^(iz), a resultant that vanishes identically, or one of degree above
-`resultant.MAX_DEGREE`) falls back to dense sampling over a disk with
-targeted refinement near the zero set of each individual form.  The
-`resultant` module is loaded only when a subspace reaches rank two, and
-`sampling` only when a subspace needs it or a polynomial of degree 3 or
-more needs its roots.
+and e^(iz), a resultant that vanishes identically or of degree above
+`resultant.MAX_DEGREE`, or no shear up to `resultant._SHEARS` passing, as
+when both real curves are singular at a common zero) is sampled densely
+over a disk, with refinement near each form's zero set.  `resultant` is
+loaded only when a subspace reaches rank two, and `sampling` only when a
+subspace needs it or a polynomial of degree 3 or more needs its roots.
 
 Sampling cannot prove avoidance.  Reports therefore label every verdict
 with the method that produced it, and sampled verdicts carry the minimum

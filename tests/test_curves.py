@@ -716,3 +716,23 @@ def test_invalid_input_names_its_fault(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+CONCURRENT = [ComplexHyperplane(a) for a in ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1))]  # scenes/concurrent.scene
+
+
+@pytest.mark.parametrize(
+    "hyperplanes, message",
+    [(CP3, "hyperplanes live in C^3"), (CONCURRENT, "hyperplanes 1, 2, 3 are not in general position")],
+    ids=["C^3", "general-position"],
+)
+@pytest.mark.parametrize(
+    "witness",
+    [witness_dim4_subspace, lambda hyperplanes: witness_degenerate_pair(hyperplanes, REAL_HYPERPLANE, (1, 2))],
+    ids=["dim4", "degenerate-pair"],
+)
+def test_both_diagonal_witnesses_check_the_four_hyperplanes_alike(witness, hyperplanes, message):
+    """The width and general-position checks that both witnesses share, with their messages."""
+    with pytest.raises(ValueError) as info:
+        witness(hyperplanes)
+    assert str(info.value) == message

@@ -69,7 +69,6 @@ class TestGaussianRational:
     def test_conjugate_and_norm(self):
         a = gq(2, -3)
         assert a.conjugate() == gq(2, 3)
-        assert a.norm2() == F(13)
         assert a * a.conjugate() == gq(13)
 
     def test_bool(self):
@@ -481,8 +480,6 @@ def test_unary_ops_and_conversions_match_fraction_pairs(p):
     for z, expected in ((-x, (-re, -im)), (x.conjugate(), (re, -im))):
         assert parts(z) == expected
         assert_reduced(z)
-    assert x.norm2() == re * re + im * im
-    assert type(x.norm2()) is Fraction
     assert x.to_complex() == complex(re) + 1j * complex(im)
     assert str(x) == reference_str(re, im)
     assert repr(x) == f"GaussianRational(re={re!r}, im={im!r})"

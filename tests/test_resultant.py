@@ -176,6 +176,16 @@ _ABOVE_CAP = next(a for a in range(2, MAX_DEGREE + 2) if a * (a - 1) > MAX_DEGRE
         pytest.param(f"(exp({_ABOVE_CAP}*z), exp({_ABOVE_CAP - 1}*z), 1)", id="above-cap"),
         # R1 = u and R2 = u(u^2 - 3v^2) share the factor u, so r = 0
         pytest.param("(exp(z), exp(3*z), 1)", id="common-factor"),
+        # g1 = (w - 1)^2 and g2 = i w (w - 1)^2: both curves Re g_k = 0 are singular at
+        # their common zero w = 1, so every shear's s11 vanishes at its root of q
+        pytest.param(
+            "(exp(2*z) - 2*exp(z) + 1, i*exp(3*z) - 2*i*exp(2*z) + i*exp(z), 1)", id="singular"
+        ),
+        # the same at w = 2, which f(log 2) = (0, 0, 1) puts in T off the sampling grid
+        pytest.param(
+            "(exp(2*z) - 4*exp(z) + 4, i*exp(3*z) - 4*i*exp(2*z) + 4*i*exp(z), 1)",
+            id="singular-off-grid",
+        ),
     ],
 )
 def test_a_pair_no_exact_path_settles_is_sampled(curve):
