@@ -121,7 +121,28 @@ class ExpPoly(NamedTuple):
         return self.exponent[0] if self.exponent else GQ_ZERO
 
 
-class ExpSum:
+class _Value:
+    """An immutable value held in one slot, `__slots__[0]` of its class, and equal only within its class."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __reduce__(self) -> tuple:
+        return type(self), (getattr(self, self.__slots__[0]),)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.__slots__[0]}={getattr(self, self.__slots__[0])!r})"
+
+    def __eq__(self, other: object) -> bool:
+        return self.__reduce__() == other.__reduce__() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+
+class ExpSum(_Value):
     """A finite sum of exponential terms in canonical grouped form.
 
     `ExpSum(terms)` takes canonical terms: Gaussian-rational coefficients
@@ -143,21 +164,6 @@ class ExpSum:
             ExpPoly(c, p) for p, c in sorted(grouped.items(), key=lambda pc: _poly_key(pc[0]))
         )
         object.__setattr__(self, "terms", ordered)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
-
-    def __reduce__(self) -> tuple:
-        return ExpSum, (self.terms,)
-
-    def __repr__(self) -> str:
-        return f"ExpSum(terms={self.terms!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return self.terms == other.terms if other.__class__ is ExpSum else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -244,7 +250,7 @@ def terms_at(s: ExpSum, z: complex) -> list[tuple[complex, complex]]:
 # ---------------------------------------------------------------------------
 # curves
 
-class ExpAffineCurve:
+class ExpAffineCurve(_Value):
     """An entire curve C -> C^3 whose components are exponential sums; an immutable value like `ExpSum`."""
 
     __slots__ = ("components",)
@@ -255,20 +261,6 @@ class ExpAffineCurve:
         if not any(components):
             raise ValueError("the zero curve has no projective image")
         object.__setattr__(self, "components", components)
-
-    __setattr__ = ExpSum.__setattr__
-
-    def __reduce__(self) -> tuple:
-        return ExpAffineCurve, (self.components,)
-
-    def __repr__(self) -> str:
-        return f"ExpAffineCurve(components={self.components!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return self.components == other.components if other.__class__ is ExpAffineCurve else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.components,))
 
     @classmethod
     def from_terms(cls, *terms: tuple[GQLike, Sequence[GQLike]]) -> "ExpAffineCurve":

@@ -5,14 +5,8 @@ it when no exact certificate settles a real subspace, or when an exact
 sample needs the roots of a polynomial of degree 3 or more
 (`polynomial_roots`): a polynomial in the unit, or P(z) = v for its
 exponent P.  The commands that need neither never pay for the import.
-Since every subspace whose restrictions have nonconstant parts of real
-rank at most one, and every one of rank two whose restrictions share a
-unit (`curves.unit_exponent`), is decided exactly (see `verifier` and
-`resultant`), the sampler serves rank two on other curves, such as e^z
-with e^(iz), rank three and more, and the rank-two pairs the elimination
-leaves undecided: a common factor of the real parts, a resultant of degree
-above `resultant.MAX_DEGREE`, or no shear up to `resultant._SHEARS`
-passing, as when both real curves are singular at a common zero.
+Which subspaces reach the sampler, and what its verdicts are worth, is
+set out in `verifier`'s docstring.
 
 A subspace is sampled over a deterministic grid on the disk, seeded
 random points in it, and targeted points: bisection onto the zero set of

@@ -32,9 +32,12 @@ over a disk, with refinement near each form's zero set.  `resultant` is
 loaded only when a subspace reaches rank two, and `sampling` only when a
 subspace needs it or a polynomial of degree 3 or more needs its roots.
 
-Sampling cannot prove avoidance.  Reports therefore label every verdict
-with the method that produced it, and sampled verdicts carry the minimum
-relative margin observed.  The relative margin at a sample z is
+Sampling proves neither verdict: a sampled `avoided` and a sampled
+`violated` are both evidence.  A near-approach can read as a hit, since
+a margin below the tolerance counts as one, and a zero off the grid and
+off every bisected edge can be missed.  Reports therefore label every
+verdict with the method that produced it, and sampled verdicts carry the
+minimum relative margin observed.  The relative margin at a sample z is
 
     max over defining forms of |form value at f(z)| / |f(z)|,
 

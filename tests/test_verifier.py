@@ -491,6 +491,53 @@ class TestTargeting:
         assert np.abs(samples).max() <= 5.0 + 1e-12
 
 
+# a wrong sampled verdict fails the assert; any other error still fails the test
+wrong_sampled_verdict = pytest.mark.xfail(raises=AssertionError, reason="the default plan samples a wrong verdict")
+
+
+class TestKnownWrongSampledVerdicts:
+    """Scenes whose true verdict the sampler gets wrong under the default plan.
+
+    Sampled verdicts are evidence, not proof.  The xfails are strict, so a
+    change that decides one of these correctly must remove its marker.
+    """
+
+    @wrong_sampled_verdict
+    def test_a_rank_three_hit_off_the_grid(self):
+        """f(log(1 + i)) = (1 + i, -1 - i, 2i) lies in T: x1 = y1 = 1, x3 = 0 and y3 = 2 = 2 x1.
+
+        Sampled, the verdict is avoided with min margin 0.0111.
+        """
+        scene, f = scene_and_curve(
+            "real T: x1 - y1 = 0; x3 = 0; -2*x1 + y3 = 0\ncurve f: (exp(z), -exp(z), exp(2*z))"
+        )
+        assert verify(f, scene).results[0].verdict == VIOLATED
+
+    @wrong_sampled_verdict
+    def test_a_vanishing_margin_without_a_hit(self):
+        """With w = e^z = r e^(i theta), Re w^7 = Re w^6 = 0 needs 7 theta and 6 theta in pi/2 + pi Z.
+
+        Their difference theta is then in pi Z, where cos 7 theta = +-1, so f avoids T.  The
+        resultant has degree 42, above `resultant.MAX_DEGREE`, and the sampler reports violated
+        with min margin 4.17e-31 at (-9.8, -0.2618), where the curve tends projectively to (0, 0, 1).
+        """
+        scene, f = scene_and_curve("real T: x1 = 0; x2 = 0\ncurve f: (exp(7*z), exp(6*z), 1)")
+        assert verify(f, scene).results[0].verdict == AVOIDED
+
+    @wrong_sampled_verdict
+    def test_a_singular_common_zero_no_shear_settles(self):
+        """In w = e^z, f1 = (w - 2)^2 and f2 = i w (w - 2)^2, so f(log 2) = (0, 0, 1) lies in T.
+
+        Both real curves Re f_k = 0 are singular at w = 2, no shear passes, and the zero lies
+        off the grid: sampled, the verdict is avoided with min margin 2.77e-05.
+        """
+        scene, f = scene_and_curve(
+            "real T: x1 = 0; x2 = 0\n"
+            "curve f: (exp(2*z) - 4*exp(z) + 4, i*exp(3*z) - 4*i*exp(2*z) + 4*i*exp(z), 1)"
+        )
+        assert verify(f, scene).results[0].verdict == VIOLATED
+
+
 def far_dim4_scene(slope):
     """The dim-4 witness in w = slope z: on the disk, Re w leaves the float range of e^w."""
     return (
