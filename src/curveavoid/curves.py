@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from itertools import combinations, count, product, zip_longest
+from itertools import count, islice, product, zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
 from .arrangement import RealSubspace, holomorphic_coefficients, re_part_form
@@ -31,6 +31,7 @@ from .exact_linalg import (
     GQ_I,
     GQ_ONE,
     GQ_ZERO,
+    _integers,
     gq,
     kernel_complex,
 )
@@ -69,12 +70,18 @@ def poly_eval(p: Poly, z: complex) -> complex:
     return acc
 
 
-def _gq_key(c: GaussianRational) -> tuple[Fraction, Fraction]:
-    return (c.re, c.im)
+def _order(polys: Sequence[Poly]) -> list[int]:
+    """The indices of polys in increasing (degree, (re, im) of each coefficient, low first).
 
-
-def _poly_key(p: Poly) -> tuple:
-    return (len(p), tuple(_gq_key(c) for c in p))
+    The coefficients are read by `exact_linalg._integers`, over one common
+    scale > 0, which keeps their order.  One poly, or none, is in order.
+    """
+    if len(polys) < 2:
+        return list(range(len(polys)))
+    re, im = _integers([c for p in polys for c in p])
+    pairs = iter(zip(re, im))
+    keys = [(len(p), *islice(pairs, len(p))) for p in polys]
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 _SCALE_STEP = 512
@@ -101,7 +108,8 @@ def scaled_values(sums: Sequence[Sequence[tuple[complex, complex]]]) -> tuple[in
 
 def _merge(acc: dict, m, c: GaussianRational) -> GaussianRational:
     """Add c to the coefficient of m in acc, dropping it if it cancels; the new coefficient."""
-    total = acc.get(m, GQ_ZERO) + c
+    old = acc.get(m)
+    total = c if old is None else old + c
     if total:
         acc[m] = total
     else:
@@ -147,7 +155,8 @@ class ExpSum(_Value):
 
     `ExpSum(terms)` takes canonical terms: Gaussian-rational coefficients
     and exponents built by `poly`.  It merges like exponents, drops zero
-    coefficients and orders the terms.  It is an immutable value, not a sequence.
+    coefficients and orders the terms by exponent (`_order`).  It is an
+    immutable value, not a sequence.
 
     With constant exponents it is a formal constant, a sum of c e^r over
     distinct r; by Lindemann-Weierstrass it is zero exactly when it has no
@@ -160,10 +169,8 @@ class ExpSum(_Value):
         grouped: dict[Poly, GaussianRational] = {}
         for t in terms:
             _merge(grouped, t.exponent, t.coeff)
-        ordered = tuple(
-            ExpPoly(c, p) for p, c in sorted(grouped.items(), key=lambda pc: _poly_key(pc[0]))
-        )
-        object.__setattr__(self, "terms", ordered)
+        exponents, coeffs = list(grouped), list(grouped.values())
+        object.__setattr__(self, "terms", tuple(ExpPoly(coeffs[i], exponents[i]) for i in _order(exponents)))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -197,10 +204,10 @@ class ExpSum(_Value):
     def float_terms(self, top: Fraction) -> list[tuple[complex, complex]]:
         """The terms c e^r of a formal constant as (c, r - top) pairs in floating point.
 
-        r - top is taken exactly, and the pairs come in increasing r (`_gq_key`),
+        r - top is taken exactly, and the pairs come in increasing (Re r, Im r),
         which fixes the order of any float sum over them.
         """
-        ordered = sorted(self.terms, key=lambda t: _gq_key(t.offset))
+        ordered = [self.terms[i] for i in _order([(t.offset,) for t in self.terms])]
         return [(t.coeff.to_complex(), (t.offset - top).to_complex()) for t in ordered]
 
     def log(self) -> complex | None:
@@ -322,29 +329,33 @@ def unit_exponent(polys: Sequence[Poly]) -> tuple[Poly, list[int]] | None:
     return tuple(c / denominator for c in ref), powers
 
 
-def _constant_ratio(f: ExpSum, g: ExpSum) -> bool:
-    """Whether f / g is a constant function, decided exactly.
+def _constant_ratio(gf: dict[Poly, ExpSum], gg: dict[Poly, ExpSum]) -> bool:
+    """Whether f / g is a constant function, decided exactly from their direction groups.
 
     f = lambda * g forces the exponent directions to match group by group;
-    the scalar is then consistent exactly when all cross products of the
-    group coefficients agree, which is a formal identity of constant sums.
+    the scalar is then consistent exactly when the cross products of each
+    group's coefficients with those of one reference group agree, which is
+    a formal identity of constant sums.  Any group can be the reference,
+    since none is zero; it is the first of f's.
     """
-    gf, gg = _direction_groups(f), _direction_groups(g)
-    if set(gf) != set(gg):
+    if gf.keys() != gg.keys():
         return False
-    directions = sorted(gf, key=_poly_key)
-    ref = directions[0]
-    return all(not (gf[d] * gg[ref] - gf[ref] * gg[d]) for d in directions[1:])
+    ref, *rest = gf
+    return all(not (gf[d] * gg[ref] - gf[ref] * gg[d]) for d in rest)
 
 
 def is_projectively_constant(f: ExpAffineCurve) -> bool:
     """Whether the image of f in CP^2 is a single point.
 
-    For single-term components this is the classical criterion that the
-    exponent differences are constant polynomials.
+    It is exactly when each nonzero component is a constant multiple of the
+    first, as ratios of constant ratios are constant.  For single-term
+    components this is the classical criterion that the exponent
+    differences are constant polynomials.  Each component's direction
+    groups are formed once, and only until a ratio is not constant.
     """
-    nonzero = [c for c in f.components if c]
-    return all(_constant_ratio(a, b) for a, b in combinations(nonzero, 2))
+    groups = (_direction_groups(c) for c in f.components if c)
+    first = next(groups)
+    return all(_constant_ratio(g, first) for g in groups)
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,20 @@ complement computation on a small matrix.  All of it is exact: entries are
 so "in general position" is decided by arithmetic, not by tolerances.  A
 `GaussianRational` is one reduced integer triple, (a + bi)/d with d > 0
 and gcd(a, b, d) = 1: each of its operations works on ints and ends in a
-single gcd, and its real and imaginary parts become `Fraction`s only when
-asked for.
+single gcd, `str` prints it from the triple, and its real and imaginary
+parts become `Fraction`s only when asked for.  One private reader,
+`_integers`, reads values as ints: each (a + bi)/d, an int or a
+`Fraction` as (n, 0, d), becomes (a s/d, b s/d) with s > 0 the lcm of
+every d, so the pairs compare as the parts do and span what the values
+span.  `_eliminate` reads each row through it, `curves` orders exponents
+by its pairs and `resultant` expands real parts in them.
 
 Every rank and kernel comes from one kernel, `_eliminate`:
 fraction-free elimination after Bareiss (1968, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination").  Every entry is read
-straight from its integers as a triple (a, b, d) for (a + bi)/d, an int
-or a `Fraction` as (n, 0, d), and each row is multiplied by the lcm of
-its d, which keeps its row space, so the entries become pairs of Python
-ints.  With p the new pivot, in row r and column c, and prev the pivot
-before it (1 at the start), row i becomes
+multistep integer-preserving Gaussian elimination") on the rows as
+`_integers` reads them, pairs of Python ints.  With p the new pivot, in
+row r and column c, and prev the pivot before it (1 at the start), row
+i becomes
 
     m[i][j] = (p * m[i][j] - m[i][c] * m[r][j]) / prev.
 
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence, TypeVar, Union
+from typing import Iterable, Sequence, TypeVar, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -156,12 +159,18 @@ class GaussianRational:
         return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        if not im:
-            return str(re)
-        sign = "-" if im < 0 else "+" if re else ""
-        mag = "" if abs(im) == 1 else abs(im)
-        return f"{re or ''}{sign}{mag}i"
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio(a, d)
+        sign = "-" if b < 0 else "+" if a else ""
+        mag = "" if abs(b) == d else _ratio(abs(b), d)
+        return f"{_ratio(a, d) if a else ''}{sign}{mag}i"
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, as `str` of a `Fraction` prints it, from one gcd."""
+    g = math.gcd(n, d)
+    return f"{n // g}" if d == g else f"{n // g}/{d // g}"
 
 
 def _reduced(a: int, b: int, d: int) -> GaussianRational:
@@ -210,6 +219,13 @@ def _parts(x: GQLike) -> tuple[int, int, int]:
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
+def _integers(values: Iterable[GQLike]) -> tuple[list[int], list[int]]:
+    """The real and imaginary parts a s/d and b s/d of each value (a + bi)/d, s the lcm of every d."""
+    entries = [_parts(x) for x in values]
+    scale = math.lcm(*[d for _, _, d in entries])
+    return [a * (scale // d) for a, _, d in entries], [b * (scale // d) for _, b, d in entries]
+
+
 def _check_rational(rows: Sequence[Sequence[RationalLike]]) -> None:
     """The real-only entry points' TypeError for a Gaussian rational; `_parts` rejects the rest."""
     if any(x.__class__ is GaussianRational for r in rows for x in r):
@@ -230,10 +246,9 @@ def _eliminate(
     m_re: list[list[int]] = []
     m_im: list[list[int]] = []
     for r in rows:
-        entries = [_parts(x) for x in r]
-        scale = math.lcm(*(d for _, _, d in entries))
-        m_re.append([a * (scale // d) for a, _, d in entries])
-        m_im.append([b * (scale // d) for _, b, d in entries])
+        x_re, x_im = _integers(r)
+        m_re.append(x_re)
+        m_im.append(x_im)
     n = len(m_re)
     real = not any(map(any, m_im))
     prev_re, prev_im = 1, 0

@@ -39,8 +39,8 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 
-from .curves import POLY_ZERO, ExpSum, Poly, _poly_key, unit_exponent
-from .exact_linalg import GaussianRational
+from .curves import POLY_ZERO, ExpSum, Poly, _order, unit_exponent
+from .exact_linalg import GaussianRational, _integers
 
 # deg r <= deg R_1 * deg R_2.  One subspace takes a median 4 ms at 16, 8 ms at 36 and
 # 45-90 ms at 64 and 81, two thirds of it in isolating and refining the roots (CPython
@@ -58,12 +58,10 @@ def _trim(p: list) -> list:
     return p
 
 
-def _primitive(p: list) -> list[int]:
-    """The positive multiple of p != 0 with coprime integer coefficients."""
-    scale = math.lcm(*(Fraction(c).denominator for c in p))
-    ints = [int(c * scale) for c in p]
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
+def _primitive(p: list[int]) -> list[int]:
+    """p != 0 divided by the gcd of its integer coefficients."""
+    g = math.gcd(*p)
+    return [c // g for c in p]
 
 
 def _eval(p: list, x):
@@ -195,7 +193,8 @@ def _laurent(restrictions) -> tuple[Poly, list[dict[int, GaussianRational]]] | N
     The scope is `curves.unit_exponent` on the exponents, 0 first.  Of P
     and -P, the one that gives the smaller product of degrees of R.
     """
-    exponents = sorted({t.exponent for g in restrictions for t in g.terms} | {POLY_ZERO}, key=_poly_key)
+    exponents = list({t.exponent for g in restrictions for t in g.terms} | {POLY_ZERO})
+    exponents = [exponents[i] for i in _order(exponents)]
     found = unit_exponent(exponents)
     if found is None:
         return None
@@ -212,14 +211,15 @@ def _real_part(laurent: dict[int, GaussianRational]) -> dict[tuple[int, int], in
 
     A term b w^n gives (u^2 + v^2)^N Re(b w^n) for n >= 0 and
     (u^2 + v^2)^(N + n) Re(b conj(w)^(-n)) for n < 0; the coefficient of
-    u^(m-k) v^k in Re(b (u +- iv)^m) is C(m, k) Re(b (+-i)^k).
+    u^(m-k) v^k in Re(b (u +- iv)^m) is C(m, k) Re(b (+-i)^k).  The b are
+    read by `exact_linalg._integers`, which only scales R.
     """
     top = max(0, -min(laurent))
-    out: dict[tuple[int, int], Fraction] = {}
-    for n, b in laurent.items():
-        m, e, im = abs(n), top + min(n, 0), b.im if n >= 0 else -b.im
+    out: dict[tuple[int, int], int] = {}
+    for n, re, im in zip(laurent, *_integers(laurent.values())):
+        m, e, im = abs(n), top + min(n, 0), im if n >= 0 else -im
         for k in range(m + 1):
-            c = math.comb(m, k) * (b.re, -im, -b.re, im)[k % 4]
+            c = math.comb(m, k) * (re, -im, -re, im)[k % 4]
             for j in range(e + 1):
                 key = (m - k + 2 * (e - j), k + 2 * j)
                 out[key] = out.get(key, 0) + math.comb(e, j) * c

@@ -21,7 +21,6 @@ from curveavoid.curves import (
     ConstructionError,
     ExpAffineCurve,
     _direction_groups,
-    _poly_key,
     apply_form,
     constant_value,
     exp_sum,
@@ -254,14 +253,19 @@ def model_product(a, b):
     ]
 
 
+def fraction_key(p):
+    """The canonical order of exponents: degree, then (re, im) of each coefficient as Fractions."""
+    return (len(p), tuple((c.re, c.im) for c in p))
+
+
 def as_model(s):
     """The terms of s as {exponent: coefficient}, after checking that they are canonical.
 
-    Canonical: strictly increasing `_poly_key` (so distinct exponents),
+    Canonical: strictly increasing `fraction_key` (so distinct exponents),
     nonzero Gaussian-rational coefficients, and exponents that are tuples
     of Gaussian rationals with no trailing zero.
     """
-    keys = [_poly_key(t.exponent) for t in s.terms]
+    keys = [fraction_key(t.exponent) for t in s.terms]
     assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
     for t in s.terms:
         assert type(t.coeff) is GaussianRational and t.coeff
@@ -280,11 +284,17 @@ def package_sum(terms):
 @settings(max_examples=200, deadline=None)
 @given(model_terms, model_terms)
 @example([(gq(1), (gq(0), gq(1), gq(1)))], [(gq(1), (gq(0), gq(0), gq(-1)))])
+@example(
+    # z/3, 2z/5, -z/2 and 1/3 + z, and constants whose parts mix denominators and signs
+    [(gq(1), (gq(0), gq(F(1, 3)))), (gq(2), (gq(0), gq(F(2, 5)))), (gq(1, 1), (gq(F(-1, 2)),))],
+    [(gq(-1), (gq(0), gq(F(-1, 2)))), (gq(0, 1), (gq(F(1, 3)), gq(1))), (gq(2), (gq(F(-1, 3), F(2, 7)),))],
+)
 def test_constant_arithmetic_matches_a_dict_model(a, b):
     """Sums, differences and products, and real parts of formal constants, against a dict model.
 
     Exponents have degree at most 2, constant ones included, and every
-    result's terms must be canonical (`as_model`).
+    result's terms must be canonical (`as_model`).  `float_terms` must take
+    the terms of a formal constant in increasing (Re r, Im r).
     """
     x, y = package_sum(a), package_sum(b)
     negated = [(-c, p) for c, p in b]
@@ -299,6 +309,9 @@ def test_constant_arithmetic_matches_a_dict_model(a, b):
     constant = [(c, p[0] if p else GQ_ZERO) for c, p in exponents if len(p) <= 1]
     real = [t for c, r in constant for t in ((c * half, (r,)), (c.conjugate() * half, (r.conjugate(),)))]
     assert as_model(package_sum([(c, (r,)) for c, r in constant]).real_part()) == model_merge(real)
+    for s in (package_sum([(c, (r,)) for c, r in constant]), package_sum(real)):
+        ordered = sorted(s.terms, key=lambda t: (t.offset.re, t.offset.im))
+        assert s.float_terms(F(0)) == [(t.coeff.to_complex(), t.offset.to_complex()) for t in ordered]
 
 
 class TestProjectiveConstancy:
@@ -326,6 +339,11 @@ class TestProjectiveConstancy:
         assert is_projectively_constant(ExpAffineCurve((a, b, a)))
         c = exp_sum([(3, (0, 1)), (5, (0, 2))])
         assert not is_projectively_constant(ExpAffineCurve((a, c, a)))
+        # each component against the first: only the last one breaks the ratio
+        assert not is_projectively_constant(ExpAffineCurve((a, b, c)))
+        zero = exp_sum([])
+        assert is_projectively_constant(ExpAffineCurve((zero, a, b)))
+        assert not is_projectively_constant(ExpAffineCurve((zero, a, c)))
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -250,6 +250,9 @@ def test_names_imported_from_are_found():
 
 
 def test_the_resultant_uses_no_matrix():
-    """The dim-4 elimination is one subresultant chain: `resultant` reads only the number type from `exact_linalg`."""
+    """The dim-4 elimination is one subresultant chain.
+
+    `resultant` reads only the number type and its integer reader from `exact_linalg`.
+    """
     source = (PACKAGE / "resultant.py").read_text()
-    assert names_imported_from(source, "exact_linalg") == {"GaussianRational"}
+    assert names_imported_from(source, "exact_linalg") == {"GaussianRational", "_integers"}

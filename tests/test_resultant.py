@@ -23,7 +23,15 @@ from curveavoid.arrangement import holomorphic_coefficients
 from curveavoid.cli import _witness_scene
 from curveavoid.curves import apply_form, witness_dim4_subspace
 from curveavoid.exact_linalg import gq
-from curveavoid.resultant import MAX_DEGREE, _real_part, _real_roots, _shear, _subresultants, unit_plane_zeros
+from curveavoid.resultant import (
+    MAX_DEGREE,
+    _primitive,
+    _real_part,
+    _real_roots,
+    _shear,
+    _subresultants,
+    unit_plane_zeros,
+)
 from curveavoid.scene import parse_scene
 from curveavoid.verifier import AVOIDED, VIOLATED, SamplingPlan, verify
 
@@ -413,6 +421,80 @@ def test_real_roots_gives_the_square_free_part_and_its_rational_roots():
         assert found_q in (q, [-c for c in q])
         assert len(found) == len(roots)
         assert all(abs(x - a) <= abs(a) / 2**60 for x, a in zip(sorted(found), roots))
+
+
+def oracle_complex_multiply(a, b):
+    """The product of two polynomials in u, v given as {(i, j): (re, im)} with Fraction parts."""
+    out = {}
+    for (i, j), (x, y) in a.items():
+        for (k, m), (z, t) in b.items():
+            re, im = out.get((i + k, j + m), (0, 0))
+            out[(i + k, j + m)] = (re + x * z - y * t, im + x * t + y * z)
+    return out
+
+
+def oracle_real_part(laurent):
+    """Re(|w|^(2N) g) for g = sum b_n w^n, w = u + iv, N the least power that clears every n < 0.
+
+    Expanded in Fractions as b (u^2 + v^2)^(N + n) conj(w)^(-n) for n < 0 and
+    b (u^2 + v^2)^N w^n for n >= 0, then made primitive: scaled by the lcm
+    of the denominators and divided by the gcd of the numerators.
+    """
+    top = max(0, -min(laurent))
+    norm = {(2, 0): (1, 0), (0, 2): (1, 0)}
+    total = {}
+    for n, b in laurent.items():
+        w = {(1, 0): (1, 0), (0, 1): (0, 1 if n >= 0 else -1)}
+        term = {(0, 0): (b.re, b.im)}
+        for _ in range(abs(n)):
+            term = oracle_complex_multiply(term, w)
+        for _ in range(top + min(n, 0)):
+            term = oracle_complex_multiply(term, norm)
+        for key, (re, _) in term.items():
+            total[key] = total.get(key, 0) + re
+    total = {key: Fraction(c) for key, c in total.items() if c}
+    scale = math.lcm(*(c.denominator for c in total.values()))
+    content = math.gcd(*(int(c * scale) for c in total.values()))
+    return {key: int(c * scale) // content for key, c in total.items()}
+
+
+@pytest.mark.parametrize(
+    "laurent",
+    [
+        {-1: gq(Fraction(1, 3), Fraction(1, 2)), 2: gq(0, Fraction(-5, 7))},
+        {-2: gq(Fraction(-3, 4)), -1: gq(0, Fraction(2, 9)),
+         0: gq(Fraction(5, 6), -1), 3: gq(Fraction(1, 10), 7)},
+        {1: gq(Fraction(2, 3), Fraction(-4, 3)), 2: gq(6)},
+    ],
+    ids=["unequal-denominators", "two-negative-powers", "no-negative-power"],
+)
+def test_real_part_is_the_primitive_expansion(laurent):
+    assert _real_part(laurent) == oracle_real_part(laurent)
+
+
+def test_real_part_matches_the_expansion_on_seeded_laurent_polynomials():
+    """Coefficients with denominators up to 12 and powers -3..3: int coefficients, coprime, as the oracle's."""
+    rng = random.Random(35)
+
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    for _ in range(40):
+        laurent = {n: gq(part(), part()) for n in range(-3, 4) if rng.random() < 0.5}
+        laurent = {n: b for n, b in laurent.items() if b}
+        if not laurent:
+            continue
+        found = _real_part(laurent)
+        assert found == oracle_real_part(laurent)
+        assert all(type(c) is int for c in found.values())
+        assert math.gcd(*found.values()) == 1
+
+
+def test_primitive_divides_ints_by_their_gcd_and_keeps_the_sign():
+    assert _primitive([6, -4, 10]) == [3, -2, 5]
+    assert _primitive([0, -12, 18]) == [0, -2, 3]
+    assert _primitive([-7]) == [-1]
+    assert _primitive([5, 3]) == [5, 3]
 
 
 def cmul(a, b):
