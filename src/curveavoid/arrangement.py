@@ -26,9 +26,9 @@ from .exact_linalg import (
     RationalLike,
     RationalVector,
     _frac,
+    _integers,
     _Record,
     _rref,
-    GQ_I,
     gq,
     rank_complex,
 )
@@ -41,18 +41,19 @@ ALL_CURVES_CONSTANT = "AllCurvesConstant"
 WITNESS_EXISTS = "WitnessExists"
 
 
-class RealSubspace(_Record, NamedTuple("RealSubspace", [("forms", tuple[RationalVector, ...])])):
+class RealSubspace(_Record, NamedTuple("RealSubspace", [("forms", tuple[tuple[int, ...], ...])])):
     """A linear subspace of R^6 cut out by independent linear forms.
 
     Coordinates are ordered (x1, y1, x2, y2, x3, y3) with z_j = x_j + i y_j.
-    The forms are stored in reduced row echelon form, so two values are
-    equal exactly when they describe the same subspace.
+    `forms` holds the reduced row echelon form, each row scaled to coprime
+    ints with a positive pivot, so two values are equal exactly when they
+    describe the same subspace; `unit_coefficients` reads a row at unit pivot.
     """
 
     __slots__ = ()
 
     def __new__(cls, forms: Sequence[Sequence[RationalLike]]) -> "RealSubspace":
-        rows = [[_frac(x) for x in f] for f in forms]
+        rows = [list(f) for f in forms]
         if not rows:
             raise ValueError("a real subspace needs at least one defining form")
         if any(len(r) != 6 for r in rows):
@@ -90,11 +91,12 @@ def re_part_form(a: Sequence[GaussianRational]) -> RationalVector:
 
 
 def realify(h: ComplexHyperplane) -> RealSubspace:
-    """The codimension-2 real subspace {Re(a.z) = 0, Im(a.z) = Re(-i a.z) = 0}."""
+    """The codimension-2 real subspace {Re(a.z) = 0, Im(a.z) = 0}, read from a scaled to ints re + i im."""
     if len(h.coefficients) != 3:
         raise ValueError("realification lives in C^3 = R^6")
-    a = h.coefficients
-    return RealSubspace((re_part_form(a), re_part_form([-GQ_I * c for c in a])))
+    parts = list(zip(*_integers(h.coefficients)))
+    # Re(a.z) has (re_k, -im_k) on (x_k, y_k), and Im(a.z) has (im_k, re_k)
+    return RealSubspace(([x for r, i in parts for x in (r, -i)], [x for r, i in parts for x in (i, r)]))
 
 
 def holomorphic_coefficients(form: Sequence[RationalLike]) -> ComplexVector:
@@ -107,6 +109,12 @@ def holomorphic_coefficients(form: Sequence[RationalLike]) -> ComplexVector:
     if len(f) != 6:
         raise ValueError("expected a form on R^6")
     return tuple(gq(f[2 * j], -f[2 * j + 1]) for j in range(3))
+
+
+def unit_coefficients(form: Sequence[RationalLike]) -> ComplexVector:
+    """`holomorphic_coefficients` of the form divided by its first nonzero entry, exactly."""
+    lead = next(x for x in form if x)
+    return tuple(c / lead for c in holomorphic_coefficients(form))
 
 
 def triple_in_general_position(a: RealSubspace, b: RealSubspace, c: RealSubspace) -> bool:

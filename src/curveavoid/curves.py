@@ -502,7 +502,7 @@ def witness_three_hyperplanes(
     """
     if len(hyperplanes) != 3 or {h.canonical() for h in hyperplanes} != _STANDARD_TRIPLE:
         raise ValueError("expected the three coordinate hyperplanes")
-    expected = RealSubspace(((Fraction(1), Fraction(0)) * 3,))
+    expected = RealSubspace(((1, 0) * 3,))
     if s != expected:
         raise ValueError("expected the subspace x1 + x2 + x3 = 0")
     curve = ExpAffineCurve.from_terms((1, POLY_ZERO), (1, POLY_Z), (-1, POLY_Z))

@@ -11,8 +11,9 @@ parts become `Fraction`s only when asked for.  One private reader,
 `_integers`, reads values as ints: each (a + bi)/d, an int or a
 `Fraction` as (n, 0, d), becomes (a s/d, b s/d) with s > 0 the lcm of
 every d, so the pairs compare as the parts do and span what the values
-span.  `_eliminate` reads each row through it, `curves` orders exponents
-by its pairs and `resultant` expands real parts in them.
+span.  `_eliminate` reads each row through it, except a row of plain
+ints, which it takes as it is; `curves` orders exponents by its pairs
+and `resultant` expands real parts in them.
 
 Every rank and kernel comes from one kernel, `_eliminate`:
 fraction-free elimination after Bareiss (1968, "Sylvester's identity and
@@ -41,7 +42,9 @@ read only the pivot count, so they clear only the rows below each pivot
 (forward elimination); the pivots are the same.  `_kernel` and `_rref`
 take the full Gauss-Jordan pass, which also clears the rows above, so at
 the end every pivot entry equals the last pivot.  `_rref` divides each
-rational row by its pivot once, for the unique unit-pivot echelon form.
+row by its gcd once, signed so that the pivot is positive: the
+unique unit-pivot echelon form, each row scaled to primitive ints, which
+`arrangement.RealSubspace` stores and `_eliminate` takes back unread.
 Kernel vectors are built in Q(i) only, and `kernel_real` reads their real
 parts.
 """
@@ -246,7 +249,7 @@ def _eliminate(
     m_re: list[list[int]] = []
     m_im: list[list[int]] = []
     for r in rows:
-        x_re, x_im = _integers(r)
+        x_re, x_im = (list(r), [0] * len(r)) if all(x.__class__ is int for x in r) else _integers(r)
         m_re.append(x_re)
         m_im.append(x_im)
     n = len(m_re)
@@ -289,11 +292,14 @@ def _eliminate(
     return m_re[:row], m_im[:row], pivots
 
 
-def _rref(rows: Sequence[Sequence[RationalLike]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q with unit pivots; returns (rows, pivot cols)."""
+def _rref(rows: Sequence[Sequence[RationalLike]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over Q as primitive int rows with positive pivots; returns (rows, pivot cols)."""
     _check_rational(rows)
     m_re, _, pivots = _eliminate(rows)
-    reduced = [[Fraction(a, x[pc]) for a in x] for x, pc in zip(m_re, pivots)]
+    reduced = []
+    for x, pc in zip(m_re, pivots):
+        g = math.gcd(*x) if x[pc] > 0 else -math.gcd(*x)
+        reduced.append([a // g for a in x])
     return reduced, pivots
 
 

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .arrangement import RealSubspace, holomorphic_coefficients
+from .arrangement import RealSubspace, unit_coefficients
 from .curves import _SCALE_STEP, ExpAffineCurve, terms_at
 
 if TYPE_CHECKING:
@@ -82,7 +82,7 @@ def _margins_for_subspace(subspace: RealSubspace, curve: ExpAffineCurve, z: np.n
     scale = np.maximum(np.sqrt(sum(np.abs(c) ** 2 for c in comps)), _TINY)
     worst = np.zeros(z.shape)
     for form in subspace.forms:
-        row = [c.to_complex() for c in holomorphic_coefficients(form)]
+        row = [c.to_complex() for c in unit_coefficients(form)]
         worst = np.maximum(worst, np.abs(_form_values(row, comps)))
     return worst / scale
 
@@ -121,7 +121,7 @@ def _targeted_for_subspace(
     comps = _scaled_components(curve, nodes)
     found: list[np.ndarray] = []
     for form in subspace.forms:
-        row = [c.to_complex() for c in holomorphic_coefficients(form)]
+        row = [c.to_complex() for c in unit_coefficients(form)]
         values = _form_values(row, comps)
         lo, hi, value_lo = [], [], []
         # edges between neighbours along the first axis, then along the second

@@ -465,7 +465,7 @@ def _format_sum(terms: Iterable[tuple[GaussianRational, str]]) -> str:
         elif body and c == -GQ_ONE:
             piece = f"-{body}"
         else:
-            piece = f"({c})" if c.re and c.im else str(c)
+            piece = f"({c})" if c._a and c._b else str(c)
             if body:
                 piece += f"*{body}"
         if not out:
@@ -481,7 +481,7 @@ def format_complex_form(coeffs: Sequence[GaussianRational]) -> str:
     return _format_sum(zip(coeffs, COMPLEX_VARS))
 
 
-def format_real_form(coeffs: Sequence[Fraction]) -> str:
+def format_real_form(coeffs: Sequence[int | Fraction]) -> str:
     return _format_sum((gq(c), v) for c, v in zip(coeffs, REAL_VARS))
 
 

@@ -56,7 +56,7 @@ import json
 import math
 from typing import NamedTuple
 
-from .arrangement import RealSubspace, holomorphic_coefficients
+from .arrangement import RealSubspace, unit_coefficients
 from .curves import (
     ExpAffineCurve,
     ExpSum,
@@ -243,7 +243,7 @@ def _exact_subspace_result(name: str, subspace: RealSubspace, curve: ExpAffineCu
     nonconstant parts carry the zero set, and `resultant.unit_plane_zeros`
     decides it when their exponents share a unit.  Otherwise None.
     """
-    restrictions = [apply_form(holomorphic_coefficients(form), curve) for form in subspace.forms]
+    restrictions = [apply_form(unit_coefficients(form), curve) for form in subspace.forms]
     coeffs = [{t.exponent: t.coeff for t in g.terms} for g in restrictions]
     exponents = {e for terms in coeffs for e in terms if len(e) > 1}
     entries = [[terms.get(e, GQ_ZERO) for terms in coeffs] for e in exponents]

@@ -1,5 +1,6 @@
 """Tests for realification, general position, and the rank classifier."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -22,7 +23,7 @@ from curveavoid.arrangement import (
     triple_ranks,
 )
 from curveavoid.curves import ConstructionError, ExpAffineCurve, exp_sum
-from curveavoid.exact_linalg import GQ_ZERO, gq, rank_complex, rank_real
+from curveavoid.exact_linalg import GQ_I, GQ_ZERO, gq, rank_complex, rank_real
 from curveavoid import projective
 from curveavoid.projective import ComplexHyperplane
 from curveavoid.scene import Scene, parse_scene
@@ -92,6 +93,41 @@ class TestRealify:
         re_form = realify(h).forms[0]
         # canonicalisation rescales; compare as hyperplane classes
         assert ComplexHyperplane(holomorphic_coefficients(re_form)) == h
+
+    def test_matches_the_rational_forms_of_re_and_im(self):
+        """The int rows span what Re(a.z) and Im(a.z) = Re(-i a.z) span, read as `Fraction`s."""
+        rng = random.Random(36)
+        for _ in range(200):
+            a = [gq(F(rng.randint(-5, 5), rng.randint(1, 6)), F(rng.randint(-5, 5), rng.randint(1, 6))) for _ in range(3)]
+            if not any(a):
+                continue
+            expected = RealSubspace((re_part_form(a), re_part_form([-GQ_I * c for c in a])))
+            assert realify(ComplexHyperplane(a)) == expected
+
+
+small_rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
+nonzero_rationals = small_rationals.filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(small_rationals, min_size=6, max_size=6), min_size=1, max_size=4), st.data())
+def test_forms_are_primitive_int_rows_of_the_span(rows, data):
+    """Rescaled rows and row operations give the same forms: coprime ints with a positive pivot."""
+    assume(rank_real(rows) > 0)
+    forms = RealSubspace(rows).forms
+    moved = [[c * x for x in r] for r, c in zip(rows, (data.draw(nonzero_rationals) for _ in rows))]
+    for _ in range(data.draw(st.integers(0, 6))):
+        i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, len(rows) - 1))
+        if i != j:
+            c = data.draw(small_rationals)
+            moved[i] = [x + c * y for x, y in zip(moved[i], moved[j])]
+    assert RealSubspace(moved).forms == forms
+    for form in forms:
+        assert all(type(x) is int for x in form)
+        assert math.gcd(*form) == 1 and next(x for x in form if x) > 0
+    for kind, wrong in (("float", float), ("GaussianRational", gq)):
+        with pytest.raises(TypeError, match=f"^expected a rational, got {kind}$"):
+            RealSubspace([[wrong(x) for x in r] for r in rows])
 
 
 class TestGeneralPosition:

@@ -50,8 +50,7 @@ CASES = {
         RealSubspace(((2, 0, 0, 0, 0, 0),)),
         RealSubspace(forms=((F(1, 2), 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0))),
         RealSubspace(((0, 1, 0, 0, 0, 0),)),
-        "RealSubspace(forms=((Fraction(1, 1), Fraction(0, 1), Fraction(0, 1),"
-        " Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)),))",
+        "RealSubspace(forms=((1, 0, 0, 0, 0, 0),))",
         ("forms",),
     ),
     "TripleRank": (

@@ -59,11 +59,12 @@ def components_at(curve, z):
 
 
 def relative_margin(subspace, curve, z):
-    """The largest |form(f(z))| / |f(z)| over the subspace's real forms on (x1, y1, ..., y3)."""
+    """The largest |form(f(z))| / |f(z)| over the subspace's real forms on (x1, y1, ..., y3), at unit pivot."""
     f = components_at(curve, z)
     coords = [part for w in f for part in (w.real, w.imag)]
     size = math.sqrt(sum(abs(w) ** 2 for w in f))
-    values = [sum(float(a) * x for a, x in zip(form, coords)) for form in subspace.forms]
+    leads = [next(a for a in form if a) for form in subspace.forms]
+    values = [sum(a / lead * x for a, x in zip(form, coords)) for form, lead in zip(subspace.forms, leads)]
     return max(map(abs, values)) / size
 
 

@@ -472,6 +472,16 @@ class TestSampledPaths:
         # Re(1 + e^z) = 0 on a curve through x = 0, y = pi
         assert abs(1 + math.exp(x) * math.cos(y)) < 1e-9
 
+    def test_margin_reads_each_form_at_unit_pivot(self):
+        """T's forms are stored as the coprime rows (2, 0, 0, 1, 0, 0) and (0, 1, -3, 0, 0, 0).
+
+        The margin reads x1 + y2/2, the first at unit pivot: its stored multiple 2 x1 + y2
+        would double the margin to 7.77e-04.
+        """
+        scene, f = scene_and_curve("real T: 2*x1 + y2 = 0; 3*x2 - y1 = 0\ncurve f: (exp(z), exp(i*z), 1)")
+        r = verify(f, scene).results[0]
+        assert (r.method, r.verdict, f"{r.min_margin:.6e}") == ("sampled", AVOIDED, "3.883184e-04")
+
 
 class TestTargeting:
     def test_targeted_points_sit_on_individual_zero_sets(self):
@@ -534,6 +544,24 @@ class TestKnownWrongSampledVerdicts:
         scene, f = scene_and_curve(
             "real T: x1 = 0; x2 = 0\n"
             "curve f: (exp(2*z) - 4*exp(z) + 4, i*exp(3*z) - 4*i*exp(2*z) + 4*i*exp(z), 1)"
+        )
+        assert verify(f, scene).results[0].verdict == VIOLATED
+
+    @wrong_sampled_verdict
+    def test_a_common_zero_where_neither_restriction_vanishes(self):
+        """With w = e^z, f1 = (w - 2)^2 + i and f2 = i w (w - 2)^2 + i, so f(log 2) = (i, i, 1) lies in T.
+
+        Re f1 = Re f2 = 0 there, and both real curves Re f_k = 0 are singular at w = 2, so no
+        shear separates the zero and `unit_plane_zeros` returns None.  A gcd of f1 and f2 over
+        Q(i) cannot decide it either: it is 1, since f1 and f2 themselves do not vanish at w = 2,
+        and it sees only common zeros of the holomorphic functions, not of their real parts.  The
+        subresultant that is the gcd of the two sheared real curves over a fibre can: at shear 2
+        it is 3 v^2 over u = 2, which puts the common zero at w = 2.  Sampled, the verdict is
+        avoided with min margin 2.77e-05.
+        """
+        scene, f = scene_and_curve(
+            "real T: x1 = 0; x2 = 0\n"
+            "curve f: (exp(2*z) - 4*exp(z) + 4 + i, i*exp(3*z) - 4*i*exp(2*z) + 4*i*exp(z) + i, 1)"
         )
         assert verify(f, scene).results[0].verdict == VIOLATED
 
@@ -654,7 +682,8 @@ def reference_margins(subspace, curve, z):
     scale = np.maximum(np.sqrt(sum(np.abs(c) ** 2 for c in comps)), 1e-300)
     worst = np.zeros(z.shape)
     for form in subspace.forms:
-        row = [c.to_complex() for c in holomorphic_coefficients(form)]
+        lead = next(a for a in form if a)  # each form at unit pivot, as the sampler reads it
+        row = [(c / lead).to_complex() for c in holomorphic_coefficients(form)]
         worst = np.maximum(worst, np.abs(sum(a * comp for a, comp in zip(row, comps)).real))
     margin = worst / scale
     return np.where(np.isfinite(margin), margin, np.inf)
