@@ -105,10 +105,9 @@ def holomorphic_coefficients(form: Sequence[RationalLike]) -> ComplexVector:
     The form acts on (x1, y1, x2, y2, x3, y3); c_j = a_j - i b_j where a_j
     and b_j multiply x_j and y_j.
     """
-    f = [_frac(x) for x in form]
-    if len(f) != 6:
+    if len(form) != 6:
         raise ValueError("expected a form on R^6")
-    return tuple(gq(f[2 * j], -f[2 * j + 1]) for j in range(3))
+    return tuple(GaussianRational(form[2 * j], -form[2 * j + 1]) for j in range(3))
 
 
 def unit_coefficients(form: Sequence[RationalLike]) -> ComplexVector:

@@ -85,7 +85,9 @@ class GaussianRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RationalLike, im: RationalLike) -> None:
-        re, im = _frac(re), _frac(im)
+        for x in (re, im):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"expected a rational, got {type(x).__name__}")
         # with both parts in lowest terms, (a + bi)/d over the lcm d is too
         d = math.lcm(re.denominator, im.denominator)
         self._a = re.numerator * (d // re.denominator)
@@ -129,7 +131,7 @@ class GaussianRational:
         return gq(other) - self
 
     def __neg__(self) -> "GaussianRational":
-        return _reduced(-self._a, -self._b, self._d)
+        return _lowest(-self._a, -self._b, self._d)
 
     def __mul__(self, other: GQLike) -> "GaussianRational":
         o = other if other.__class__ is GaussianRational else gq(other)
@@ -152,7 +154,7 @@ class GaussianRational:
         return gq(other) / self
 
     def conjugate(self) -> "GaussianRational":
-        return _reduced(self._a, -self._b, self._d)
+        return _lowest(self._a, -self._b, self._d)
 
     def to_complex(self) -> complex:
         # int true division rounds correctly, as Fraction.__float__ does
@@ -184,6 +186,13 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return x
 
 
+def _lowest(a: int, b: int, d: int) -> GaussianRational:
+    """(a + bi)/d for ints already in lowest terms with d > 0, as negation, conjugation and rotation by i keep them."""
+    x = object.__new__(GaussianRational)
+    x._a, x._b, x._d = a, b, d
+    return x
+
+
 GQLike = Union[int, Fraction, GaussianRational]
 
 
@@ -196,9 +205,9 @@ def gq(x: GQLike, im: RationalLike = 0) -> GaussianRational:
     return GaussianRational(x, im)
 
 
-GQ_ZERO = GaussianRational(Fraction(0), Fraction(0))
-GQ_ONE = GaussianRational(Fraction(1), Fraction(0))
-GQ_I = GaussianRational(Fraction(0), Fraction(1))
+GQ_ZERO = _reduced(0, 0, 1)
+GQ_ONE = _reduced(1, 0, 1)
+GQ_I = _reduced(0, 1, 1)
 
 RationalVector = tuple[Fraction, ...]
 ComplexVector = tuple[GaussianRational, ...]

@@ -48,7 +48,7 @@ from .curves import (
     _merge,
     poly,
 )
-from .exact_linalg import GQ_I, GQ_ONE, GQ_ZERO, _Record, _reduced, gq
+from .exact_linalg import GQ_I, GQ_ONE, GQ_ZERO, _integers, _lowest, _Record, _reduced, gq
 from .projective import ComplexHyperplane
 
 
@@ -98,7 +98,12 @@ def _tokenize_line(text: str, line_no: int) -> list[str]:
 
 
 class _Cursor:
-    """Reads a line's tokens in order; `next` never moves past the sentinel."""
+    """A line's tokens, the index of the next and the nesting depth; no read passes the sentinel.
+
+    The parser looks ahead with `tokens[index]` and steps over a token it has
+    matched, never the sentinel, with `index += 1`.  `next` takes a required
+    token and raises at the sentinel; `expect` calls it only on a mismatch.
+    """
 
     def __init__(self, tokens: list[str]) -> None:
         self.tokens = tokens
@@ -113,9 +118,10 @@ class _Cursor:
         return tok
 
     def expect(self, text: str) -> None:
-        tok = self.next()
-        if tok != text:
-            raise _TokenError(self.index - 1, f"expected {text!r}, got {tok!r}")
+        if self.tokens[self.index] != text:
+            # at the sentinel `next` raises; any other token is the one reported
+            raise _TokenError(self.index, f"expected {text!r}, got {self.next()!r}")
+        self.index += 1
 
     def descend(self) -> None:
         """Enter one more level of nesting, opened by the token just read; the caller leaves it."""
@@ -129,8 +135,8 @@ def _height_error(at: int) -> _TokenError:
 
 
 def _bounded(c: GaussianRational, at: int) -> GaussianRational:
-    """c, unless one of its four integers has more than MAX_DIGITS digits; its height bounds all four."""
-    if c.height() < _HEIGHT_LIMIT:
+    """c, unless one of its four integers has more than MAX_DIGITS digits; its triple's height bounds all four."""
+    if abs(c._a) < _HEIGHT_LIMIT and abs(c._b) < _HEIGHT_LIMIT and c._d < _HEIGHT_LIMIT:
         return c
     re, im = c.re, c.im
     if max(abs(re.numerator), re.denominator, abs(im.numerator), im.denominator) >= _HEIGHT_LIMIT:
@@ -153,7 +159,9 @@ def _literal(tok: str, at: int) -> GaussianRational:
 # expression evaluation
 #
 # One recursive-descent core serves three value domains: linear forms in
-# named variables, polynomials in z, and exponential sums.  In each a value
+# named variables, polynomials in z, and exponential sums.  It has one
+# function per precedence level, `_parse_expression` (+ -), `_parse_term`
+# (* /) and `_parse_factor`, so an operand costs three calls.  A value
 # is a sparse sum, a dict from monomials to nonzero coefficients, so
 # `_Domain` holds all the arithmetic and a subclass only says what its
 # monomials are.  Binary operations receive the index of their operator
@@ -173,9 +181,6 @@ class _Domain:
 
     one: object
 
-    def number(self, c: GaussianRational) -> dict:
-        return {self.one: c} if c else {}
-
     def add(self, a: dict, b: dict, op: int) -> dict:
         for m, c in b.items():
             _bounded(_merge(a, m, c), op)
@@ -191,12 +196,12 @@ class _Domain:
         if len(a) == 1 and self.one in a:
             a, b = b, a
         if len(b) == 1 and self.one in b:
-            # Scaling by a constant k.  check_product cannot fire: a constant
-            # adds no variable, degree 0 and one factor to a value already in
-            # the domain.  The loop below would build the same dict in the
-            # same order, since m*1 is m, the m are distinct and c*k != 0.
+            # Scaling by a constant k adds no variable, degree or factor, so
+            # check_product passes and the loop below would build this dict.  A
+            # unit coefficient, a variable's, scales to k, and i to k rotated.
             k = b[self.one]
-            return {m: _bounded(c * k, op) for m, c in a.items()}
+            return {m: k if c is GQ_ONE else _lowest(-k._b, k._a, k._d) if c is GQ_I else _bounded(c * k, op)
+                    for m, c in a.items()}
         self.check_product(a, b, op)
         product: dict = {}
         for m, c in a.items():
@@ -215,9 +220,6 @@ class _Domain:
     def power(self, a: dict, exponent: int, op: int) -> dict:
         raise _TokenError(op, "'^' is not allowed here")
 
-
-# The parser looks ahead with `cur.tokens[cur.index]`, and steps over a token
-# it has just matched, so never the sentinel, with `cur.index += 1`.
 
 def _parse_expression(cur: _Cursor, domain: _Domain):
     value = _parse_term(cur, domain)
@@ -243,15 +245,35 @@ def _parse_term(cur: _Cursor, domain: _Domain):
 
 
 def _parse_factor(cur: _Cursor, domain: _Domain):
-    tok = cur.tokens[cur.index]
+    """A signed factor, or a parenthesis, a number with an optional i, i or a name, then its '^' exponents."""
+    tokens = cur.tokens
+    tok = tokens[cur.index]
+    if tok == _END:
+        raise _TokenError(cur.index, "unexpected end of line")
+    cur.index += 1
     if tok in "+-":
-        cur.index += 1
         cur.descend()
         value = _parse_factor(cur, domain)
         cur.depth -= 1
         return domain.negate(value) if tok == "-" else value
-    value = _parse_atom(cur, domain)
-    while cur.tokens[cur.index] == "^":
+    if tok == "(":
+        cur.descend()
+        value = _parse_expression(cur, domain)
+        cur.expect(")")
+        cur.depth -= 1
+    elif tok[0].isdigit():
+        c = _literal(tok, cur.index - 1)
+        if tokens[cur.index] == "i":
+            cur.index += 1
+            c = _lowest(0, c._a, c._d)  # c is real: c*i is (0 + a i)/d, still in lowest terms
+        value = {domain.one: c} if c else {}
+    elif tok == "i":
+        value = {domain.one: GQ_I}
+    elif tok.isidentifier():
+        value = domain.variable(cur, tok)
+    else:
+        raise _TokenError(cur.index - 1, f"unexpected token {tok!r}")
+    while tokens[cur.index] == "^":
         cur.index += 1
         exponent = cur.next()
         if not exponent.isdigit():
@@ -261,27 +283,6 @@ def _parse_factor(cur: _Cursor, domain: _Domain):
         n = int(digits or 0) if len(digits) <= MAX_DIGITS else MAX_DEGREE + 1
         value = domain.power(value, n, cur.index - 1)
     return value
-
-
-def _parse_atom(cur: _Cursor, domain: _Domain):
-    tok = cur.next()
-    if tok == "(":
-        cur.descend()
-        value = _parse_expression(cur, domain)
-        cur.expect(")")
-        cur.depth -= 1
-        return value
-    if tok[0].isdigit():
-        c = _literal(tok, cur.index - 1)
-        if cur.tokens[cur.index] == "i":
-            cur.index += 1
-            c = c * GQ_I
-        return domain.number(c)
-    if tok == "i":
-        return domain.number(GQ_I)
-    if tok.isidentifier():
-        return domain.variable(cur, tok)
-    raise _TokenError(cur.index - 1, f"unexpected token {tok!r}")
 
 
 class _LinearDomain(_Domain):
@@ -322,7 +323,7 @@ class _PolyDomain(_Domain):
     def power(self, a, exponent, op):
         if exponent > MAX_DEGREE or max(a, default=0) * exponent > MAX_DEGREE:
             raise _TokenError(op, f"exponent polynomials have degree at most {MAX_DEGREE}")
-        out = self.number(GQ_ONE)
+        out = {self.one: GQ_ONE}
         for _ in range(exponent):
             out = self.multiply(out, a, op)
         return out
@@ -425,10 +426,11 @@ def parse_scene(text: str) -> Scene:
                 elif head == "real":
                     forms = []
                     while True:
-                        vec = _parse_zero_form(cur, REAL_VARS)
-                        if any(c.im for c in vec):
+                        # scaled to ints by a positive s, which spans the same form
+                        form, im = _integers(_parse_zero_form(cur, REAL_VARS))
+                        if any(im):
                             raise _TokenError(cur.index, "real forms need rational coefficients")
-                        forms.append(tuple(c.re for c in vec))
+                        forms.append(form)
                         if cur.tokens[cur.index] == _END:
                             break
                         cur.expect(";")

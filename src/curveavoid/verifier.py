@@ -70,7 +70,7 @@ from .curves import (
     terms_at,
     unit_exponent,
 )
-from .exact_linalg import GQ_I, GQ_ZERO, _Record, kernel_real
+from .exact_linalg import GQ_I, GQ_ZERO, _integers, _Record, kernel_real
 from .scene import Scene, format_exp_sum
 
 AVOIDED = "avoided"
@@ -247,7 +247,7 @@ def _exact_subspace_result(name: str, subspace: RealSubspace, curve: ExpAffineCu
     coeffs = [{t.exponent: t.coeff for t in g.terms} for g in restrictions]
     exponents = {e for terms in coeffs for e in terms if len(e) > 1}
     entries = [[terms.get(e, GQ_ZERO) for terms in coeffs] for e in exponents]
-    rows = [[getattr(x, part) for x in row] for row in entries for part in ("re", "im")]
+    rows = [part for row in entries for part in _integers(row)]  # scaled by an s > 0: the same kernel
     kernel = kernel_real(rows, len(restrictions))
     for combination in kernel:
         c = sum((g.scale(x) for x, g in zip(combination, restrictions)), ExpSum(()))

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curveavoid.exact_linalg import (
+    GQ_I,
     GQ_ONE,
     GQ_ZERO,
     GaussianRational,
     _eliminate,
     _frac,
+    _lowest,
+    _reduced,
     _rref,
     gq,
     kernel_complex,
@@ -493,6 +496,47 @@ def test_unary_ops_and_conversions_match_fraction_pairs(p):
     assert bool(x) == bool(re or im)
     assert gq(x.re, x.im) == x
     assert all(abs(n) <= x.height() for n in (re.numerator, re.denominator, im.numerator, im.denominator))
+
+
+rational_parts = st.one_of(st.booleans(), st.integers(-(10**30), 10**30), scalars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_parts, rational_parts)
+def test_construction_reads_parts_as_fraction_does(re, im):
+    """An int, bool or Fraction part gives the triple of Fraction(part), in lowest terms."""
+    x = GaussianRational(re, im)
+    assert_reduced(x)
+    assert parts(x) == (F(re), F(im))
+    assert x == gq(re, im) == gq(F(re), F(im))
+
+
+@pytest.mark.parametrize("wrong, kind", [(0.5, "float"), (GQ_ONE, "GaussianRational")])
+def test_construction_rejects_other_parts(wrong, kind):
+    for args in ((wrong, 0), (F(1, 2), wrong), (wrong, 0.25)):
+        with pytest.raises(TypeError, match=f"^expected a rational, got {kind}$"):
+            GaussianRational(*args)
+
+
+def test_constants_are_reduced_triples():
+    for x, expected in ((GQ_ZERO, (0, 0)), (GQ_ONE, (1, 0)), (GQ_I, (0, 1))):
+        assert_reduced(x)
+        assert parts(x) == expected
+
+
+def test_sign_conjugate_and_rotation_keep_lowest_terms():
+    """-x, conj(x) and i*x have the triples `_reduced` gives them, built with no gcd."""
+    rng = random.Random(37)
+    for _ in range(500):
+        g = rng.choice([1, 1, 2, 6, rng.randint(1, 10**9)])
+        a, b, d = (g * rng.randint(lo, 10**12) for lo in (-(10**12), -(10**12), 1))
+        x = _reduced(a, b, d)
+        a, b, d = x._a, x._b, x._d
+        for z, triple in ((-x, (-a, -b, d)), (x.conjugate(), (a, -b, d)), (_lowest(-b, a, d), (-b, a, d))):
+            assert_reduced(z)
+            assert (z._a, z._b, z._d) == triple
+            assert z == _reduced(*triple)
+        assert _lowest(-b, a, d) == x * GQ_I
 
 
 @settings(max_examples=200, deadline=None)

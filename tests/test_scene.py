@@ -1,8 +1,11 @@
 """Tests for scene parsing, printing, and the round-trip fixpoint."""
 
+import math
+import random
 import re
 import time
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -657,3 +660,255 @@ class TestLiteralOracle:
         with pytest.raises(ParseError, match=f"at most {MAX_DIGITS} digits") as info:
             parse_constant(" " * indent + literal)
         assert (info.value.line, info.value.column) == (1, indent + 1)
+
+
+# Each error that the factor reader raises itself or through a call it makes,
+# at the token it names; '|' marks the token and is removed.
+FACTOR_ERRORS = [
+    ("hyperplane H: z1 + |) = 0", "unexpected token ')'"),
+    ("hyperplane H: z1 - |* z2 = 0", "unexpected token '*'"),
+    ("hyperplane H: z1 - -|", "unexpected end of line"),
+    ("curve f: ((1|, 1, 1)", "expected ')', got ','"),
+    ("curve f: (exp(z) + (1|", "unexpected end of line"),
+    ("curve f: (exp |z, 1, 1)", "expected '(', got 'z'"),
+    ("curve f: (exp(z^|", "unexpected end of line"),
+    ("curve f: (exp(z^|x), 1, 1)", "exponent must be a nonnegative integer"),
+    ("hyperplane H: 2i^|3*z1 = 0", "'^' is not allowed here"),
+    ("hyperplane H: i^|2*z1 = 0", "'^' is not allowed here"),
+    ("hyperplane H: (z1)^|2 = 0", "'^' is not allowed here"),
+    ("hyperplane H: z1 + |w = 0", "unknown variable 'w'"),
+    ("curve f: (exp(|w), 1, 1)", "only z may appear inside exp(), not 'w'"),
+    ("curve f: (|z, 1, 1)", "unexpected name 'z' in a curve component"),
+    ("curve f: (2*|3/0i, 1, 1)", "zero denominator"),
+    (
+        f"hyperplane H: z1 + |1{'0' * MAX_DIGITS}i*z2 = 0",
+        f"numerators and denominators have at most {MAX_DIGITS} digits",
+    ),
+]
+
+
+@pytest.mark.parametrize("marked, message", FACTOR_ERRORS)
+def test_factor_error_is_at_its_token(marked, message):
+    line = marked.replace("|", "")
+    with pytest.raises(ParseError) as info:
+        parse_scene("hyperplane A: -(z1) + 2i*z2 - (z3)/3 = 0  # ^\n" + line)
+    assert str(info.value) == f"line 2, column {marked.index('|') + 1}: {message}"
+
+
+@pytest.mark.parametrize(
+    "marked, message",
+    [("1 + |", "unexpected end of line"), ("(|", "unexpected end of line"), ("-(1 |2)", "expected ')', got '2'"),
+     ("|/2", "unexpected token '/'"), ("(1/2i)^|2", "'^' is not allowed here")],
+)
+def test_constant_factor_error_is_at_its_token(marked, message):
+    with pytest.raises(ParseError) as info:
+        parse_constant(marked.replace("|", ""))
+    assert str(info.value) == f"line 1, column {marked.index('|') + 1}: {message}"
+
+
+# ---------------------------------------------------------------------------
+# A value oracle for the arithmetic.  `Expressions` draws the text of an
+# expression by the grammar, one level at a time, and computes its value as
+# it goes: a dict from monomials to nonzero coefficients, each a pair of
+# Fractions (re, im).  Nothing here comes from the package.  Binary operators
+# are spaced, so that no '/' joins two numbers into one token.
+
+ZERO, ONE, MINUS_ONE = (0, 0), (1, 0), (-1, 0)
+COMPLEX_NAMES = ("z1", "z2", "z3")
+REAL_NAMES = ("x1", "y1", "x2", "y2", "x3", "y3")
+# exponent polynomials are drawn far below MAX_DEGREE, so no product or power nears it
+DEGREE = 12
+
+
+def pair_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def pair_inverse(y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return (Fraction(y[0]) / n, Fraction(-y[1]) / n)
+
+
+def sum_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        x = out.get(m, ZERO)
+        out[m] = (x[0] + c[0], x[1] + c[1])
+        if out[m] == ZERO:
+            del out[m]
+    return out
+
+
+class Expressions:
+    """Random expressions of one domain, with their values.
+
+    `one` is the constant monomial and `times(m, n)` the product of two
+    monomials; `names` maps each name to a function (expressions, depth) ->
+    (text, value) that reads it.  `power` draws '^' exponents, `linear`
+    multiplies no two nonconstant factors, and `real` draws no i.
+    """
+
+    def __init__(self, rng, one, names, times, power=False, linear=False, real=False):
+        self.rng, self.one, self.names, self.times = rng, one, names, times
+        self.power, self.linear, self.real = power, linear, real
+
+    def is_constant(self, value):
+        return value.keys() <= {self.one}
+
+    def product(self, a, b):
+        out = {}
+        for m, c in a.items():
+            for n, d in b.items():
+                out = sum_add(out, {self.times(m, n): pair_mul(c, d)})
+        return out
+
+    def within_degree(self, value):
+        return not self.power or max(value, default=0) <= DEGREE
+
+    def expression(self, depth, constant=False):
+        text, value = self.term(depth, constant)
+        for _ in range(self.rng.randrange(3) if depth else 0):
+            op = self.rng.choice("+-")
+            rhs_text, rhs = self.term(depth - 1, constant)
+            text += f" {op} {rhs_text}"
+            value = sum_add(value, rhs if op == "+" else self.product(rhs, {self.one: MINUS_ONE}))
+        return text, value
+
+    def term(self, depth, constant=False):
+        text, value = self.factor(depth, constant)
+        for _ in range(self.rng.randrange(3) if depth else 0):
+            op = self.rng.choice("*/")
+            rhs_text, rhs = self.factor(depth - 1, constant)
+            # a divisor is a nonzero constant, and so is one factor of a product that would leave the domain
+            while not (
+                (op == "*" or (self.is_constant(rhs) and rhs))
+                and self.within_degree(self.product(value, rhs))
+                and not (self.linear and not self.is_constant(value) and not self.is_constant(rhs))
+            ):
+                rhs_text, rhs = self.factor(0, constant=True)
+            text += f" {op} {rhs_text}"
+            value = self.product(value, rhs if op == "*" else {self.one: pair_inverse(rhs[self.one])})
+        return text, value
+
+    def factor(self, depth, constant=False):
+        rng = self.rng
+        kind = rng.choice(["sign", "paren", "number", "number", "i", "name", "name"] if depth else ["number", "name"])
+        if kind == "sign":
+            sign = rng.choice("+-")
+            text, value = self.factor(depth - 1, constant)
+            return sign + text, value if sign == "+" else self.product(value, {self.one: MINUS_ONE})
+        if kind == "paren":
+            text, value = self.expression(depth - 1, constant)
+            text = f"({text})"
+        elif kind == "name" and not constant:
+            text, value = self.names[rng.choice(sorted(self.names))](self, depth)
+        elif kind == "i" and not self.real:
+            text, value = "i", {self.one: (0, 1)}
+        else:
+            n, d = rng.randrange(12), rng.choice([1, 1, 2, 3, 7])
+            text, c = (f"{n}/{d}" if d > 1 or rng.random() < 0.2 else f"{n}"), Fraction(n, d)
+            imaginary = not self.real and rng.random() < 0.3
+            text += "i" if imaginary else ""
+            value = {self.one: (0, c) if imaginary else (c, 0)} if c else {}
+        for _ in range(rng.choice([0, 0, 0, 1, 1, 2]) if self.power else 0):
+            k = rng.randrange(4)
+            result = {self.one: ONE}
+            for _ in range(k):
+                result = self.product(result, value)
+            if self.within_degree(result):
+                text, value = f"{text}^{k}", result
+        return text, value
+
+
+def poly_expressions(rng):
+    return Expressions(rng, 0, {"z": lambda g, depth: ("z", {1: ONE})}, lambda m, n: m + n, power=True)
+
+
+def add_exponents(p, q):
+    """The sum of two exponent polynomials, each a tuple of coefficient pairs with no trailing zero."""
+    out = [(x[0] + y[0], x[1] + y[1]) for x, y in zip_longest(p, q, fillvalue=ZERO)]
+    while out and out[-1] == ZERO:
+        out.pop()
+    return tuple(out)
+
+
+def exponential(g, depth):
+    text, p = poly_expressions(g.rng).expression(min(depth, 2))
+    return f"exp({text})", {tuple(p.get(k, ZERO) for k in range(max(p, default=-1) + 1)): ONE}
+
+
+def curve_expressions(rng):
+    return Expressions(rng, (), {"exp": exponential}, add_exponents)
+
+
+def linear_expressions(rng, names, real):
+    readers = {name: (lambda g, depth, name=name: (name, {name: ONE})) for name in names}
+    return Expressions(rng, 1, readers, lambda m, n: n if m == 1 else m, linear=True, real=real)
+
+
+def fraction_text(x):
+    x = Fraction(x)
+    return f"({x.numerator}/{x.denominator})"
+
+
+def primitive_row(row):
+    """A rational row scaled to coprime ints, its first nonzero entry positive."""
+    scale = math.lcm(*(Fraction(x).denominator for x in row))
+    ints = [int(x * scale) for x in row]
+    g = math.gcd(*ints) if next(x for x in ints if x) > 0 else -math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def pair_of(c):
+    return (c.re, c.im)
+
+
+class TestValueOracle:
+    """Values of drawn expressions in every domain, against the pairs of Fractions computed beside them."""
+
+    SEEDS = range(40)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_constant(self, seed):
+        g = curve_expressions(random.Random(seed))
+        for _ in range(10):
+            text, value = g.expression(3, constant=g.rng.random() < 0.7)
+            if g.is_constant(value):
+                assert pair_of(parse_constant(text)) == value.get((), ZERO), text
+            else:
+                with pytest.raises(ParseError, match="expected a constant"):
+                    parse_constant(text)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_linear_forms(self, seed):
+        rng = random.Random(seed)
+        for kind, names, real in (("hyperplane", COMPLEX_NAMES, False), ("real", REAL_NAMES, True)):
+            g = linear_expressions(rng, names, real)
+            for _ in range(10):
+                text, value = g.expression(3)
+                # cancel the constant part, which a declaration may not have
+                re, im = value.pop(1, ZERO)
+                line = f"{kind} H: {text} - {fraction_text(re)} - {fraction_text(im)}*i = 0"
+                if real:
+                    line = line.replace(f" - {fraction_text(im)}*i", "")
+                if not value:
+                    with pytest.raises(ParseError, match="the zero form defines nothing"):
+                        parse_scene(line)
+                elif real:
+                    row = primitive_row([value.get(v, ZERO)[0] for v in names])
+                    assert parse_scene(line).reals["H"].forms == (row,), line
+                else:
+                    coefficients = parse_scene(line).hyperplanes["H"].coefficients
+                    assert [pair_of(c) for c in coefficients] == [value.get(v, ZERO) for v in names], line
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_curve(self, seed):
+        g = curve_expressions(random.Random(seed))
+        for _ in range(5):
+            drawn = [g.expression(3) for _ in range(3)]
+            if not any(value for _, value in drawn):
+                continue
+            curve = parse_scene(f"curve f: ({', '.join(text for text, _ in drawn)})").curves["f"]
+            for component, (text, value) in zip(curve.components, drawn):
+                read = {tuple(map(pair_of, t.exponent)): pair_of(t.coeff) for t in component.terms}
+                assert read == value, text
